@@ -13,6 +13,7 @@ function returning new values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -135,38 +136,69 @@ def _check_dims(x, y) -> None:
         raise ValueError(f"dimension mismatch: ({x.n},{x.m}) vs ({y.n},{y.m})")
 
 
+def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, d) arrays through a stacked matmul.
+
+    Each row runs the same dot kernel as ``np.dot`` of two vectors, so
+    ``np.sqrt(row_dots(X, X))`` equals ``np.linalg.norm`` of each row bit
+    for bit; ``X @ y`` and ``norm(axis=1)`` use other kernels and can
+    differ in the last bit.
+    """
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _norms(vectors, d: int) -> np.ndarray:
+    """Euclidean norm of each length-d vector, as np.linalg.norm gives it."""
+    X = np.array(vectors, dtype=float).reshape(len(vectors), d)
+    return np.sqrt(row_dots(X, X))
+
+
 # ---------------------------------------------------------------------------
 # point snapping
 
 class _PointRegistry:
     """Snaps nearby points to a single representative.
 
-    Uses a uniform hash grid with cell size 4*eps: any two points within eps
-    of each other land in the same or adjacent cells, so a lookup only has
-    to probe the 3^n neighborhood.
+    Uses a uniform hash grid with cell size 4*eps: a point within eps of
+    another lies in the same cell or, along each axis, in the neighbour
+    across a face it is within eps of.  A lookup probes only those cells,
+    in lexicographic order of their offsets, so registered points are
+    visited in the same relative order as a full 3^n probe would visit them.
     """
+
+    # a point within eps of a face lies within eps/h = 1/4 cell of it in
+    # c/h, since rounding c/h is monotone; the slack covers a distance that
+    # is <= eps only after rounding, which can move c/h one ulp past 1/4
+    _FACE = 0.25 + 1e-12
+    _ULP = 2.0**-51
 
     def __init__(self, n: int, eps: float):
         self.n = n
         self.eps = eps
         self.h = 4.0 * eps if eps > 0 else 1e-30
         self.cells: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
-        self._offsets = list(np.ndindex(*(3,) * n))
 
     def snap(self, p: Sequence[float]) -> tuple[float, ...]:
         pt = tuple(float(c) for c in p)
-        base = tuple(int(math.floor(c / self.h)) for c in pt)
+        base = []
+        probes = []
+        for c in pt:
+            u = c / self.h
+            k = math.floor(u)
+            f = u - k
+            reach = self._FACE + abs(u) * self._ULP
+            base.append(k)
+            probes.append((k - 1,) * (f <= reach) + (k,) + (k + 1,) * (f >= 1.0 - reach))
         best = None
         best_d = self.eps
-        for off in self._offsets:
-            key = tuple(b + o - 1 for b, o in zip(base, off))
-            for q in self.cells.get(key, ()):
+        for cell in itertools.product(*probes):
+            for q in self.cells.get(cell, ()):
                 d = math.dist(pt, q)
                 if d <= best_d:
                     best, best_d = q, d
         if best is not None:
             return best
-        self.cells.setdefault(base, []).append(pt)
+        self.cells.setdefault(tuple(base), []).append(pt)
         return pt
 
 
@@ -265,7 +297,6 @@ def canonicalize(T: Chain1, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain1:
 
     reg = _PointRegistry(T.n, eps_geom)
     snapped: list[Edge] = []
-    max_theta = 0.0
     for e in T.edges:
         if e.a == e.b:
             raise DegenerateEdgeError(f"degenerate edge at {e.a}")
@@ -274,10 +305,9 @@ def canonicalize(T: Chain1, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain1:
         if a == b:
             continue  # collapsed by snapping: length below resolution, drop
         snapped.append(Edge(a, b, e.theta))
-        max_theta = max(max_theta, float(np.linalg.norm(e.theta)))
     if not snapped:
         return Chain1(T.n, T.m, (), canonical=True)
-    eps_mult = EPS_MULT_REL * max_theta
+    eps_mult = EPS_MULT_REL * float(_norms([e.theta for e in snapped], T.m).max())
 
     splits = _segment_interactions(snapped, eps_geom)
 
@@ -315,11 +345,8 @@ def canonicalize(T: Chain1, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain1:
         else:
             acc[key] = th
 
-    out = [
-        Edge(a, b, tuple(th))
-        for (a, b), th in acc.items()
-        if float(np.linalg.norm(th)) > eps_mult
-    ]
+    keep = _norms(list(acc.values()), T.m) > eps_mult
+    out = [Edge(a, b, tuple(th)) for ((a, b), th), k in zip(acc.items(), keep) if k]
     out.sort(key=lambda e: (e.a, e.b))
     return Chain1(T.n, T.m, tuple(out), canonical=True)
 
@@ -330,16 +357,22 @@ def canonicalize0(mu: Chain0, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain0:
         return mu
     reg = _PointRegistry(mu.n, eps_geom)
     acc: dict[tuple[float, ...], np.ndarray] = {}
-    max_w = max(float(np.linalg.norm(a.weight)) for a in mu.atoms)
     for a in mu.atoms:
         p = reg.snap(a.position)
         if p in acc:
             acc[p] += a.weight
         else:
             acc[p] = np.array(a.weight)
-    eps_w = EPS_MULT_REL * max_w
-    atoms = [Atom(p, tuple(w)) for p, w in sorted(acc.items()) if float(np.linalg.norm(w)) > eps_w]
-    return Chain0(mu.n, mu.m, tuple(atoms))
+    return _significant_atoms(mu.n, mu.m, acc, [a.weight for a in mu.atoms])
+
+
+def _significant_atoms(n: int, m: int, acc: dict, inputs: list) -> Chain0:
+    """Atoms of ``acc`` in sorted order, dropping weights within the
+    relative tolerance of the largest input weight."""
+    eps_w = EPS_MULT_REL * float(_norms(inputs, m).max(initial=0.0))
+    items = sorted(acc.items())
+    keep = _norms([w for _, w in items], m) > eps_w
+    return Chain0(n, m, tuple(Atom(p, tuple(w)) for (p, w), k in zip(items, keep) if k))
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +381,14 @@ def canonicalize0(mu: Chain0, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain0:
 def boundary(T: Chain1) -> Chain0:
     """Boundary 0-chain: sum over edges of theta * (delta_b - delta_a)."""
     acc: dict[tuple[float, ...], np.ndarray] = {}
-    max_w = 0.0
     for e in T.edges:
         th = np.array(e.theta)
-        max_w = max(max_w, float(np.linalg.norm(th)))
         for p, s in ((e.b, 1.0), (e.a, -1.0)):
             if p in acc:
                 acc[p] += s * th
             else:
                 acc[p] = s * th
-    eps_w = EPS_MULT_REL * max_w
-    atoms = [Atom(p, tuple(w)) for p, w in sorted(acc.items()) if float(np.linalg.norm(w)) > eps_w]
-    return Chain0(T.n, T.m, tuple(atoms))
+    return _significant_atoms(T.n, T.m, acc, [e.theta for e in T.edges])
 
 
 def divergence(T: Chain1) -> Chain0:
@@ -370,8 +399,9 @@ def divergence(T: Chain1) -> Chain0:
 def mass(X: Chain0 | Chain1) -> float:
     """Total mass: Euclidean norm of multiplicities, weighted by length."""
     if isinstance(X, Chain0):
-        return float(sum(np.linalg.norm(a.weight) for a in X.atoms))
-    return float(sum(np.linalg.norm(e.theta) * e.length for e in X.edges))
+        return float(sum(_norms([a.weight for a in X.atoms], X.m).tolist()))
+    lengths = [e.length for e in X.edges]
+    return float(sum((_norms([e.theta for e in X.edges], X.m) * lengths).tolist()))
 
 
 # ---------------------------------------------------------------------------

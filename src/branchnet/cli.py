@@ -17,7 +17,16 @@ import numpy as np
 
 from branchnet import chains, construct, costs, metrics, optimize
 from branchnet.energy import energy as compute_energy
-from branchnet.io import SchemaError, emit_svg, load_measure, load_network, save_network
+from branchnet.io import (
+    SchemaError,
+    emit_svg,
+    load_measure,
+    load_network,
+    measure_from_document,
+    network_from_document,
+    read_document,
+    save_network,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -167,11 +176,11 @@ def cmd_energy(args) -> int:
 
 
 def cmd_flat_bound(args) -> int:
-    with open(args.path) as fh:
-        kind = "network" if "edges" in json.load(fh) else "measure"
-    X = load_network(args.path) if kind == "network" else load_measure(args.path)
-    if kind == "network":
-        X = chains.canonicalize(X)
+    doc = read_document(args.path, "input")
+    if isinstance(doc, dict) and "edges" in doc:
+        kind, X = "network", chains.canonicalize(network_from_document(doc, args.path))
+    else:
+        kind, X = "measure", measure_from_document(doc, args.path)
     fb = metrics.flat_bounds(X)
     _emit(
         {

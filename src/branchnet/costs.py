@@ -15,11 +15,14 @@ Built-in families:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from branchnet.chains import row_dots
 
 INF_CAP = 1e12
 _DIR_DERIV_IMAX = 60
@@ -83,6 +86,68 @@ def evaluate(cost: CostSpec, theta) -> float:
     if cost.family == "Custom":
         return float(cost.fn(th))
     raise ValueError(f"unknown cost family {cost.family!r}")
+
+
+def _pow_each(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e per entry with the scalar power of :func:`evaluate` (array
+    ``np.power`` may use a vector kernel that differs in the last bit)."""
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(e)), dtype=float, count=len(x))
+
+
+def evaluate_rows(cost: CostSpec, Theta) -> np.ndarray:
+    """Costs of the k rows of a (k, m) array, equal bit for bit to
+    ``[evaluate(cost, row) for row in Theta]`` for the built-in families."""
+    Th = np.asarray(Theta, dtype=float)
+    if Th.ndim != 2 or Th.shape[1] != cost.m:
+        raise ValueError(f"Theta must have shape (k, {cost.m})")
+    if not np.all(np.isfinite(Th)):
+        raise ValueError("non-finite multiplicity")
+    if cost.family == "SumAlpha":
+        w = np.broadcast_to(np.asarray(cost.params["weights"]), Th.shape)
+        return _pow_each(row_dots(np.abs(Th), w), cost.params["alpha"])
+    if cost.family == "ComponentSum":
+        c = np.broadcast_to(np.asarray(cost.params["coeffs"]), Th.shape)
+        return row_dots(np.abs(Th) ** np.asarray(cost.params["alphas"]), c)
+    if cost.family == "PNormAlpha":
+        p = cost.params["p"]
+        if p == 2.0:
+            norms = np.sqrt(row_dots(Th, Th))
+        elif p == 1.0:
+            norms = np.abs(Th).sum(axis=1)
+        elif p == math.inf:
+            norms = np.abs(Th).max(axis=1)
+        else:
+            norms = _pow_each((np.abs(Th) ** p).sum(axis=1), 1.0 / p)
+        return _pow_each(norms, cost.params["alpha"])
+    if cost.family == "Custom":
+        return np.array([float(cost.fn(row)) for row in Th], dtype=float)
+    raise ValueError(f"unknown cost family {cost.family!r}")
+
+
+def sampled_ratios(
+    cost: CostSpec, delta: float, directions: int, radii: int = 64, seed: int = 0, axes: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """|v|/C(v) on a sampled grid of the ball of radius delta.
+
+    Draws ``directions`` random unit directions u (followed by the m
+    coordinate axes when ``axes``) and ``radii`` log-spaced radii r in
+    [1e-8 delta, delta].  Returns (R, C), both of shape (directions [+ m],
+    radii): the costs C(r u), from :func:`evaluate_rows` on blocks of 16
+    directions, and the ratios R = r / C(r u), set to 0 where the cost is
+    not positive.
+    """
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(directions, cost.m))
+    U /= np.sqrt(row_dots(U, U))[:, None]
+    if axes:
+        U = np.vstack([U, np.eye(cost.m)])
+    rs = delta * np.logspace(-8, 0, radii)
+    C = np.empty((len(U), radii))
+    for i in range(0, len(U), 16):  # blocks keep the temporaries small
+        block = U[i : i + 16, None, :] * rs[None, :, None]
+        C[i : i + 16] = evaluate_rows(cost, block.reshape(-1, cost.m)).reshape(-1, radii)
+    R = np.divide(rs, C, out=np.zeros_like(C), where=C > 0.0)
+    return R, C
 
 
 # ---------------------------------------------------------------------------
@@ -361,28 +426,18 @@ def s_beta_series(beta: BetaEnvelope, n: int, K: int) -> tuple[float, float]:
 def norm_cost_ratio(cost: CostSpec, delta: float, samples: int = 10_000, seed: int = 0) -> float:
     """Sampled constant c with |v| <= c C(v) on the ball of radius delta.
 
-    Takes the sup of |v|/C(v) over random directions and log-spaced radii;
-    flags the axiom violation if the ratio keeps growing toward 0 (the bound
-    must be finite for a genuine transportation cost).
+    Takes the sup of |v|/C(v) over random directions and log-spaced radii
+    (:func:`sampled_ratios`); flags the axiom violation if the ratio keeps
+    growing toward 0 (the bound must be finite for a genuine
+    transportation cost).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    rng = np.random.default_rng(seed)
-    radii = delta * np.logspace(-8, 0, 64)
-    best = 0.0
-    best_small = 0.0  # sup over the innermost radius shell
-    n_dirs = max(1, samples // len(radii))
-    for _ in range(n_dirs):
-        u = rng.normal(size=cost.m)
-        u /= np.linalg.norm(u)
-        for r in radii:
-            c = evaluate(cost, r * u)
-            if c <= 0.0:
-                raise ValueError("cost vanishes off the origin")
-            ratio = r / c
-            best = max(best, ratio)
-            if r == radii[0]:
-                best_small = max(best_small, ratio)
+    R, C = sampled_ratios(cost, delta, max(1, samples // 64), 64, seed)
+    if np.any(C <= 0.0):
+        raise ValueError("cost vanishes off the origin")
+    best = float(R.max())
+    best_small = float(R[:, 0].max())  # sup over the innermost radius shell
     if best_small >= best and best_small > 1e6 * delta:
         raise ValueError("|v|/C(v) appears unbounded near 0: cost axioms violated")
     return best

@@ -12,10 +12,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from branchnet.chains import Chain1, component_lift
-from branchnet.costs import CostSpec, derivative_profile, evaluate
+from branchnet.costs import CostSpec, derivative_profile, evaluate, sampled_ratios
 
 
 class NonCanonicalError(ValueError):
@@ -64,9 +62,11 @@ def mass_bound_constant(
     """Constant C with mass(T') <= C * energy(T) for acyclic fluxes T'.
 
     Built from the inverse per-axis derivatives at 0 (with the convention
-    that an infinite derivative contributes 0) and the sampled supremum of
+    that an infinite derivative contributes 0) and the supremum of
     |theta|/C(theta) over the ball |theta| <= boundary_mass, scaled by m.
-    The supremum is sample-based, not certified, for custom costs.
+    The supremum is still sampled, not certified: it is taken over a
+    (directions // radii random directions plus the m axes) x radii grid,
+    whose costs are evaluated in batches (:func:`sampled_ratios`).
     """
     if boundary_mass <= 0:
         raise ValueError("boundary_mass must be positive")
@@ -75,24 +75,9 @@ def mass_bound_constant(
     for j in prof.basis_set:
         inv_deriv = max(inv_deriv, 1.0 / prof.axis_derivatives[j])
 
-    rng = np.random.default_rng(seed)
-    rs = boundary_mass * np.logspace(-8, 0, radii)
-    sup_ratio = 0.0
-    for _ in range(max(1, directions // radii)):
-        u = rng.normal(size=cost.m)
-        u /= np.linalg.norm(u)
-        for r in rs:
-            c = evaluate(cost, r * u)
-            if c > 0.0:
-                sup_ratio = max(sup_ratio, r / c)
     # axis directions are the extremal ones for the built-in families
-    for j in range(cost.m):
-        ej = np.zeros(cost.m)
-        ej[j] = 1.0
-        for r in rs:
-            c = evaluate(cost, r * ej)
-            if c > 0.0:
-                sup_ratio = max(sup_ratio, r / c)
+    R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // radii), radii, seed, axes=True)
+    sup_ratio = float(R.max())
     return cost.m * max(inv_deriv, sup_ratio)
 
 

@@ -42,12 +42,16 @@ def _check_vector(v, length: int, where: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _load_header(path, kind: str) -> tuple[dict, int, int]:
+def read_document(path, kind: str) -> dict:
+    """Parse an input file's JSON; read errors carry the path."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read {kind} file: {exc}") from exc
+
+
+def _check_header(doc, path) -> tuple[int, int]:
     _require(isinstance(doc, dict), str(path), "top level must be an object")
     for key in ("version", "n", "m"):
         _require(key in doc, str(path), f"missing field '{key}'")
@@ -55,11 +59,12 @@ def _load_header(path, kind: str) -> tuple[dict, int, int]:
     n, m = doc["n"], doc["m"]
     _require(isinstance(n, int) and n >= 1, f"{path}:n", "n must be a positive integer")
     _require(isinstance(m, int) and m >= 1, f"{path}:m", "m must be a positive integer")
-    return doc, n, m
+    return n, m
 
 
-def load_measure(path) -> Chain0:
-    doc, n, m = _load_header(path, "measure")
+def measure_from_document(doc, path) -> Chain0:
+    """Measure from a parsed document; ``path`` prefixes error locations."""
+    n, m = _check_header(doc, path)
     _require("atoms" in doc and isinstance(doc["atoms"], list), f"{path}:atoms", "missing atom list")
     atoms = []
     for i, rec in enumerate(doc["atoms"]):
@@ -72,6 +77,10 @@ def load_measure(path) -> Chain0:
     return Chain0(n, m, tuple(atoms))
 
 
+def load_measure(path) -> Chain0:
+    return measure_from_document(read_document(path, "measure"), path)
+
+
 def save_measure(mu: Chain0, path) -> None:
     doc = {
         "version": FORMAT_VERSION,
@@ -82,8 +91,9 @@ def save_measure(mu: Chain0, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def load_network(path) -> Chain1:
-    doc, n, m = _load_header(path, "network")
+def network_from_document(doc, path) -> Chain1:
+    """Network from a parsed document; ``path`` prefixes error locations."""
+    n, m = _check_header(doc, path)
     _require("edges" in doc and isinstance(doc["edges"], list), f"{path}:edges", "missing edge list")
     edges = []
     for i, rec in enumerate(doc["edges"]):
@@ -97,6 +107,10 @@ def load_network(path) -> Chain1:
         _require(a != b, where, "degenerate edge (a == b)")
         edges.append(Edge(a, b, th))
     return Chain1(n, m, tuple(edges))
+
+
+def load_network(path) -> Chain1:
+    return network_from_document(read_document(path, "network"), path)
 
 
 def save_network(T: Chain1, path) -> None:

@@ -26,6 +26,7 @@ from branchnet.chains import (
     edge_arrays,
     is_compatible,
     mass,
+    row_dots,
 )
 from branchnet.costs import CostSpec
 from branchnet.energy import energy
@@ -58,35 +59,27 @@ def flat_norm_0chain_component(nu: Chain0, j: int) -> float:
     |p - q| per unit, or pay cost 1 per unit of untransported residual on
     either side.
     """
-    pos, neg = [], []
-    for a in nu.atoms:
-        w = a.weight[j]
-        if w > 0:
-            pos.append((np.array(a.position), w))
-        elif w < 0:
-            neg.append((np.array(a.position), -w))
-    P = math.fsum(w for _, w in pos)
-    N = math.fsum(w for _, w in neg)
-    if not pos or not neg:
+    X = np.array([a.position for a in nu.atoms])
+    w = np.array([a.weight[j] for a in nu.atoms])
+    pos, neg = w > 0, w < 0
+    P = math.fsum(w[pos])
+    N = math.fsum(-w[neg])
+    if not pos.any() or not neg.any():
         return P + N
 
     # Objective over flows only: shipping a unit saves the two residual
     # units it would otherwise cost, so cost coefficient is d - 2.
-    npos, nneg = len(pos), len(neg)
-    D = np.array([[float(np.linalg.norm(p - q)) for q, _ in neg] for p, _ in pos])
+    npos, nneg = int(pos.sum()), int(neg.sum())
+    diff = (X[pos][:, None, :] - X[neg][None, :, :]).reshape(-1, nu.n)
+    D = np.sqrt(row_dots(diff, diff)).reshape(npos, nneg)
     c = (D - 2.0).ravel()
-    rows, cols, vals = [], [], []
-    for i in range(npos):
-        for k in range(nneg):
-            idx = i * nneg + k
-            rows.append(i)
-            cols.append(idx)
-            vals.append(1.0)
-            rows.append(npos + k)
-            cols.append(idx)
-            vals.append(1.0)
-    A_ub = coo_matrix((vals, (rows, cols)), shape=(npos + nneg, npos * nneg))
-    b_ub = np.array([w for _, w in pos] + [w for _, w in neg])
+    # flow (i, k) is variable i*nneg + k; it enters row i and row npos + k
+    i_of = np.repeat(np.arange(npos), nneg)
+    k_of = np.tile(np.arange(nneg), npos)
+    rows = np.column_stack([i_of, npos + k_of]).ravel()
+    cols = np.repeat(np.arange(npos * nneg), 2)
+    A_ub = coo_matrix((np.ones(2 * npos * nneg), (rows, cols)), shape=(npos + nneg, npos * nneg))
+    b_ub = np.concatenate([w[pos], -w[neg]])
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     if not res.success:  # residual-only solution is always feasible
         raise RuntimeError(f"flat-norm LP failed: {res.message}")

@@ -243,7 +243,7 @@ def straighten(T: Chain1, eps: float = 1e-12) -> Chain1:
 # ---------------------------------------------------------------------------
 # Weiszfeld branch-point relocation
 
-def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, iters: int, tol: float, diam: float, rng) -> np.ndarray:
+def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, iters: int, tol: float, diam: float) -> np.ndarray:
     """Weighted geometric median with damping at anchor coincidences."""
     v = v0.copy()
     for _ in range(iters):
@@ -293,13 +293,13 @@ def relocate_branch_points(
     fixed topology minimizes sum_e C(theta_e) |v - other(e)|.  Moves are
     accepted only when the local objective does not increase, so the sweep
     is energy non-increasing.  Vertices that land on a neighbor make the
-    connecting edge vanish.
+    connecting edge vanish.  The relocation is deterministic: ``seed`` is
+    accepted for compatibility and unused.
     """
     if not T.canonical:
         T = canonicalize(T)
     if not T.edges:
         return T
-    rng = np.random.default_rng(seed)
     diam = _chain_diam(T)
     edges = [(e.a, e.b, e.theta) for e in T.edges]
 
@@ -312,7 +312,7 @@ def relocate_branch_points(
         weights = np.array([evaluate(cost, edges[i][2]) for i, side in inc])
         old = np.array(v)
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
-        new = _weiszfeld(old, anchors, weights, iters, tol, diam, rng)
+        new = _weiszfeld(old, anchors, weights, iters, tol, diam)
         # snap to a coincident anchor so the degenerate edge can be dropped
         d = np.linalg.norm(anchors - new, axis=1)
         k = int(np.argmin(d))
@@ -376,7 +376,7 @@ def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, confi
     ]
     new = [e for e in new if e.a != e.b]
     trial = canonicalize(Chain1(T.n, T.m, tuple(rest + new)))
-    return relocate_branch_points(trial, cost, config.weiszfeld_iters, config.weiszfeld_tol, config.seed)
+    return relocate_branch_points(trial, cost, config.weiszfeld_iters, config.weiszfeld_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def local_search(
             if E2 <= E * (1 + 1e-12):
                 T, E = T2, E2
         if "relocate" in config.moves:
-            T2 = relocate_branch_points(T, cost, config.weiszfeld_iters, config.weiszfeld_tol, config.seed)
+            T2 = relocate_branch_points(T, cost, config.weiszfeld_iters, config.weiszfeld_tol)
             E2 = energy(T2, cost)
             if E2 <= E * (1 + 1e-12):
                 T, E = T2, E2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchnet.chains import (
+    DEFAULT_EPS_GEOM,
     Atom,
     Box,
     Chain0,
@@ -24,6 +25,7 @@ from branchnet.chains import (
     mass,
     restrict,
     restrict0,
+    _PointRegistry,
 )
 from conftest import path_chain, random_chain
 
@@ -219,3 +221,60 @@ def test_canonicalize_properties(edge_data):
     assert mass(T) <= mass(raw) + 1e-9  # merging only cancels
     for e in T.edges:
         assert e.a < e.b  # canonical orientation
+
+
+class _BruteForceRegistry:
+    """Reference snapping: scans every registered point.
+
+    Candidates are visited in (cell, insertion) order, the order in which a
+    grid probe meets them, so exact distance ties resolve the same way.
+    """
+
+    def __init__(self, eps: float):
+        self.eps = eps
+        self.h = 4.0 * eps
+        self.points: list[tuple[tuple[int, ...], int, tuple[float, ...]]] = []
+
+    def snap(self, p):
+        best, best_d = None, self.eps
+        for _, _, q in sorted(self.points):
+            d = math.dist(p, q)
+            if d <= best_d:
+                best, best_d = q, d
+        if best is not None:
+            return best
+        key = tuple(math.floor(c / self.h) for c in p)
+        self.points.append((key, len(self.points), p))
+        return p
+
+
+@st.composite
+def near_face_clouds(draw):
+    """Points in R^n (n = 2..6) clustered around a point within 1e-12 of
+    cell faces along some axes, with offsets up to 1.5 eps on each axis.
+    At 1e7 the coordinates are spaced wider than eps."""
+    eps = DEFAULT_EPS_GEOM
+    h = 4.0 * eps
+    n = draw(st.integers(2, 6))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6, 1e7]))
+    center = []
+    for _ in range(n):
+        x = draw(st.floats(-scale, scale))
+        if draw(st.booleans()):
+            x = math.floor(x / h) * h + draw(st.floats(-1e-12, 1e-12))
+        center.append(x)
+    offset = st.one_of(
+        st.floats(-1.5 * eps, 1.5 * eps),
+        st.sampled_from([0.0, eps, -eps, 0.5 * eps, -0.5 * eps, 1e-12, -1e-12]),
+    )
+    cloud = draw(st.lists(st.lists(offset, min_size=n, max_size=n), min_size=2, max_size=16))
+    return [tuple(c + o for c, o in zip(center, off)) for off in cloud]
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_face_clouds())
+def test_snap_matches_brute_force(points):
+    reg = _PointRegistry(len(points[0]), DEFAULT_EPS_GEOM)
+    ref = _BruteForceRegistry(DEFAULT_EPS_GEOM)
+    for p in points:
+        assert reg.snap(p) == ref.snap(p)

@@ -11,6 +11,7 @@ from branchnet.costs import (
     derivative_profile,
     dir_derivative_at_zero,
     evaluate,
+    evaluate_rows,
     norm_cost_ratio,
     p_norm_alpha,
     rectifiability_flag,
@@ -41,6 +42,46 @@ class TestEvaluate:
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
             evaluate(sum_alpha(2, 0.5), [1.0])
+
+
+class TestEvaluateRows:
+    COSTS = [
+        sum_alpha(3, 0.7, weights=[1.0, 2.0, 0.3]),
+        component_sum(3, [2.0, 1.0, 0.5], [0.5, 1.0, 0.8]),
+        p_norm_alpha(3, 2.0, 0.8),
+        p_norm_alpha(3, 1.0, 0.9),
+        p_norm_alpha(3, 3.5, 0.6),
+        p_norm_alpha(3, math.inf, 0.7),
+        custom_cost(3, lambda t: float(np.sum(t * t)) ** 0.25),
+    ]
+
+    @pytest.mark.parametrize("cost", COSTS, ids=lambda c: f"{c.family}{c.params.get('p', '')}")
+    def test_matches_evaluate_per_row(self, cost, rng):
+        Theta = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-8, 3, size=(500, 1))
+        Theta[::7, 1] = 0.0
+        Theta[0] = 0.0
+        expected = np.array([evaluate(cost, row) for row in Theta])
+        got = evaluate_rows(cost, Theta)
+        assert got.shape == (500,)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+        if cost.family in ("SumAlpha", "PNormAlpha") and cost.params.get("p", 2.0) == 2.0:
+            assert np.array_equal(got, expected)
+
+    def test_empty_batch(self):
+        assert evaluate_rows(sum_alpha(2, 0.5), np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((4, 3)), np.zeros((2, 2, 2))])
+    def test_shape_checked(self, bad):
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_rows(sum_alpha(2, 0.5), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        Theta = np.ones((3, 2))
+        Theta[1, 0] = bad
+        for cost in (sum_alpha(2, 0.5), p_norm_alpha(2, 2.0, 0.5), custom_cost(2, lambda t: 1.0)):
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate_rows(cost, Theta)
 
 
 class TestValidateCost:
@@ -149,3 +190,28 @@ class TestNormCostRatio:
     def test_linear_cost_ratio_constant(self):
         c = sum_alpha(1, 1.0, weights=[2.0])
         assert norm_cost_ratio(c, 8.0, samples=500, seed=0) == pytest.approx(0.5, rel=1e-6)
+
+    def test_bit_equal_to_scalar_loop(self):
+        def reference(cost, delta, samples, seed):
+            rng = np.random.default_rng(seed)
+            best = 0.0
+            for _ in range(max(1, samples // 64)):
+                u = rng.normal(size=cost.m)
+                u /= np.linalg.norm(u)
+                for r in delta * np.logspace(-8, 0, 64):
+                    best = max(best, r / evaluate(cost, r * u))
+            return best
+
+        for cost in (sum_alpha(2, 0.6), p_norm_alpha(3, 2.0, 0.8)):
+            for delta in (0.01, 1.0, 16.0):
+                assert norm_cost_ratio(cost, delta, samples=2000, seed=3) == reference(cost, delta, 2000, 3)
+
+    def test_vanishing_cost_rejected(self):
+        c = custom_cost(2, lambda t: max(float(t[0]), 0.0))  # zero on a half-plane
+        with pytest.raises(ValueError, match="vanishes"):
+            norm_cost_ratio(c, 1.0, samples=64 * 40)
+
+    def test_unbounded_ratio_near_zero_rejected(self):
+        c = custom_cost(1, lambda t: float(np.linalg.norm(t)) ** 2)  # |v|/C(v) = 1/|v|
+        with pytest.raises(ValueError, match="unbounded"):
+            norm_cost_ratio(c, 1.0, samples=640)

@@ -11,7 +11,7 @@ from branchnet.energy import (
     energy_component,
     mass_bound_constant,
 )
-from branchnet.costs import component_sum, sum_alpha
+from branchnet.costs import component_sum, custom_cost, derivative_profile, evaluate, p_norm_alpha, sum_alpha
 from conftest import random_chain
 
 
@@ -81,3 +81,56 @@ class TestMassBoundConstant:
             if theta_max > bm:
                 continue
             assert mass(T) <= c * energy(T, cost) * (1 + 1e-9)
+
+
+def _mass_bound_reference(cost, boundary_mass, directions=10_000, radii=64, seed=0):
+    """mass_bound_constant as a scalar loop: one evaluate per grid point."""
+    prof = derivative_profile(cost, samples=0)
+    inv_deriv = 0.0
+    for j in prof.basis_set:
+        inv_deriv = max(inv_deriv, 1.0 / prof.axis_derivatives[j])
+    rng = np.random.default_rng(seed)
+    rs = boundary_mass * np.logspace(-8, 0, radii)
+    sup_ratio = 0.0
+    for _ in range(max(1, directions // radii)):
+        u = rng.normal(size=cost.m)
+        u /= np.linalg.norm(u)
+        for r in rs:
+            c = evaluate(cost, r * u)
+            if c > 0.0:
+                sup_ratio = max(sup_ratio, r / c)
+    for j in range(cost.m):
+        ej = np.zeros(cost.m)
+        ej[j] = 1.0
+        for r in rs:
+            c = evaluate(cost, r * ej)
+            if c > 0.0:
+                sup_ratio = max(sup_ratio, r / c)
+    return cost.m * max(inv_deriv, sup_ratio)
+
+
+class TestMassBoundBatched:
+    MASSES = (1e-3, 0.37, 1.0, 4.0, 250.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("make", [lambda m: sum_alpha(m, 0.75), lambda m: p_norm_alpha(m, 2.0, 0.8)])
+    def test_bit_equal_to_scalar_loop(self, make, m):
+        cost = make(m)
+        for bm in self.MASSES:
+            assert mass_bound_constant(cost, bm) == _mass_bound_reference(cost, bm)
+
+    def test_weighted_and_linear_sum_alpha_bit_equal(self):
+        for cost in (sum_alpha(2, 0.6, weights=[1.0, 2.5]), sum_alpha(3, 1.0)):
+            for bm in self.MASSES:
+                assert mass_bound_constant(cost, bm, directions=640) == _mass_bound_reference(cost, bm, 640)
+
+    @pytest.mark.parametrize("cost", [
+        component_sum(3, [1.0, 2.0, 0.5], [0.3, 1.0, 0.7]),
+        p_norm_alpha(3, 3.0, 0.6),
+        p_norm_alpha(2, 1.5, 0.9),
+        custom_cost(2, lambda t: float(np.abs(t).sum()) ** 0.7),
+    ], ids=["component_sum", "p3", "p1.5", "custom"])
+    def test_other_families_match_scalar_loop(self, cost):
+        for bm in self.MASSES:
+            got = mass_bound_constant(cost, bm, directions=1280, seed=4)
+            assert got == pytest.approx(_mass_bound_reference(cost, bm, 1280, seed=4), rel=1e-14)

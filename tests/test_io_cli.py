@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,29 @@ class TestCli:
 
     def test_missing_file_is_io_error(self, capsys):
         assert main(["energy", "/nonexistent.json", "--cost", "sum_alpha:alpha=0.5"]) == EXIT_IO
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"version": 1, "n": 2, "m": 1, "edges": [{"a": [0, 0], "b": [1, 0], "theta": [1, 2]}]}',
+         r"edges\[0\]\.theta"),
+        ('{"version": 1, "n": 2, "m": 1, "atoms": [{"p": [0, 0], "w": [1]}, {"p": [0], "w": [1]}]}',
+         r"atoms\[1\]\.p"),
+        ('[1, 2]', "top level must be an object"),
+        ('{"version": 1, "n": 2', "cannot read input file"),
+    ], ids=["network", "measure", "not-an-object", "malformed-json"])
+    def test_flat_bound_schema_errors_located(self, tmp_path, capsys, text, where):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert main(["flat-bound", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert re.search(where, err)
+
+    def test_flat_bound_network(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        save_network(Chain1(2, 1, (Edge((0.0, 0.0), (1.0, 0.0), (2.0,)),)), path)
+        assert main(["flat-bound", str(path)]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["kind"] == "network" and rec["upper"] == pytest.approx(2.0)
 
     def test_bad_cost_is_validation_error(self, instance, capsys):
         pm, pp, _ = instance
