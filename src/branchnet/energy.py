@@ -12,8 +12,10 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from branchnet.chains import Chain1, component_lift
-from branchnet.costs import CostSpec, derivative_profile, evaluate, sampled_ratios
+from branchnet.costs import CostSpec, derivative_profile, evaluate_rows, sampled_ratios
 
 
 class NonCanonicalError(ValueError):
@@ -43,8 +45,10 @@ def energy(T: Chain1, cost: CostSpec) -> float:
         raise NonCanonicalError("energy is defined on canonical chains only; canonicalize first")
     if T.m != cost.m:
         raise ValueError("chain/cost component mismatch")
-    terms = sorted(evaluate(cost, e.theta) * e.length for e in T.edges)
-    return float(math.fsum(terms))
+    Theta = np.array([e.theta for e in T.edges], dtype=float).reshape(len(T.edges), T.m)
+    lengths = np.array([e.length for e in T.edges], dtype=float)
+    # fsum is correctly rounded, so the order of the terms does not matter
+    return math.fsum(evaluate_rows(cost, Theta) * lengths)
 
 
 def energy_component(T: Chain1, cost: CostSpec, j: int) -> float:

@@ -28,7 +28,7 @@ from branchnet.chains import (
     mass,
     row_dots,
 )
-from branchnet.costs import CostSpec
+from branchnet.costs import CostSpec, evaluate_rows
 from branchnet.energy import energy
 
 
@@ -158,10 +158,7 @@ def coarea_check(T: Chain1, g, offset: float = 0.0) -> tuple[float, float]:
 
 def augmentation(nu: Chain0) -> np.ndarray:
     """Total weight vector chi(nu); vanishes identically on boundaries."""
-    out = np.zeros(nu.m)
-    for a in nu.atoms:
-        out += a.weight
-    return out
+    return nu.total_weight()
 
 
 def _calibration_constant(n: int, samples: int, rng) -> float:
@@ -186,11 +183,11 @@ def ig_identity_mc(
     exact = energy(T if T.canonical else canonicalize(T), cost)
     if not T.edges:
         return 0.0, 0.0, 0.0
-    A, B, _ = edge_arrays(T)
+    A, B, Th = edge_arrays(T)
     tau = B - A
     lengths = np.linalg.norm(tau, axis=1)
     tau = tau / lengths[:, None]
-    weights = np.array([_edge_cost(T, cost, i) for i in range(len(T.edges))]) * lengths
+    weights = evaluate_rows(cost, Th) * lengths
 
     rng = np.random.default_rng(seed)
     c = _calibration_constant(T.n, min(samples, 10**6), np.random.default_rng(seed + 1))
@@ -206,12 +203,6 @@ def ig_identity_mc(
     estimate = c * float(weights @ (acc / samples))
     rel = abs(estimate - exact) / exact if exact > 0 else abs(estimate)
     return estimate, exact, rel
-
-
-def _edge_cost(T: Chain1, cost: CostSpec, i: int) -> float:
-    from branchnet.costs import evaluate
-
-    return evaluate(cost, T.edges[i].theta)
 
 
 def w_upper(

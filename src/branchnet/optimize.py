@@ -20,12 +20,14 @@ from branchnet.chains import (
     Edge,
     boundary,
     canonicalize,
+    canonicalize0,
     component_lift,
     divergence,
     is_compatible,
     mass,
 )
-from branchnet.costs import CostSpec, evaluate
+from branchnet.construct import cascade, cone, shifted_grid
+from branchnet.costs import CostSpec, evaluate_rows
 from branchnet.energy import energy, mass_bound_constant
 
 _FLOW_TOL_REL = 1e-14
@@ -73,16 +75,21 @@ class SolutionReport:
 # ---------------------------------------------------------------------------
 # cycle removal
 
+def _arcs(ends, flows, tol: float):
+    """Directed arcs (u, v, edge_index, flow>0) from edge endpoints (a, b)
+    and one commodity's multiplicities, reversing edges with negative flow."""
+    arcs = []
+    for i, ((a, b), f) in enumerate(zip(ends, flows)):
+        if f > tol:
+            arcs.append((a, b, i, f))
+        elif f < -tol:
+            arcs.append((b, a, i, -f))
+    return arcs
+
+
 def _flow_graph(T: Chain1, j: int, tol: float):
     """Directed arcs (u, v, edge_index, flow>0) for commodity j."""
-    arcs = []
-    for i, e in enumerate(T.edges):
-        f = e.theta[j]
-        if f > tol:
-            arcs.append((e.a, e.b, i, f))
-        elif f < -tol:
-            arcs.append((e.b, e.a, i, -f))
-    return arcs
+    return _arcs([(e.a, e.b) for e in T.edges], [e.theta[j] for e in T.edges], tol)
 
 
 def _find_directed_cycle(arcs):
@@ -143,12 +150,10 @@ def remove_cycles(T: Chain1) -> Chain1:
     max_th = float(np.max(np.abs(theta))) if T.edges else 0.0
     tol = _FLOW_TOL_REL * max_th
 
+    ends = [(e.a, e.b) for e in T.edges]
     for j in range(T.m):
         while True:
-            work = Chain1(T.n, T.m, tuple(
-                Edge(e.a, e.b, tuple(row)) for e, row in zip(T.edges, theta)
-            ), canonical=True)
-            arcs = _flow_graph(work, j, tol)
+            arcs = _arcs(ends, theta[:, j].tolist(), tol)
             cycle = _find_directed_cycle(arcs)
             if cycle is None:
                 break
@@ -245,13 +250,16 @@ def straighten(T: Chain1, eps: float = 1e-12) -> Chain1:
 
 def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, iters: int, tol: float, diam: float) -> np.ndarray:
     """Weighted geometric median with damping at anchor coincidences."""
+    scale = max(diam, 1.0)
+    near, stop = 1e-12 * scale, tol * scale
     v = v0.copy()
     for _ in range(iters):
-        d = np.linalg.norm(anchors - v, axis=1)
-        hit = np.nonzero(d < 1e-12 * max(diam, 1.0))[0]
-        if hit.size:
+        diff = anchors - v
+        d = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(axis=1), bit for bit
+        if np.minimum.reduce(d) < near:
+            hit = np.nonzero(d < near)[0]
             k = int(hit[0])
-            away = np.nonzero(d >= 1e-12 * max(diam, 1.0))[0]
+            away = np.nonzero(d >= near)[0]
             if away.size == 0:
                 return anchors[k]
             dirs = anchors[away] - v
@@ -261,12 +269,13 @@ def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, iters: 
             slack = float(np.sum(weights[hit]))
             if np.linalg.norm(R) <= slack * (1 + 1e-12):
                 return anchors[k]  # subgradient optimality at the anchor
-            step = 1e-7 * max(diam, 1.0)
+            step = 1e-7 * scale
             v = v + 0.5 * step * R / np.linalg.norm(R)
             continue
         wd = weights / d
-        v_new = (wd @ anchors) / np.sum(wd)
-        if np.linalg.norm(v_new - v) <= tol * max(diam, 1.0):
+        v_new = (wd @ anchors) / np.add.reduce(wd)
+        dv = v_new - v
+        if math.sqrt(dv.dot(dv)) <= stop:  # 1-D norm, bit for bit
             return v_new
         v = v_new
     return v
@@ -293,7 +302,13 @@ def relocate_branch_points(
     fixed topology minimizes sum_e C(theta_e) |v - other(e)|.  Moves are
     accepted only when the local objective does not increase, so the sweep
     is energy non-increasing.  Vertices that land on a neighbor make the
-    connecting edge vanish.  The relocation is deterministic: ``seed`` is
+    connecting edge vanish.
+
+    The edge costs are evaluated once and the incidence (position -> tail
+    and head edge indices) is built once per call; the sweep is
+    Gauss-Seidel over the free vertices in sorted order, and a moved
+    vertex's edges join the incidence of its new position, so a later free
+    vertex there sees them.  The relocation is deterministic: ``seed`` is
     accepted for compatibility and unused.
     """
     if not T.canonical:
@@ -302,14 +317,16 @@ def relocate_branch_points(
         return T
     diam = _chain_diam(T)
     edges = [(e.a, e.b, e.theta) for e in T.edges]
+    W = evaluate_rows(cost, [th for _, _, th in edges])
+    incidence: dict = {}
+    for i, (a, b, _) in enumerate(edges):
+        incidence.setdefault(a, ([], []))[0].append(i)
+        incidence.setdefault(b, ([], []))[1].append(i)
 
     for v in sorted(_free_vertices(T)):
-        inc = [(i, 0) for i, (a, _, _) in enumerate(edges) if a == v]
-        inc += [(i, 1) for i, (_, b, _) in enumerate(edges) if b == v]
-        if not inc:
-            continue
-        anchors = np.array([edges[i][1 - side] for i, side in inc])
-        weights = np.array([evaluate(cost, edges[i][2]) for i, side in inc])
+        tails, heads = incidence.pop(v)
+        anchors = np.array([edges[i][1] for i in tails] + [edges[i][0] for i in heads])
+        weights = W[tails + heads]
         old = np.array(v)
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
         new = _weiszfeld(old, anchors, weights, iters, tol, diam)
@@ -322,9 +339,14 @@ def relocate_branch_points(
         if f_new > f_old * (1 + 1e-12):
             continue
         vt = tuple(float(c) for c in new)
-        for i, side in inc:
-            a, b, th = edges[i]
-            edges[i] = (vt, b, th) if side == 0 else (a, vt, th)
+        for i in tails:
+            _, b, th = edges[i]
+            edges[i] = (vt, b, th)
+        for i in heads:
+            a, _, th = edges[i]
+            edges[i] = (a, vt, th)
+        there = incidence.pop(vt, ([], []))
+        incidence[vt] = (sorted(there[0] + tails), sorted(there[1] + heads))
 
     kept = [Edge(a, b, th) for a, b, th in edges if a != b]
     return canonicalize(Chain1(T.n, T.m, tuple(kept)))
@@ -401,8 +423,6 @@ def local_search(
     nu = mu_plus - mu_minus
 
     if config.init == "cascade":
-        from branchnet.construct import cascade, shifted_grid
-
         pts = np.array([a.position for a in nu.atoms])
         center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         edge = float(np.max(pts.max(axis=0) - pts.min(axis=0))) or 1.0
@@ -447,12 +467,6 @@ def local_search(
     return T, report
 
 
-def cone(nu: Chain0, vertex) -> Chain1:
-    from branchnet.construct import cone as _cone
-
-    return _cone(nu, vertex)
-
-
 def verify_solution(
     T: Chain1,
     mu_minus: Chain0,
@@ -470,8 +484,6 @@ def verify_solution(
         T = canonicalize(T)
     target = mu_minus - mu_plus
     residual_chain = divergence(T) - target
-    from branchnet.chains import canonicalize0
-
     residual = flat_bounds(canonicalize0(residual_chain)).upper
     acyclic = []
     theta = np.array([e.theta for e in T.edges]) if T.edges else np.zeros((0, T.m))

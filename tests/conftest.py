@@ -7,6 +7,15 @@ import numpy as np
 import pytest
 
 from branchnet import Atom, Chain0, Chain1, Edge, canonicalize
+from branchnet.costs import component_sum, custom_cost, p_norm_alpha, sum_alpha
+
+# one cost of each family for m = 1..3, by name
+COST_FAMILIES = {
+    "sum_alpha": lambda m: sum_alpha(m, 0.7),
+    "p_norm_alpha": lambda m: p_norm_alpha(m, 2.0, 0.8),
+    "component_sum": lambda m: component_sum(m, [1.0, 2.0, 0.5][:m], [0.3, 1.0, 0.7][:m]),
+    "custom": lambda m: custom_cost(m, lambda t: float(np.abs(t).sum()) ** 0.6),
+}
 
 
 def random_chain(rng, n=2, m=1, edges=6, span=4.0, grid=None) -> Chain1:

@@ -12,7 +12,7 @@ from branchnet.energy import (
     mass_bound_constant,
 )
 from branchnet.costs import component_sum, custom_cost, derivative_profile, evaluate, p_norm_alpha, sum_alpha
-from conftest import random_chain
+from conftest import COST_FAMILIES, random_chain
 
 
 class TestEnergy:
@@ -45,6 +45,23 @@ class TestEnergy:
             total = math.fsum(energy_component(T, cost, j) for j in range(3))
             assert e <= total * (1 + 1e-10)
             assert total <= 3 * e * (1 + 1e-10)
+
+
+def _energy_reference(T, cost):
+    """The scalar loop: one evaluate per edge, summed in sorted order."""
+    return float(math.fsum(sorted(evaluate(cost, e.theta) * e.length for e in T.edges)))
+
+
+class TestEnergyBatched:
+    @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bit_equal_to_scalar_loop(self, rng, family, m):
+        cost = COST_FAMILIES[family](m)
+        for n in (2, 3):
+            assert energy(Chain1(n, m, (), canonical=True), cost) == 0.0
+            for _ in range(10):
+                T = random_chain(rng, n=n, m=m, edges=10, grid=2)
+                assert energy(T, cost) == _energy_reference(T, cost)
 
 
 class TestCertificate:

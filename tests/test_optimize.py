@@ -16,10 +16,12 @@ from branchnet.chains import (
     is_piece,
     mass,
 )
-from branchnet.costs import sum_alpha
+from branchnet.costs import evaluate, sum_alpha
 from branchnet.energy import energy
 from branchnet.optimize import (
     OptimizerConfig,
+    _chain_diam,
+    _free_vertices,
     check_multiplicity_bound,
     local_search,
     relocate_branch_points,
@@ -27,7 +29,7 @@ from branchnet.optimize import (
     straighten,
     verify_solution,
 )
-from conftest import compatible_pair, path_chain, random_chain
+from conftest import COST_FAMILIES, compatible_pair, path_chain, random_chain
 
 
 def square_cycle(theta=(1.0,)):
@@ -161,6 +163,147 @@ class TestRelocate:
             out = relocate_branch_points(T, cost)
             assert energy(out, cost) <= energy(T, cost) * (1 + 1e-9)
             assert chain0_close(boundary(out), boundary(T), tol=1e-6)
+
+
+def _weiszfeld_reference(v0, anchors, weights, iters, tol, diam):
+    """The scalar-kernel Weiszfeld loop that _weiszfeld must match bit for bit."""
+    v = v0.copy()
+    for _ in range(iters):
+        d = np.linalg.norm(anchors - v, axis=1)
+        hit = np.nonzero(d < 1e-12 * max(diam, 1.0))[0]
+        if hit.size:
+            k = int(hit[0])
+            away = np.nonzero(d >= 1e-12 * max(diam, 1.0))[0]
+            if away.size == 0:
+                return anchors[k]
+            dirs = anchors[away] - v
+            nrm = np.linalg.norm(dirs, axis=1)
+            R = np.sum(weights[away, None] * dirs / nrm[:, None], axis=0)
+            slack = float(np.sum(weights[hit]))
+            if np.linalg.norm(R) <= slack * (1 + 1e-12):
+                return anchors[k]
+            step = 1e-7 * max(diam, 1.0)
+            v = v + 0.5 * step * R / np.linalg.norm(R)
+            continue
+        wd = weights / d
+        v_new = (wd @ anchors) / np.sum(wd)
+        if np.linalg.norm(v_new - v) <= tol * max(diam, 1.0):
+            return v_new
+        v = v_new
+    return v
+
+
+def _relocate_reference(T, cost, iters=200, tol=1e-12):
+    """Relocation sweep with a full O(V*E) incidence scan per free vertex and
+    one scalar cost evaluation per incident edge."""
+    if not T.canonical:
+        T = canonicalize(T)
+    if not T.edges:
+        return T
+    diam = _chain_diam(T)
+    edges = [(e.a, e.b, e.theta) for e in T.edges]
+    for v in sorted(_free_vertices(T)):
+        inc = [(i, 0) for i, (a, _, _) in enumerate(edges) if a == v]
+        inc += [(i, 1) for i, (_, b, _) in enumerate(edges) if b == v]
+        if not inc:
+            continue
+        anchors = np.array([edges[i][1 - side] for i, side in inc])
+        weights = np.array([evaluate(cost, edges[i][2]) for i, side in inc])
+        old = np.array(v)
+        f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
+        new = _weiszfeld_reference(old, anchors, weights, iters, tol, diam)
+        d = np.linalg.norm(anchors - new, axis=1)
+        k = int(np.argmin(d))
+        if d[k] < 1e-9 * max(diam, 1.0):
+            new = anchors[k]
+        f_new = float(np.sum(weights * np.linalg.norm(anchors - new, axis=1)))
+        if f_new > f_old * (1 + 1e-12):
+            continue
+        vt = tuple(float(c) for c in new)
+        for i, side in inc:
+            a, b, th = edges[i]
+            edges[i] = (vt, b, th) if side == 0 else (a, vt, th)
+    kept = [Edge(a, b, th) for a, b, th in edges if a != b]
+    return canonicalize(Chain1(T.n, T.m, tuple(kept)))
+
+
+def _edge_tuples(T):
+    return [(e.a, e.b, e.theta) for e in T.edges]
+
+
+def _random_tree(rng, n, m, leaves):
+    """Canonical tree whose interior vertices are free branch points placed
+    at random: each merge of two subtrees adds a vertex carrying their
+    summed flow, and the last two subtrees are joined directly."""
+    nodes = [(tuple(rng.uniform(0, 1, n)), tuple(rng.normal(size=m))) for _ in range(leaves)]
+    edges = []
+    while len(nodes) > 2:
+        (p, s), (q, t) = nodes.pop(int(rng.integers(len(nodes)))), nodes.pop(int(rng.integers(len(nodes))))
+        v = tuple(rng.uniform(0, 1, n))
+        edges += [Edge(p, v, s), Edge(q, v, t)]
+        nodes.append((v, tuple(x + y for x, y in zip(s, t))))
+    (p, s), (q, _) = nodes
+    edges.append(Edge(p, q, s))
+    return canonicalize(Chain1(n, m, tuple(edges)))
+
+
+class TestRelocateMatchesReference:
+    @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_chains_bit_identical(self, n, m, family):
+        cost = COST_FAMILIES[family](m)
+        rng = np.random.default_rng([n, m, len(family)])
+        moved = 0
+        for k in range(12):
+            T = random_chain(rng, n=n, m=m, edges=8, grid=2) if k % 3 == 0 else _random_tree(rng, n, m, 6)
+            out = relocate_branch_points(T, cost)
+            assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
+            moved += out.edges != T.edges
+        assert moved > 0
+
+    def test_vertex_lands_on_later_free_neighbour(self):
+        # u is sorted before w and is pulled exactly onto w; the edge (u, w)
+        # degenerates and w must then see it on both sides, together with
+        # the edges u brought along.  Only with both coincident anchors does
+        # the slack outweigh the pull of the two edges to the right.
+        u, w = (0.0, 0.5), (1.0, 0.5)
+        T = canonicalize(Chain1(2, 1, (
+            Edge((1.0, -1.5), u, (1.0,)),
+            Edge((1.0, 2.5), u, (1.0,)),
+            Edge(u, w, (2.0,)),
+            Edge(w, (3.0, 0.4), (1.0,)),
+            Edge(w, (3.0, 0.6), (1.0,)),
+        )))
+        cost = sum_alpha(1, 0.5)
+        out = relocate_branch_points(T, cost)
+        assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
+        assert u not in out.vertices() and w in out.vertices() and len(out.edges) == 4
+
+    def test_coincident_anchors_take_the_damped_step(self):
+        # as above, but w also carries a heavy through-flow pulling it up:
+        # the two coincident anchors of the collapsed edge cannot hold w,
+        # so the hit branch moves it off them
+        u, w = (0.0, 0.5), (1.0, 0.5)
+        T = canonicalize(Chain1(2, 1, (
+            Edge((1.0, -1.5), u, (1.0,)),
+            Edge((1.0, 2.5), u, (1.0,)),
+            Edge(u, w, (2.0,)),
+            Edge(w, (2.0, 0.0), (1.0,)),
+            Edge(w, (2.0, 1.0), (1.0,)),
+            Edge((0.5, 10.0), w, (5.0,)),
+            Edge(w, (1.5, 10.0), (5.0,)),
+        )))
+        cost = sum_alpha(1, 1.0)
+        out = relocate_branch_points(T, cost)
+        assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
+        assert u not in out.vertices() and w not in out.vertices()
+
+    def test_collinear_degree_two_chord(self):
+        T = canonicalize(path_chain([(0.0, 0.0), (0.7, 0.31), (2.0, 0.0)], (1.0,)))
+        cost = sum_alpha(1, 1.0)
+        out = relocate_branch_points(T, cost)
+        assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
 
 
 class TestLocalSearch:
