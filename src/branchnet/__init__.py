@@ -52,6 +52,7 @@ from branchnet.optimize import (
     remove_cycles,
     straighten,
     verify_solution,
+    w_upper,
 )
 from branchnet.metrics import (
     FlatBounds,
@@ -61,7 +62,6 @@ from branchnet.metrics import (
     flat_norm_0chain_component,
     ig_identity_mc,
     slice_chain,
-    w_upper,
 )
 
 __version__ = "0.1.0"

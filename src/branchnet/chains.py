@@ -578,9 +578,7 @@ def is_compatible(mu_minus: Chain0, mu_plus: Chain0, eps: float = 1e-9) -> bool:
 
 def chains_close(S: Chain1, T: Chain1, tol: float = 1e-9, eps_geom: float = DEFAULT_EPS_GEOM) -> bool:
     """Canonical equality of 1-chains up to multiplicity tolerance."""
-    diff = canonicalize(S - T, eps_geom) if (S.edges or T.edges) else None
-    if diff is None:
-        return True
+    diff = canonicalize(S - T, eps_geom)
     return all(float(np.linalg.norm(e.theta)) <= tol for e in diff.edges)
 
 
@@ -588,11 +586,6 @@ def chain0_close(a: Chain0, b: Chain0, tol: float = 1e-9, eps_geom: float = DEFA
     """Canonical equality of 0-chains up to atom-weight tolerance."""
     diff = canonicalize0(a - b, eps_geom)
     return all(float(np.linalg.norm(at.weight)) <= tol for at in diff.atoms)
-
-
-def from_arrays(n: int, m: int, a: np.ndarray, b: np.ndarray, theta: np.ndarray, canonical: bool = False) -> Chain1:
-    edges = tuple(Edge(tuple(a[i]), tuple(b[i]), tuple(theta[i])) for i in range(len(a)))
-    return Chain1(n, m, edges, canonical=canonical)
 
 
 def edge_arrays(T: Chain1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -603,3 +596,12 @@ def edge_arrays(T: Chain1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     B = np.array([e.b for e in T.edges])
     Th = np.array([e.theta for e in T.edges])
     return A, B, Th
+
+
+def atom_arrays(mu: Chain0) -> tuple[np.ndarray, np.ndarray]:
+    """(P, W) arrays of atom positions and weights, of shape (k,n), (k,m)."""
+    if not mu.atoms:
+        return (np.zeros((0, mu.n)), np.zeros((0, mu.m)))
+    P = np.array([a.position for a in mu.atoms])
+    W = np.array([a.weight for a in mu.atoms])
+    return P, W

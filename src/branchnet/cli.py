@@ -2,15 +2,13 @@
 
 Every subcommand prints a machine-readable JSON record (or CSV for
 w-sweep) on standard output.  Exit codes: 0 success, 2 validation
-failure, 3 IO/schema error, 4 invariant violation.  The environment
-variable BRANCHNET_THREADS caps internal (BLAS) parallelism.
+failure, 3 IO/schema error, 4 invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -36,14 +34,6 @@ EXIT_INVARIANT = 4
 
 class InvariantFailure(RuntimeError):
     pass
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("BRANCHNET_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def parse_cost(spec: str, m: int) -> costs.CostSpec:
@@ -106,12 +96,7 @@ def cmd_cone(args) -> int:
     if not chains.is_compatible(mu_minus, mu_plus):
         raise ValueError("incompatible measures (per-component totals differ)")
     nu = chains.canonicalize0(mu_plus - mu_minus)
-    if args.vertex:
-        vertex = tuple(float(x) for x in args.vertex.split(","))
-    else:
-        pts = np.array([a.position for a in nu.atoms])
-        wts = np.array([np.linalg.norm(a.weight) for a in nu.atoms])
-        vertex = tuple((wts @ pts) / wts.sum()) if len(pts) else (0.0,) * nu.n
+    vertex = tuple(float(x) for x in args.vertex.split(",")) if args.vertex else construct.barycenter(nu)
     T = chains.canonicalize(construct.cone(nu, vertex))
     record = {"vertex": list(vertex), "edges": len(T.edges), "mass": chains.mass(T)}
     if args.cost:
@@ -127,10 +112,7 @@ def cmd_cascade(args) -> int:
     mu_minus = load_measure(args.mu_minus)
     mu_plus = load_measure(args.mu_plus)
     nu = chains.canonicalize0(mu_plus - mu_minus)
-    pts = np.array([a.position for a in nu.atoms]) if nu.atoms else np.zeros((1, mu_minus.n))
-    center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    edge = float(np.max(pts.max(axis=0) - pts.min(axis=0))) or 1.0
-    grid = construct.shifted_grid(tuple(center), edge, [mu_minus, mu_plus], seed=args.seed,
+    grid = construct.shifted_grid(*construct.bounding_cube(nu), [mu_minus, mu_plus], seed=args.seed,
                                   k_max=max(args.depth + 1, 8))
     cost = parse_cost(args.cost, mu_minus.m) if args.cost else None
     beta = costs.BetaEnvelope.from_power(args.beta) if args.beta else None
@@ -223,16 +205,13 @@ def cmd_ig_check(args) -> int:
 def cmd_w_sweep(args) -> int:
     target = load_measure(args.target)
     cost = parse_cost(args.cost, target.m)
-    pts = np.array([a.position for a in target.atoms])
-    center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    edge = float(np.max(pts.max(axis=0) - pts.min(axis=0))) or 1.0
-    grid = construct.shifted_grid(tuple(center), edge, [target], seed=args.seed,
+    grid = construct.shifted_grid(*construct.bounding_cube(target), [target], seed=args.seed,
                                   k_max=max(args.max_depth + 2, 8))
     config = optimize.OptimizerConfig(max_iters=args.max_iters, seed=args.seed)
     sys.stdout.write("depth,w_upper\n")
     for h in range(1, args.max_depth + 1):
         approx = construct.dyadic_approx(target, grid, h)
-        val = metrics.w_upper(approx, target, cost, K=grid.k_max - 1, config=config, grid=grid)
+        val = optimize.w_upper(approx, target, cost, K=grid.k_max - 1, config=config, grid=grid)
         sys.stdout.write(f"{h},{val!r}\n")
     return EXIT_OK
 
@@ -346,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

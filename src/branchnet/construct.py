@@ -21,13 +21,15 @@ from branchnet.chains import (
     Chain0,
     Chain1,
     Edge,
+    atom_arrays,
     canonicalize,
     canonicalize0,
     is_compatible,
     mass,
+    row_dots,
 )
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
-from branchnet.energy import EnergyCertificate, digest_inputs
+from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
 
 def cone(nu: Chain0, vertex) -> Chain1:
@@ -47,6 +49,25 @@ def cone(nu: Chain0, vertex) -> Chain1:
             continue
         edges.append(Edge(v, a.position, a.weight))
     return Chain1(nu.n, nu.m, tuple(edges))
+
+
+def barycenter(nu: Chain0) -> tuple[float, ...]:
+    """Default cone vertex: atom positions weighted by |w|_2; the origin if empty."""
+    P, W = atom_arrays(nu)
+    if not len(P):
+        return (0.0,) * nu.n
+    wts = np.sqrt(row_dots(W, W))
+    return tuple((wts @ P) / np.sum(wts))
+
+
+def bounding_cube(mu: Chain0) -> tuple[tuple[float, ...], float]:
+    """(center, edge) of the smallest coordinate cube holding every atom; edge 1
+    when all atoms share one position, the unit cube at the origin if empty."""
+    P, _ = atom_arrays(mu)
+    if not len(P):
+        return (0.0,) * mu.n, 1.0
+    lo, hi = P.min(axis=0), P.max(axis=0)
+    return tuple(0.5 * (lo + hi)), float(np.max(hi - lo)) or 1.0
 
 
 @dataclass(frozen=True)
@@ -248,8 +269,6 @@ def cascade(
     bound = math.inf
     kind = "none"
     if cost is not None:
-        from branchnet.energy import energy
-
         ener = energy(chain, cost)
     if beta is not None:
         if not admissibility_check(beta, n)[0]:

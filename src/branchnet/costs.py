@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -388,8 +389,6 @@ def _check_concave_nondecreasing(beta: BetaEnvelope, samples: int = 257) -> None
         raise UserWarning("beta envelope not non-decreasing on sampled grid")
     second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
     if np.any(second > 1e-9 * max(1.0, float(np.max(np.abs(vals))))):
-        import warnings
-
         warnings.warn("beta envelope not concave on sampled grid", stacklevel=3)
 
 

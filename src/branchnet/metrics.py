@@ -1,6 +1,5 @@
 """Verification metrics: flat-distance bounds, slicing, coarea and
-integral-geometric identities, the augmentation map, and upper bounds for
-the W transportation distance.
+integral-geometric identities, and the augmentation map.
 
 Affine functionals are passed as a gradient vector ``g`` plus scalar
 ``offset``: f(x) = g.x + offset, Lip(f) = |g|.
@@ -20,11 +19,11 @@ from branchnet.chains import (
     Atom,
     Chain0,
     Chain1,
+    atom_arrays,
     canonicalize,
     canonicalize0,
     component_lift,
     edge_arrays,
-    is_compatible,
     mass,
     row_dots,
 )
@@ -59,8 +58,8 @@ def flat_norm_0chain_component(nu: Chain0, j: int) -> float:
     |p - q| per unit, or pay cost 1 per unit of untransported residual on
     either side.
     """
-    X = np.array([a.position for a in nu.atoms])
-    w = np.array([a.weight[j] for a in nu.atoms])
+    X, W = atom_arrays(nu)
+    w = W[:, j]
     pos, neg = w > 0, w < 0
     P = math.fsum(w[pos])
     N = math.fsum(-w[neg])
@@ -151,7 +150,7 @@ def coarea_check(T: Chain1, g, offset: float = 0.0) -> tuple[float, float]:
     A, B, Th = edge_arrays(T)
     drops = np.abs((B - A) @ gv)
     norms = np.linalg.norm(Th, axis=1)
-    integral = float(math.fsum(sorted(norms * drops)))
+    integral = math.fsum(norms * drops)
     bound = float(np.linalg.norm(gv)) * mass(T)
     return integral, bound
 
@@ -204,44 +203,3 @@ def ig_identity_mc(
     rel = abs(estimate - exact) / exact if exact > 0 else abs(estimate)
     return estimate, exact, rel
 
-
-def w_upper(
-    mu_minus: Chain0,
-    mu_plus: Chain0,
-    cost: CostSpec,
-    K: int = 4,
-    config=None,
-    grid=None,
-) -> float:
-    """Upper bound for the W transportation distance between compatible
-    measures: the better of the cascade competitor and local search.
-
-    Passing a shared ``grid`` makes sweeps over dyadic approximations of a
-    fixed target coherent: the cascade between the level-h approximation
-    and the target on the same grid reduces to the series tail from level
-    h, which decreases with h.
-    """
-    if not is_compatible(mu_minus, mu_plus):
-        raise ValueError("incompatible measures")
-    nu = canonicalize0(mu_plus - mu_minus)
-    if not nu.atoms:
-        return 0.0
-
-    best = math.inf
-    try:
-        from branchnet.construct import cascade, shifted_grid
-
-        if grid is None:
-            pts = np.array([a.position for a in nu.atoms])
-            center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-            edge = float(np.max(pts.max(axis=0) - pts.min(axis=0))) or 1.0
-            grid = shifted_grid(tuple(center), edge, [mu_minus, mu_plus], k_max=max(K + 1, 8))
-        best = energy(cascade(mu_minus, mu_plus, grid, min(K, grid.k_max - 1)).chain, cost)
-    except Exception:
-        pass
-
-    from branchnet.optimize import OptimizerConfig, local_search
-
-    cfg = config or OptimizerConfig()
-    T, _ = local_search(mu_minus, mu_plus, cost, cfg)
-    return min(best, energy(T, cost))

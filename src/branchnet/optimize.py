@@ -4,13 +4,16 @@ Moves: per-component cycle canceling (yields the acyclic part),
 degree-2 straightening, Weiszfeld branch-point relocation, and a
 subadditivity-driven merge move that reroutes two near-parallel edge
 bundles through a shared trunk.  Every accepted move is energy
-non-increasing; there is no global optimality guarantee.
+non-increasing; there is no global optimality guarantee.  ``w_upper``
+bounds the W transportation distance by the better of the cascade
+competitor and local search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,27 +26,28 @@ from branchnet.chains import (
     canonicalize0,
     component_lift,
     divergence,
+    edge_arrays,
     is_compatible,
     mass,
 )
-from branchnet.construct import cascade, cone, shifted_grid
+from branchnet.construct import GridShiftError, barycenter, bounding_cube, cascade, cone, shifted_grid
 from branchnet.costs import CostSpec, evaluate_rows
 from branchnet.energy import energy, mass_bound_constant
+from branchnet.metrics import flat_bounds
 
 _FLOW_TOL_REL = 1e-14
+_WEISZFELD_ITERS = 200
+_WEISZFELD_TOL = 1e-12
+_MERGE_COS = math.cos(math.radians(30.0))  # bundles at most 30 degrees apart
+_MERGE_DIST_FRAC = 0.1  # midpoints at most this fraction of the diameter apart
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    moves: frozenset = frozenset({"cycle_removal", "straighten", "relocate", "merge_split"})
     rel_tol: float = 1e-6
     max_iters: int = 50
     seed: int = 0
     init: str = "cone"  # "cone" | "cascade"
-    weiszfeld_iters: int = 200
-    weiszfeld_tol: float = 1e-12
-    merge_angle_deg: float = 30.0
-    merge_dist_frac: float = 0.1
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -85,6 +89,11 @@ def _arcs(ends, flows, tol: float):
         elif f < -tol:
             arcs.append((b, a, i, -f))
     return arcs
+
+
+def _flow_tol(theta: np.ndarray) -> float:
+    """Flows at most this small count as zero: relative to the largest."""
+    return _FLOW_TOL_REL * float(np.max(np.abs(theta), initial=0.0))
 
 
 def _flow_graph(T: Chain1, j: int, tol: float):
@@ -146,9 +155,8 @@ def remove_cycles(T: Chain1) -> Chain1:
     """
     if not T.canonical:
         T = canonicalize(T)
-    theta = np.array([e.theta for e in T.edges]) if T.edges else np.zeros((0, T.m))
-    max_th = float(np.max(np.abs(theta))) if T.edges else 0.0
-    tol = _FLOW_TOL_REL * max_th
+    _, _, theta = edge_arrays(T)
+    tol = _flow_tol(theta)
 
     ends = [(e.a, e.b) for e in T.edges]
     for j in range(T.m):
@@ -248,12 +256,12 @@ def straighten(T: Chain1, eps: float = 1e-12) -> Chain1:
 # ---------------------------------------------------------------------------
 # Weiszfeld branch-point relocation
 
-def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, iters: int, tol: float, diam: float) -> np.ndarray:
+def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, diam: float) -> np.ndarray:
     """Weighted geometric median with damping at anchor coincidences."""
     scale = max(diam, 1.0)
-    near, stop = 1e-12 * scale, tol * scale
+    near, stop = 1e-12 * scale, _WEISZFELD_TOL * scale
     v = v0.copy()
-    for _ in range(iters):
+    for _ in range(_WEISZFELD_ITERS):
         diff = anchors - v
         d = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(axis=1), bit for bit
         if np.minimum.reduce(d) < near:
@@ -281,21 +289,19 @@ def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, iters: 
     return v
 
 
-def _free_vertices(T: Chain1, eps: float = 1e-12) -> set:
+def _free_vertices(T: Chain1) -> set:
     bnd = {a.position for a in boundary(T).atoms}
     return {v for v in T.vertices() if v not in bnd}
 
 
 def _chain_diam(T: Chain1) -> float:
-    pts = np.array([p for e in T.edges for p in (e.a, e.b)])
-    if len(pts) == 0:
+    A, B, _ = edge_arrays(T)
+    if not len(A):
         return 1.0
-    return float(np.max(np.ptp(pts, axis=0))) or 1.0
+    return float(np.max(np.ptp(np.vstack([A, B]), axis=0))) or 1.0
 
 
-def relocate_branch_points(
-    T: Chain1, cost: CostSpec, iters: int = 200, tol: float = 1e-12, seed: int = 0
-) -> Chain1:
+def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     """One sweep of Weiszfeld relocation over the free vertices.
 
     A free vertex carries zero boundary weight; its optimal position for
@@ -308,8 +314,7 @@ def relocate_branch_points(
     and head edge indices) is built once per call; the sweep is
     Gauss-Seidel over the free vertices in sorted order, and a moved
     vertex's edges join the incidence of its new position, so a later free
-    vertex there sees them.  The relocation is deterministic: ``seed`` is
-    accepted for compatibility and unused.
+    vertex there sees them.
     """
     if not T.canonical:
         T = canonicalize(T)
@@ -329,7 +334,7 @@ def relocate_branch_points(
         weights = W[tails + heads]
         old = np.array(v)
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
-        new = _weiszfeld(old, anchors, weights, iters, tol, diam)
+        new = _weiszfeld(old, anchors, weights, diam)
         # snap to a coincident anchor so the degenerate edge can be dropped
         d = np.linalg.norm(anchors - new, axis=1)
         k = int(np.argmin(d))
@@ -355,28 +360,26 @@ def relocate_branch_points(
 # ---------------------------------------------------------------------------
 # merge/split topology move
 
-def _merge_candidates(T: Chain1, config: OptimizerConfig):
+def _merge_candidates(T: Chain1):
     """Pairs of distinct near-parallel nearby edges, best-first by closeness."""
-    E = T.edges
-    if len(E) < 2:
+    if len(T.edges) < 2:
         return []
     diam = _chain_diam(T)
-    cos_thr = math.cos(math.radians(config.merge_angle_deg))
-    A = np.array([e.a for e in E])
-    B = np.array([e.b for e in E])
+    A, B, _ = edge_arrays(T)
     U = (B - A) / np.linalg.norm(B - A, axis=1)[:, None]
     M = 0.5 * (A + B)
-    ii, jj = np.triu_indices(len(E), 1)
+    ii, jj = np.triu_indices(len(A), 1)
     dots = np.sum(U[ii] * U[jj], axis=1)
     dist = np.linalg.norm(M[ii] - M[jj], axis=1)
-    keep = (np.abs(dots) >= cos_thr) & (dist <= config.merge_dist_frac * diam)
+    keep = (np.abs(dots) >= _MERGE_COS) & (dist <= _MERGE_DIST_FRAC * diam)
     out = [(float(dist[k]), int(ii[k]), int(jj[k]), float(dots[k])) for k in np.nonzero(keep)[0]]
     out.sort()
     return out
 
 
 def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, config: OptimizerConfig) -> Chain1:
-    """Reroute edges i and k through a shared trunk and relocate its ends."""
+    """Reroute edges i and k through a shared trunk and relocate its ends.
+    ``config`` is unused; benchmark tracing reads its ``rel_tol``."""
     E = list(T.edges)
     e1, e2 = E[i], E[k]
     a2, b2, th2 = (e2.a, e2.b, e2.theta)
@@ -398,7 +401,7 @@ def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, confi
     ]
     new = [e for e in new if e.a != e.b]
     trial = canonicalize(Chain1(T.n, T.m, tuple(rest + new)))
-    return relocate_branch_points(trial, cost, config.weiszfeld_iters, config.weiszfeld_tol)
+    return relocate_branch_points(trial, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -423,43 +426,33 @@ def local_search(
     nu = mu_plus - mu_minus
 
     if config.init == "cascade":
-        pts = np.array([a.position for a in nu.atoms])
-        center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        edge = float(np.max(pts.max(axis=0) - pts.min(axis=0))) or 1.0
-        grid = shifted_grid(tuple(center), edge, [mu_minus, mu_plus], seed=config.seed)
+        grid = shifted_grid(*bounding_cube(nu), [mu_minus, mu_plus], seed=config.seed)
         T = cascade(mu_minus, mu_plus, grid, K=4).chain
     else:
-        pts = np.array([a.position for a in nu.atoms])
-        wts = np.array([np.linalg.norm(a.weight) for a in nu.atoms])
-        vertex = tuple((wts @ pts) / np.sum(wts)) if len(pts) else (0.0,) * nu.n
-        T = canonicalize(cone(nu, vertex)) if len(pts) else Chain1(nu.n, nu.m, (), canonical=True)
+        T = canonicalize(cone(nu, barycenter(nu)))
 
     E = energy(T, cost)
     iters = 0
     for iters in range(1, config.max_iters + 1):
         E_start = E
-        if "cycle_removal" in config.moves:
-            T2 = remove_cycles(T)
+        T2 = remove_cycles(T)
+        E2 = energy(T2, cost)
+        if E2 <= E:
+            T, E = T2, E2
+        T2 = straighten(T)
+        E2 = energy(T2, cost)
+        if E2 <= E * (1 + 1e-12):
+            T, E = T2, E2
+        T2 = relocate_branch_points(T, cost)
+        E2 = energy(T2, cost)
+        if E2 <= E * (1 + 1e-12):
+            T, E = T2, E2
+        for _, i, k, dot in _merge_candidates(T)[:8]:
+            T2 = _apply_merge(T, i, k, dot > 0, cost, config)
             E2 = energy(T2, cost)
-            if E2 <= E:
+            if E2 < E * (1 - config.rel_tol):
                 T, E = T2, E2
-        if "straighten" in config.moves:
-            T2 = straighten(T)
-            E2 = energy(T2, cost)
-            if E2 <= E * (1 + 1e-12):
-                T, E = T2, E2
-        if "relocate" in config.moves:
-            T2 = relocate_branch_points(T, cost, config.weiszfeld_iters, config.weiszfeld_tol)
-            E2 = energy(T2, cost)
-            if E2 <= E * (1 + 1e-12):
-                T, E = T2, E2
-        if "merge_split" in config.moves:
-            for _, i, k, dot in _merge_candidates(T, config)[:8]:
-                T2 = _apply_merge(T, i, k, dot > 0, cost, config)
-                E2 = energy(T2, cost)
-                if E2 < E * (1 - config.rel_tol):
-                    T, E = T2, E2
-                    break
+                break
         if E_start - E < config.rel_tol * max(E_start, 1e-300):
             break
 
@@ -478,17 +471,13 @@ def verify_solution(
     """Certify a produced network: boundary residual (flat upper bound of
     divergence minus target), per-component acyclicity, and the
     energy-controls-mass inequality."""
-    from branchnet.metrics import flat_bounds
-
     if not T.canonical:
         T = canonicalize(T)
     target = mu_minus - mu_plus
     residual_chain = divergence(T) - target
     residual = flat_bounds(canonicalize0(residual_chain)).upper
     acyclic = []
-    theta = np.array([e.theta for e in T.edges]) if T.edges else np.zeros((0, T.m))
-    max_th = float(np.max(np.abs(theta))) if T.edges else 0.0
-    tol = _FLOW_TOL_REL * max_th
+    tol = _flow_tol(edge_arrays(T)[2])
     for j in range(T.m):
         arcs = _flow_graph(T, j, tol)
         acyclic.append(_find_directed_cycle(arcs) is None)
@@ -503,3 +492,40 @@ def verify_solution(
         cconst = 0.0
         mass_ok = bool(M <= 1e-12)
     return SolutionReport(E, M, float(residual), tuple(bool(a) for a in acyclic), mass_ok, cconst, iterations, eps_bnd)
+
+
+def w_upper(
+    mu_minus: Chain0,
+    mu_plus: Chain0,
+    cost: CostSpec,
+    K: int = 4,
+    config: OptimizerConfig | None = None,
+    grid=None,
+) -> float:
+    """Upper bound for the W transportation distance between compatible
+    measures: the better of the cascade competitor and local search.
+
+    Passing a shared ``grid`` makes sweeps over dyadic approximations of a
+    fixed target coherent: the cascade between the level-h approximation
+    and the target on the same grid reduces to the series tail from level
+    h, which decreases with h.  Without one, a grid is shifted around the
+    measures; if no shift clears every atom, the bound comes from local
+    search alone, with a warning.
+    """
+    if not is_compatible(mu_minus, mu_plus):
+        raise ValueError("incompatible measures")
+    nu = canonicalize0(mu_plus - mu_minus)
+    if not nu.atoms:
+        return 0.0
+
+    best = math.inf
+    if grid is None:
+        try:
+            grid = shifted_grid(*bounding_cube(nu), [mu_minus, mu_plus], k_max=max(K + 1, 8))
+        except GridShiftError as exc:
+            warnings.warn(f"w_upper: {exc}; the bound comes from local search alone", stacklevel=2)
+    if grid is not None:
+        best = energy(cascade(mu_minus, mu_plus, grid, min(K, grid.k_max - 1)).chain, cost)
+
+    T, _ = local_search(mu_minus, mu_plus, cost, config or OptimizerConfig())
+    return min(best, energy(T, cost))

@@ -13,7 +13,15 @@ from branchnet.chains import (
     divergence,
     mass,
 )
-from branchnet.construct import DyadicGrid, cascade, cone, dyadic_approx, shifted_grid
+from branchnet.construct import (
+    DyadicGrid,
+    barycenter,
+    bounding_cube,
+    cascade,
+    cone,
+    dyadic_approx,
+    shifted_grid,
+)
 from branchnet.costs import BetaEnvelope, sum_alpha
 from conftest import compatible_pair, random_measure
 
@@ -35,6 +43,33 @@ class TestCone:
 
     def test_empty_measure(self):
         assert cone(Chain0(2, 1), (0.0, 0.0)).edges == ()
+
+
+
+class TestBarycenter:
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (2, 3), (4, 7)])
+    def test_matches_per_atom_norms_bit_for_bit(self, rng, n, m):
+        for _ in range(20):
+            nu = random_measure(rng, n=n, m=m, atoms=int(rng.integers(1, 12)))
+            pts = np.array([a.position for a in nu.atoms])
+            wts = np.array([np.linalg.norm(a.weight) for a in nu.atoms])
+            assert barycenter(nu) == tuple((wts @ pts) / np.sum(wts))
+
+    def test_empty_measure_gives_origin(self):
+        assert barycenter(Chain0(3, 2)) == (0.0, 0.0, 0.0)
+
+
+class TestBoundingCube:
+    def test_encloses_atoms(self):
+        mu = Chain0(2, 1, (Atom((1.0, -2.0), (1.0,)), Atom((3.0, 2.0), (-1.0,))))
+        assert bounding_cube(mu) == ((2.0, 0.0), 4.0)
+
+    def test_zero_extent_gets_unit_edge(self):
+        mu = Chain0(2, 1, (Atom((0.5, 0.25), (1.0,)), Atom((0.5, 0.25), (2.0,))))
+        assert bounding_cube(mu) == ((0.5, 0.25), 1.0)
+
+    def test_empty_measure_gets_unit_cube_at_origin(self):
+        assert bounding_cube(Chain0(3, 1)) == ((0.0, 0.0, 0.0), 1.0)
 
 
 class TestShiftedGrid:

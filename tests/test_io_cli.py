@@ -234,6 +234,20 @@ class TestCli:
         assert lines[0] == "depth,w_upper"
         assert len(lines) == 4
 
+    def test_w_sweep_empty_target(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        save_measure(Chain0(2, 1), path)
+        assert main(["w-sweep", str(path), "--cost", "sum_alpha:alpha=0.9",
+                     "--max-depth", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == ["depth,w_upper", "1,0.0", "2,0.0", "3,0.0"]
+
+    @pytest.mark.parametrize("command", ["cone", "cascade"])
+    def test_identical_measures_give_no_edges(self, instance, capsys, command):
+        pm, _, _ = instance
+        assert main([command, str(pm), str(pm)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["edges"] == 0
+
     def test_ig_check(self, instance, capsys):
         pm, pp, d = instance
         out = d / "net.json"

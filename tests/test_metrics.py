@@ -28,8 +28,10 @@ from branchnet.metrics import (
     flat_norm_0chain_component,
     ig_identity_mc,
     slice_chain,
-    w_upper,
 )
+from branchnet import optimize
+from branchnet.construct import GridShiftError
+from branchnet.optimize import local_search, w_upper
 from conftest import compatible_pair, path_chain, random_chain, random_measure
 
 
@@ -227,3 +229,23 @@ class TestWUpper:
         mp = Chain0(2, 1, (Atom((1.0, 0.0), (2.0,)),))
         with pytest.raises(ValueError):
             w_upper(mm, mp, sum_alpha(1, 0.5))
+
+    def test_grid_shift_failure_falls_back_to_local_search(self, rng, monkeypatch):
+        def no_shift(*args, **kwargs):
+            raise GridShiftError(100, 0.0)
+
+        mm, mp = compatible_pair(rng, atoms=4)
+        cost = sum_alpha(1, 0.7)
+        T, _ = local_search(mm, mp, cost)
+        monkeypatch.setattr(optimize, "shifted_grid", no_shift)
+        with pytest.warns(UserWarning, match="local search alone"):
+            assert w_upper(mm, mp, cost) == energy(T, cost)
+
+    def test_cascade_errors_propagate(self, rng, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("cascade failed")
+
+        mm, mp = compatible_pair(rng, atoms=4)
+        monkeypatch.setattr(optimize, "cascade", broken)
+        with pytest.raises(RuntimeError, match="cascade failed"):
+            w_upper(mm, mp, sum_alpha(1, 0.7))

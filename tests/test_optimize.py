@@ -348,6 +348,13 @@ class TestLocalSearch:
         assert all(rep.acyclic_per_component)
         assert rep.mass_bound_ok
 
+    @pytest.mark.parametrize("init", ["cone", "cascade"])
+    def test_empty_measures_give_empty_chain(self, init):
+        empty = Chain0(2, 2)
+        T, rep = local_search(empty, empty, sum_alpha(2, 0.7), OptimizerConfig(init=init))
+        assert T.edges == () and T.canonical
+        assert rep.ok and rep.energy == 0.0
+
     def test_cascade_init(self, rng):
         mm, mp = compatible_pair(rng, atoms=4, m=1, span=0.4)
         cfg = OptimizerConfig(init="cascade", max_iters=5)
