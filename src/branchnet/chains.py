@@ -1,21 +1,28 @@
 """Polyhedral 0- and 1-chains with vector multiplicities.
 
 A ``Chain1`` is a finite list of oriented segments, each carrying a
-multiplicity vector in R^m (one signed flow value per commodity); a
-``Chain0`` is a finite atomic vector-valued measure.  Canonical chains have
-non-overlapping edges (segments meet at most at endpoints), deterministic
-edge orientation and no zero multiplicities, so that equality, boundary,
-mass and energy are all well defined representation-independently.
+multiplicity vector in R^m (one signed flow value per commodity), stored as
+three arrays: tails ``A`` and heads ``B`` (E x n) and multiplicities
+``Theta`` (E x m).  A ``Chain0`` is a finite atomic vector-valued measure,
+stored as positions ``P`` (k x n) and weights ``W`` (k x m).  Canonical
+chains have non-overlapping edges (segments meet at most at endpoints),
+deterministic edge orientation and no zero multiplicities, so that
+equality, boundary, mass and energy are all well defined
+representation-independently.
 
-All values are immutable after construction and every operation is a pure
-function returning new values.
+All values are immutable after construction: ``from_arrays`` copies its
+input into read-only float64 arrays, checked once for shape and
+finiteness, and every operation is a pure function returning new values.
+The ``Edge``/``Atom`` tuples of ``.edges``/``.atoms`` are views built on
+first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,77 +65,162 @@ class Edge:
         return math.dist(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class Chain0:
-    """Finite atomic R^m-valued measure."""
+def _read_only(X, d: int, what: str) -> np.ndarray:
+    """A read-only float64 copy of X with shape (k, d); an empty X gives (0, d)."""
+    X = np.array(X, dtype=float)
+    if X.size == 0:
+        X = X.reshape(0, d)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"{what} dimension mismatch: expected (k, {d}), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"non-finite {what} data")
+    X.flags.writeable = False
+    return X
 
+
+class _Stored:
+    """``n``, ``m`` and the read-only arrays named in ``_ARRAYS``, set once
+    by ``from_arrays``; assignment raises, and equality compares the data."""
+
+    _ARRAYS: tuple[str, ...] = ()
+
+    @classmethod
+    def _new(cls, **fields):
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m) == (other.n, other.m) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in self._ARRAYS)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class Chain0(_Stored):
+    """Finite atomic R^m-valued measure: atom i sits at P[i] with weight W[i]."""
+
+    _ARRAYS = ("P", "W")
     n: int
     m: int
-    atoms: tuple[Atom, ...] = ()
+    P: np.ndarray  # (k, n) positions
+    W: np.ndarray  # (k, m) weights
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        for at in self.atoms:
-            if len(at.position) != self.n or len(at.weight) != self.m:
-                raise ValueError("atom dimension mismatch")
+    def __new__(cls, n: int, m: int, atoms: Iterable[Atom] = ()):
+        atoms = tuple(atoms)
+        return cls.from_arrays(n, m, [a.position for a in atoms], [a.weight for a in atoms])
+
+    @classmethod
+    def from_arrays(cls, n: int, m: int, P, W) -> "Chain0":
+        """Measure from (k, n) positions and (k, m) weights, copied and
+        checked for shape and finiteness."""
+        P, W = _read_only(P, n, "atom"), _read_only(W, m, "atom")
+        if len(P) != len(W):
+            raise ValueError(f"atom count mismatch: {len(P)} positions, {len(W)} weights")
+        return cls._new(n=n, m=m, P=P, W=W)
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms as ``Atom`` values, built on first use."""
+        return tuple(map(Atom, self.P.tolist(), self.W.tolist()))
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.atoms))
+
+    def __repr__(self):
+        return f"Chain0(n={self.n!r}, m={self.m!r}, atoms={self.atoms!r})"
+
+    def __reduce__(self):  # pickle and copy go through from_arrays
+        return Chain0.from_arrays, (self.n, self.m, self.P, self.W)
 
     def __add__(self, other: "Chain0") -> "Chain0":
         _check_dims(self, other)
-        return Chain0(self.n, self.m, self.atoms + other.atoms)
+        return Chain0.from_arrays(self.n, self.m, np.concatenate([self.P, other.P]),
+                                  np.concatenate([self.W, other.W]))
 
     def __neg__(self) -> "Chain0":
-        return Chain0(self.n, self.m, tuple(Atom(a.position, tuple(-w for w in a.weight)) for a in self.atoms))
-
-    def __sub__(self, other: "Chain0") -> "Chain0":
-        return self + (-other)
+        return Chain0.from_arrays(self.n, self.m, self.P, -self.W)
 
     def scaled(self, s: float) -> "Chain0":
-        return Chain0(self.n, self.m, tuple(Atom(a.position, tuple(s * w for w in a.weight)) for a in self.atoms))
+        return Chain0.from_arrays(self.n, self.m, self.P, s * self.W)
 
     def total_weight(self) -> np.ndarray:
         """Componentwise total weight (the augmentation of the measure)."""
         out = np.zeros(self.m)
-        for a in self.atoms:
-            out += a.weight
+        for w in self.W:  # atom by atom, in order
+            out += w
         return out
 
 
-@dataclass(frozen=True)
-class Chain1:
-    """Polyhedral 1-chain with R^m multiplicities."""
+class Chain1(_Stored):
+    """Polyhedral 1-chain with R^m multiplicities: edge i runs from A[i] to
+    B[i] and carries Theta[i]."""
 
+    _ARRAYS = ("A", "B", "Theta")
     n: int
     m: int
-    edges: tuple[Edge, ...] = ()
-    canonical: bool = field(default=False, compare=False)
+    A: np.ndarray  # (E, n) tails
+    B: np.ndarray  # (E, n) heads
+    Theta: np.ndarray  # (E, m) multiplicities
+    canonical: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for e in self.edges:
-            if len(e.a) != self.n or len(e.b) != self.n or len(e.theta) != self.m:
-                raise ValueError("edge dimension mismatch")
+    def __new__(cls, n: int, m: int, edges: Iterable[Edge] = (), canonical: bool = False):
+        edges = tuple(edges)
+        return cls.from_arrays(n, m, [e.a for e in edges], [e.b for e in edges], [e.theta for e in edges],
+                               canonical)
+
+    @classmethod
+    def from_arrays(cls, n: int, m: int, A, B, Theta, canonical: bool = False) -> "Chain1":
+        """Chain from (E, n) tails and heads and (E, m) multiplicities,
+        copied and checked for shape and finiteness.  ``canonical`` is the
+        caller's promise that the edges are in canonical form."""
+        A, B, Theta = _read_only(A, n, "edge"), _read_only(B, n, "edge"), _read_only(Theta, m, "edge")
+        if not len(A) == len(B) == len(Theta):
+            raise ValueError(f"edge count mismatch: {len(A)} tails, {len(B)} heads, {len(Theta)} multiplicities")
+        return cls._new(n=n, m=m, A=A, B=B, Theta=Theta, canonical=canonical)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``Edge`` values, built on first use."""
+        return tuple(map(Edge, self.A.tolist(), self.B.tolist(), self.Theta.tolist()))
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.edges))
+
+    def __repr__(self):
+        return f"Chain1(n={self.n!r}, m={self.m!r}, edges={self.edges!r}, canonical={self.canonical!r})"
+
+    def __reduce__(self):  # pickle and copy go through from_arrays
+        return Chain1.from_arrays, (self.n, self.m, self.A, self.B, self.Theta, self.canonical)
 
     def __add__(self, other: "Chain1") -> "Chain1":
         _check_dims(self, other)
-        return Chain1(self.n, self.m, self.edges + other.edges, canonical=False)
+        return Chain1.from_arrays(self.n, self.m, np.concatenate([self.A, other.A]),
+                                  np.concatenate([self.B, other.B]), np.concatenate([self.Theta, other.Theta]))
 
     def __neg__(self) -> "Chain1":
-        return Chain1(
-            self.n,
-            self.m,
-            tuple(Edge(e.a, e.b, tuple(-t for t in e.theta)) for e in self.edges),
-            canonical=self.canonical,
-        )
+        return Chain1.from_arrays(self.n, self.m, self.A, self.B, -self.Theta, self.canonical)
 
-    def __sub__(self, other: "Chain1") -> "Chain1":
-        return self + (-other)
+    def ends(self) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+        """(a, b) endpoint tuples of every edge, in order: the hashable keys
+        that snapping, merging and incidence maps use."""
+        return list(zip(map(tuple, self.A.tolist()), map(tuple, self.B.tolist())))
+
+    def lengths(self) -> np.ndarray:
+        """Edge lengths, each as ``math.dist`` gives it."""
+        return np.array([math.dist(a, b) for a, b in zip(self.A.tolist(), self.B.tolist())], dtype=float)
 
     def vertices(self) -> set[tuple[float, ...]]:
-        out: set[tuple[float, ...]] = set()
-        for e in self.edges:
-            out.add(e.a)
-            out.add(e.b)
-        return out
+        return set(map(tuple, self.A.tolist())) | set(map(tuple, self.B.tolist()))
 
 
 def _check_dims(x, y) -> None:
@@ -145,12 +237,6 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     differ in the last bit.
     """
     return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
-
-
-def _norms(vectors, d: int) -> np.ndarray:
-    """Euclidean norm of each length-d vector, as np.linalg.norm gives it."""
-    X = np.array(vectors, dtype=float).reshape(len(vectors), d)
-    return np.sqrt(row_dots(X, X))
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +291,20 @@ class _PointRegistry:
 # ---------------------------------------------------------------------------
 # canonicalization
 
-def _segment_interactions(edges: list[Edge], eps: float) -> list[list[float]]:
-    """Split parameters in (0,1) for each edge from pairwise interactions.
+def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> list[list[float]]:
+    """Split parameters in (0,1) for each edge A[i] -> B[i] from pairwise
+    interactions.
 
     Handles collinear overlaps (projecting the partner's endpoints), proper
     transverse crossings, and T-junctions (an endpoint of one edge interior
     to another).  Pairs are processed in vectorized blocks after a
     bounding-box rejection test.
     """
-    ne = len(edges)
+    ne = len(A)
     splits: list[list[float]] = [[] for _ in range(ne)]
     if ne < 2:
         return splits
 
-    A = np.array([e.a for e in edges])
-    B = np.array([e.b for e in edges])
     lo = np.minimum(A, B) - eps
     hi = np.maximum(A, B) + eps
     D = B - A
@@ -292,87 +377,75 @@ def canonicalize(T: Chain1, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain1:
     """
     if eps_geom <= 0:
         raise ValueError("eps_geom must be positive")
-    if not T.edges:
-        return Chain1(T.n, T.m, (), canonical=True)
-
     reg = _PointRegistry(T.n, eps_geom)
-    snapped: list[Edge] = []
-    for e in T.edges:
-        if e.a == e.b:
-            raise DegenerateEdgeError(f"degenerate edge at {e.a}")
-        a = reg.snap(e.a)
-        b = reg.snap(e.b)
+    ends, rows = [], []
+    for i, (a, b) in enumerate(T.ends()):
         if a == b:
-            continue  # collapsed by snapping: length below resolution, drop
-        snapped.append(Edge(a, b, e.theta))
-    if not snapped:
-        return Chain1(T.n, T.m, (), canonical=True)
-    eps_mult = EPS_MULT_REL * float(_norms([e.theta for e in snapped], T.m).max())
-
-    splits = _segment_interactions(snapped, eps_geom)
+            raise DegenerateEdgeError(f"degenerate edge at {a}")
+        a, b = reg.snap(a), reg.snap(b)
+        if a != b:  # a pair collapsed by snapping is below resolution: drop it
+            ends.append((a, b))
+            rows.append(i)
+    if not rows:
+        return Chain1.from_arrays(T.n, T.m, (), (), (), canonical=True)
+    Theta = T.Theta[rows]
+    eps_mult = EPS_MULT_REL * float(np.sqrt(row_dots(Theta, Theta)).max())
+    A = np.array([a for a, _ in ends])
+    B = np.array([b for _, b in ends])
+    splits = _segment_interactions(A, B, eps_geom)
 
     # split every edge at its parameter list, snapping new interior points
-    pieces: list[Edge] = []
-    for e, tlist in zip(snapped, splits):
+    pieces: list[tuple[tuple[float, ...], tuple[float, ...], int]] = []
+    for k, ((a, b), tlist) in enumerate(zip(ends, splits)):
         if not tlist:
-            pieces.append(e)
+            pieces.append((a, b, k))
             continue
-        a = np.array(e.a)
-        d = np.array(e.b) - a
-        cuts = sorted(set(tlist))
+        d = B[k] - A[k]
         merged_cuts: list[float] = []
-        tol = eps_geom / e.length
-        for t in cuts:
+        tol = eps_geom / math.dist(a, b)
+        for t in sorted(set(tlist)):
             if not merged_cuts or t - merged_cuts[-1] > tol:
                 merged_cuts.append(t)
-        pts = [e.a]
-        for t in merged_cuts:
-            pts.append(reg.snap(a + t * d))
-        pts.append(e.b)
-        for p, q in zip(pts, pts[1:]):
-            if p != q:
-                pieces.append(Edge(p, q, e.theta))
+        pts = [a] + [reg.snap(A[k] + t * d) for t in merged_cuts] + [b]
+        pieces += [(p, q, k) for p, q in zip(pts, pts[1:]) if p != q]
 
     # canonical orientation and merge of coincident segments
     acc: dict[tuple[tuple[float, ...], tuple[float, ...]], np.ndarray] = {}
-    for e in pieces:
-        a, b, th = e.a, e.b, np.array(e.theta)
+    for a, b, k in pieces:
+        th = Theta[k]
         if a > b:
             a, b, th = b, a, -th
         key = (a, b)
-        if key in acc:
-            acc[key] += th
-        else:
-            acc[key] = th
+        acc[key] = acc[key] + th if key in acc else th
 
-    keep = _norms(list(acc.values()), T.m) > eps_mult
-    out = [Edge(a, b, tuple(th)) for ((a, b), th), k in zip(acc.items(), keep) if k]
-    out.sort(key=lambda e: (e.a, e.b))
-    return Chain1(T.n, T.m, tuple(out), canonical=True)
+    keys = list(acc)
+    merged = np.array(list(acc.values())).reshape(len(keys), T.m)
+    keep = np.sqrt(row_dots(merged, merged)) > eps_mult
+    order = sorted((key, i) for i, key in enumerate(keys) if keep[i])
+    return Chain1.from_arrays(T.n, T.m, [a for (a, _), _ in order], [b for (_, b), _ in order],
+                              merged[[i for _, i in order]], canonical=True)
 
 
 def canonicalize0(mu: Chain0, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain0:
     """Merge atoms at coincident positions and drop negligible weights."""
-    if not mu.atoms:
+    if not len(mu.P):
         return mu
     reg = _PointRegistry(mu.n, eps_geom)
     acc: dict[tuple[float, ...], np.ndarray] = {}
-    for a in mu.atoms:
-        p = reg.snap(a.position)
-        if p in acc:
-            acc[p] += a.weight
-        else:
-            acc[p] = np.array(a.weight)
-    return _significant_atoms(mu.n, mu.m, acc, [a.weight for a in mu.atoms])
+    for p, w in zip(mu.P.tolist(), mu.W):
+        p = reg.snap(p)
+        acc[p] = acc[p] + w if p in acc else w
+    return _significant_atoms(mu.n, mu.m, acc, mu.W)
 
 
-def _significant_atoms(n: int, m: int, acc: dict, inputs: list) -> Chain0:
+def _significant_atoms(n: int, m: int, acc: dict, inputs: np.ndarray) -> Chain0:
     """Atoms of ``acc`` in sorted order, dropping weights within the
     relative tolerance of the largest input weight."""
-    eps_w = EPS_MULT_REL * float(_norms(inputs, m).max(initial=0.0))
-    items = sorted(acc.items())
-    keep = _norms([w for _, w in items], m) > eps_w
-    return Chain0(n, m, tuple(Atom(p, tuple(w)) for (p, w), k in zip(items, keep) if k))
+    eps_w = EPS_MULT_REL * float(np.sqrt(row_dots(inputs, inputs)).max(initial=0.0))
+    points = sorted(acc)
+    W = np.array([acc[p] for p in points]).reshape(len(points), m)
+    keep = np.sqrt(row_dots(W, W)) > eps_w
+    return Chain0.from_arrays(n, m, [p for p, k in zip(points, keep) if k], W[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +454,13 @@ def _significant_atoms(n: int, m: int, acc: dict, inputs: list) -> Chain0:
 def boundary(T: Chain1) -> Chain0:
     """Boundary 0-chain: sum over edges of theta * (delta_b - delta_a)."""
     acc: dict[tuple[float, ...], np.ndarray] = {}
-    for e in T.edges:
-        th = np.array(e.theta)
-        for p, s in ((e.b, 1.0), (e.a, -1.0)):
+    for (a, b), th in zip(T.ends(), T.Theta):
+        for p, s in ((b, 1.0), (a, -1.0)):
             if p in acc:
                 acc[p] += s * th
             else:
                 acc[p] = s * th
-    return _significant_atoms(T.n, T.m, acc, [e.theta for e in T.edges])
+    return _significant_atoms(T.n, T.m, acc, T.Theta)
 
 
 def divergence(T: Chain1) -> Chain0:
@@ -399,9 +471,8 @@ def divergence(T: Chain1) -> Chain0:
 def mass(X: Chain0 | Chain1) -> float:
     """Total mass: Euclidean norm of multiplicities, weighted by length."""
     if isinstance(X, Chain0):
-        return float(sum(_norms([a.weight for a in X.atoms], X.m).tolist()))
-    lengths = [e.length for e in X.edges]
-    return float(sum((_norms([e.theta for e in X.edges], X.m) * lengths).tolist()))
+        return float(sum(np.sqrt(row_dots(X.W, X.W)).tolist()))
+    return float(sum((np.sqrt(row_dots(X.Theta, X.Theta)) * X.lengths()).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -451,55 +522,53 @@ def restrict(T: Chain1, box: Box, complement: bool = False) -> Chain1:
     box faces, so restrict(T, B) + restrict(T, B, complement=True)
     canonically equals T.
     """
-    out: list[Edge] = []
-    for e in T.edges:
-        a = np.array(e.a)
-        b = np.array(e.b)
+    A, B, rows = [], [], []
+    for i, (ea, eb) in enumerate(T.ends()):
+        a, b = T.A[i], T.B[i]
         iv = _clip_param_interval(a, b, box)
         if iv is None:
-            if complement:
-                out.append(e)
-            continue
-        t0, t1 = iv
-        p0 = tuple(a + t0 * (b - a)) if t0 > 0.0 else e.a
-        p1 = tuple(a + t1 * (b - a)) if t1 < 1.0 else e.b
-        if complement:
-            if t0 > 0.0:
-                out.append(Edge(e.a, p0, e.theta))
-            if t1 < 1.0:
-                out.append(Edge(p1, e.b, e.theta))
+            pieces = [(ea, eb)] if complement else []
         else:
-            if p0 != p1:
-                out.append(Edge(p0, p1, e.theta))
-    return Chain1(T.n, T.m, tuple(out), canonical=T.canonical)
+            t0, t1 = iv
+            p0 = tuple(a + t0 * (b - a)) if t0 > 0.0 else ea
+            p1 = tuple(a + t1 * (b - a)) if t1 < 1.0 else eb
+            if complement:
+                pieces = ([(ea, p0)] if t0 > 0.0 else []) + ([(p1, eb)] if t1 < 1.0 else [])
+            else:
+                pieces = [(p0, p1)] if p0 != p1 else []
+        for p, q in pieces:
+            A.append(p)
+            B.append(q)
+            rows.append(i)
+    return Chain1.from_arrays(T.n, T.m, A, B, T.Theta[rows], canonical=T.canonical)
 
 
 def restrict0(mu: Chain0, box: Box, complement: bool = False) -> Chain0:
-    atoms = tuple(a for a in mu.atoms if box.contains(a.position) != complement)
-    return Chain0(mu.n, mu.m, atoms)
+    keep = np.array([box.contains(p) != complement for p in mu.P.tolist()], dtype=bool)
+    return Chain0.from_arrays(mu.n, mu.m, mu.P[keep], mu.W[keep])
 
 
 def restrict_halfspace(T: Chain1, g: Sequence[float], c: float, y: float) -> Chain1:
     """Clip T to the halfspace {x : g.x + c <= y}, splitting crossing edges."""
-    gv = np.array(g, dtype=float)
-    out: list[Edge] = []
-    for e in T.edges:
-        fa = float(gv @ e.a) + c
-        fb = float(gv @ e.b) + c
-        if fa <= y and fb <= y:
-            out.append(e)
-        elif fa > y and fb > y:
+    G = np.broadcast_to(np.array(g, dtype=float), T.A.shape)
+    fa = (row_dots(T.A, G) + c).tolist()
+    fb = (row_dots(T.B, G) + c).tolist()
+    A, B, rows = [], [], []
+    for i, (ea, eb) in enumerate(T.ends()):
+        if fa[i] > y and fb[i] > y:
             continue
+        if fa[i] <= y and fb[i] <= y:
+            p, q = ea, eb
         else:
-            t = (y - fa) / (fb - fa)
-            z = tuple(np.array(e.a) + t * (np.array(e.b) - np.array(e.a)))
-            if fa <= y:
-                if z != e.a:
-                    out.append(Edge(e.a, z, e.theta))
-            else:
-                if z != e.b:
-                    out.append(Edge(z, e.b, e.theta))
-    return Chain1(T.n, T.m, tuple(out), canonical=T.canonical)
+            t = (y - fa[i]) / (fb[i] - fa[i])
+            z = tuple(T.A[i] + t * (T.B[i] - T.A[i]))
+            p, q = (ea, z) if fa[i] <= y else (z, eb)
+            if p == q:
+                continue
+        A.append(p)
+        B.append(q)
+        rows.append(i)
+    return Chain1.from_arrays(T.n, T.m, A, B, T.Theta[rows], canonical=T.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -512,25 +581,19 @@ def component_lift(T: Chain1, j: int) -> Chain1:
     """
     if not 0 <= j < T.m:
         raise IndexError(f"component {j} out of range for m={T.m}")
-    out = []
-    for e in T.edges:
-        if e.theta[j] != 0.0:
-            th = [0.0] * T.m
-            th[j] = e.theta[j]
-            out.append(Edge(e.a, e.b, tuple(th)))
-    return Chain1(T.n, T.m, tuple(out), canonical=T.canonical)
+    keep = T.Theta[:, j] != 0.0
+    Theta = np.zeros((int(keep.sum()), T.m))
+    Theta[:, j] = T.Theta[keep, j]
+    return Chain1.from_arrays(T.n, T.m, T.A[keep], T.B[keep], Theta, canonical=T.canonical)
 
 
 def component_lift0(mu: Chain0, j: int) -> Chain0:
     if not 0 <= j < mu.m:
         raise IndexError(f"component {j} out of range for m={mu.m}")
-    out = []
-    for a in mu.atoms:
-        if a.weight[j] != 0.0:
-            w = [0.0] * mu.m
-            w[j] = a.weight[j]
-            out.append(Atom(a.position, tuple(w)))
-    return Chain0(mu.n, mu.m, tuple(out))
+    keep = mu.W[:, j] != 0.0
+    W = np.zeros((int(keep.sum()), mu.m))
+    W[:, j] = mu.W[keep, j]
+    return Chain0.from_arrays(mu.n, mu.m, mu.P[keep], W)
 
 
 def _common_refinement(Tp: Chain1, T: Chain1, eps_geom: float):
@@ -539,14 +602,12 @@ def _common_refinement(Tp: Chain1, T: Chain1, eps_geom: float):
     Stacks the two multiplicity vectors into R^{2m} and canonicalizes the
     combined chain, so each resulting edge carries (theta', theta) blocks.
     """
-    m = T.m
-    stacked = []
-    for e in Tp.edges:
-        stacked.append(Edge(e.a, e.b, e.theta + (0.0,) * m))
-    for e in T.edges:
-        stacked.append(Edge(e.a, e.b, (0.0,) * m + e.theta))
-    combined = canonicalize(Chain1(T.n, 2 * m, tuple(stacked)), eps_geom)
-    return combined
+    m, k = T.m, len(Tp.Theta)
+    stacked = np.zeros((k + len(T.Theta), 2 * m))
+    stacked[:k, :m] = Tp.Theta
+    stacked[k:, m:] = T.Theta
+    combined = Chain1.from_arrays(T.n, 2 * m, np.concatenate([Tp.A, T.A]), np.concatenate([Tp.B, T.B]), stacked)
+    return canonicalize(combined, eps_geom)
 
 
 def is_piece(Tp: Chain1, T: Chain1, eps: float = 1e-9, eps_geom: float = DEFAULT_EPS_GEOM) -> bool:
@@ -554,16 +615,10 @@ def is_piece(Tp: Chain1, T: Chain1, eps: float = 1e-9, eps_geom: float = DEFAULT
     sub-flow with |theta'_j| <= |theta_j| edgewise on the common refinement.
     """
     _check_dims(Tp, T)
-    m = T.m
-    for e in _common_refinement(Tp, T, eps_geom).edges:
-        tp = e.theta[:m]
-        t = e.theta[m:]
-        for j in range(m):
-            if abs(tp[j]) <= eps:
-                continue
-            if tp[j] * t[j] < 0.0 or abs(tp[j]) > abs(t[j]) + eps:
-                return False
-    return True
+    R = _common_refinement(Tp, T, eps_geom).Theta
+    tp, t = R[:, : T.m], R[:, T.m :]
+    bad = (np.abs(tp) > eps) & ((tp * t < 0.0) | (np.abs(tp) > np.abs(t) + eps))
+    return not bad.any()
 
 
 def is_compatible(mu_minus: Chain0, mu_plus: Chain0, eps: float = 1e-9) -> bool:
@@ -578,30 +633,11 @@ def is_compatible(mu_minus: Chain0, mu_plus: Chain0, eps: float = 1e-9) -> bool:
 
 def chains_close(S: Chain1, T: Chain1, tol: float = 1e-9, eps_geom: float = DEFAULT_EPS_GEOM) -> bool:
     """Canonical equality of 1-chains up to multiplicity tolerance."""
-    diff = canonicalize(S - T, eps_geom)
-    return all(float(np.linalg.norm(e.theta)) <= tol for e in diff.edges)
+    Theta = canonicalize(S - T, eps_geom).Theta
+    return bool(np.all(np.sqrt(row_dots(Theta, Theta)) <= tol))
 
 
 def chain0_close(a: Chain0, b: Chain0, tol: float = 1e-9, eps_geom: float = DEFAULT_EPS_GEOM) -> bool:
     """Canonical equality of 0-chains up to atom-weight tolerance."""
-    diff = canonicalize0(a - b, eps_geom)
-    return all(float(np.linalg.norm(at.weight)) <= tol for at in diff.atoms)
-
-
-def edge_arrays(T: Chain1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, Theta) arrays of shape (E,n), (E,n), (E,m)."""
-    if not T.edges:
-        return (np.zeros((0, T.n)), np.zeros((0, T.n)), np.zeros((0, T.m)))
-    A = np.array([e.a for e in T.edges])
-    B = np.array([e.b for e in T.edges])
-    Th = np.array([e.theta for e in T.edges])
-    return A, B, Th
-
-
-def atom_arrays(mu: Chain0) -> tuple[np.ndarray, np.ndarray]:
-    """(P, W) arrays of atom positions and weights, of shape (k,n), (k,m)."""
-    if not mu.atoms:
-        return (np.zeros((0, mu.n)), np.zeros((0, mu.m)))
-    P = np.array([a.position for a in mu.atoms])
-    W = np.array([a.weight for a in mu.atoms])
-    return P, W
+    W = canonicalize0(a - b, eps_geom).W
+    return bool(np.all(np.sqrt(row_dots(W, W)) <= tol))

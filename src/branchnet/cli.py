@@ -98,7 +98,7 @@ def cmd_cone(args) -> int:
     nu = chains.canonicalize0(mu_plus - mu_minus)
     vertex = tuple(float(x) for x in args.vertex.split(",")) if args.vertex else construct.barycenter(nu)
     T = chains.canonicalize(construct.cone(nu, vertex))
-    record = {"vertex": list(vertex), "edges": len(T.edges), "mass": chains.mass(T)}
+    record = {"vertex": list(vertex), "edges": len(T.A), "mass": chains.mass(T)}
     if args.cost:
         record["energy"] = compute_energy(T, parse_cost(args.cost, nu.m))
     if args.out:
@@ -124,7 +124,7 @@ def cmd_cascade(args) -> int:
     _emit(
         {
             "depth": result.depth,
-            "edges": len(result.chain.edges),
+            "edges": len(result.chain.A),
             "mass": chains.mass(result.chain),
             "energy": cert.energy,
             "bound": cert.bound,
@@ -153,7 +153,7 @@ def cmd_optimize(args) -> int:
 def cmd_energy(args) -> int:
     T = chains.canonicalize(load_network(args.network))
     cost = parse_cost(args.cost, T.m)
-    _emit({"edges": len(T.edges), "mass": chains.mass(T), "energy": compute_energy(T, cost)})
+    _emit({"edges": len(T.A), "mass": chains.mass(T), "energy": compute_energy(T, cost)})
     return EXIT_OK
 
 
@@ -183,7 +183,7 @@ def cmd_slice(args) -> int:
     integral, bound = metrics.coarea_check(T, g, args.offset)
     _emit(
         {
-            "atoms": [{"p": list(a.position), "w": list(a.weight)} for a in sl.atoms],
+            "atoms": [{"p": p, "w": w} for p, w in zip(sl.P.tolist(), sl.W.tolist())],
             "slice_mass": chains.mass(sl),
             "coarea_integral": integral,
             "coarea_bound": bound,

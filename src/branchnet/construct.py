@@ -16,18 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branchnet.chains import (
-    Atom,
-    Chain0,
-    Chain1,
-    Edge,
-    atom_arrays,
-    canonicalize,
-    canonicalize0,
-    is_compatible,
-    mass,
-    row_dots,
-)
+from branchnet.chains import Chain0, Chain1, canonicalize, canonicalize0, is_compatible, mass, row_dots
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
 from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
@@ -40,33 +29,27 @@ def cone(nu: Chain0, vertex) -> Chain1:
     total weight, which vanishes for compatible pairs).  Atoms sitting at
     the vertex contribute nothing.
     """
-    v = tuple(float(c) for c in vertex)
+    v = np.array([float(c) for c in vertex])
     if len(v) != nu.n:
         raise ValueError("vertex dimension mismatch")
-    edges = []
-    for a in nu.atoms:
-        if a.position == v:
-            continue
-        edges.append(Edge(v, a.position, a.weight))
-    return Chain1(nu.n, nu.m, tuple(edges))
+    away = ~np.all(nu.P == v, axis=1)
+    return Chain1.from_arrays(nu.n, nu.m, np.broadcast_to(v, (int(away.sum()), nu.n)), nu.P[away], nu.W[away])
 
 
 def barycenter(nu: Chain0) -> tuple[float, ...]:
     """Default cone vertex: atom positions weighted by |w|_2; the origin if empty."""
-    P, W = atom_arrays(nu)
-    if not len(P):
+    if not len(nu.P):
         return (0.0,) * nu.n
-    wts = np.sqrt(row_dots(W, W))
-    return tuple((wts @ P) / np.sum(wts))
+    wts = np.sqrt(row_dots(nu.W, nu.W))
+    return tuple((wts @ nu.P) / np.sum(wts))
 
 
 def bounding_cube(mu: Chain0) -> tuple[tuple[float, ...], float]:
     """(center, edge) of the smallest coordinate cube holding every atom; edge 1
     when all atoms share one position, the unit cube at the origin if empty."""
-    P, _ = atom_arrays(mu)
-    if not len(P):
+    if not len(mu.P):
         return (0.0,) * mu.n, 1.0
-    lo, hi = P.min(axis=0), P.max(axis=0)
+    lo, hi = mu.P.min(axis=0), mu.P.max(axis=0)
     return tuple(0.5 * (lo + hi)), float(np.max(hi - lo)) or 1.0
 
 
@@ -155,7 +138,7 @@ def shifted_grid(
     h_fine = edge / 2**k_max
     if eps_skel is None:
         eps_skel = 1e-6 * h_fine
-    points = [np.array(a.position) for mu in atom_measures for a in mu.atoms]
+    points = [p for mu in atom_measures for p in mu.P]
 
     rng = np.random.default_rng(seed)
     nearest = math.inf
@@ -176,18 +159,16 @@ def dyadic_approx(mu: Chain0, grid: DyadicGrid, k: int) -> Chain0:
     the cell center with the cell's total weight."""
     if k < 0 or k > grid.k_max:
         raise ValueError(f"level {k} outside [0, {grid.k_max}]")
-    cells: dict[tuple[int, ...], list] = {}
-    for a in mu.atoms:
-        if not grid.contains(a.position):
-            raise ValueError(f"atom {a.position} outside grid cube")
-        if grid.skeleton_distance(a.position, grid.k_max) <= 0.0:
-            raise ValueError(f"atom {a.position} on grid skeleton; re-run shifted_grid")
-        cells.setdefault(grid.cell_index(a.position, k), []).append(a.weight)
-    atoms = []
-    for idx in sorted(cells):
-        w = np.sum(np.array(cells[idx]), axis=0)
-        atoms.append(Atom(grid.cell_center(idx, k), tuple(w)))
-    return Chain0(mu.n, mu.m, tuple(atoms))
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(mu.P.tolist()):
+        if not grid.contains(p):
+            raise ValueError(f"atom {tuple(p)} outside grid cube")
+        if grid.skeleton_distance(p, grid.k_max) <= 0.0:
+            raise ValueError(f"atom {tuple(p)} on grid skeleton; re-run shifted_grid")
+        cells.setdefault(grid.cell_index(p, k), []).append(i)
+    order = sorted(cells)
+    return Chain0.from_arrays(mu.n, mu.m, [grid.cell_center(idx, k) for idx in order],
+                              [np.sum(mu.W[cells[idx]], axis=0) for idx in order])
 
 
 @dataclass(frozen=True)
@@ -225,7 +206,7 @@ def cascade(
         raise ValueError(f"depth K={K} needs grid.k_max >= {K + 1}")
     n, m = mu_minus.n, mu_minus.m
     nu = canonicalize0(mu_plus - mu_minus)
-    if not nu.atoms:
+    if not len(nu.P):
         empty = Chain1(n, m, (), canonical=True)
         cert = EnergyCertificate(0.0, 0.0, "none")
         return CascadeResult(empty, cert, K, Chain0(n, m))
@@ -233,12 +214,11 @@ def cascade(
     # leaf cells at level K+1, then aggregate upward so parent weights are
     # the exact floating-point sums of their children's
     levels: list[dict[tuple[int, ...], np.ndarray]] = [dict() for _ in range(K + 2)]
-    leaf_atoms: dict[tuple[int, ...], list[Atom]] = {}
-    for a in nu.atoms:
-        idx = grid.cell_index(a.position, K + 1)
-        leaf_atoms.setdefault(idx, []).append(a)
+    leaf_atoms: dict[tuple[int, ...], list[int]] = {}
+    for i, p in enumerate(nu.P):
+        leaf_atoms.setdefault(grid.cell_index(p, K + 1), []).append(i)
     for idx in sorted(leaf_atoms):
-        levels[K + 1][idx] = np.sum(np.array([a.weight for a in leaf_atoms[idx]]), axis=0)
+        levels[K + 1][idx] = np.sum(nu.W[leaf_atoms[idx]], axis=0)
     for k in range(K, -1, -1):
         acc: dict[tuple[int, ...], list] = {}
         for idx, w in levels[k + 1].items():
@@ -248,7 +228,7 @@ def cascade(
             children = sorted(acc[parent], key=lambda t: t[0])
             levels[k][parent] = np.sum(np.array([w for _, w in children]), axis=0)
 
-    edges: list[Edge] = []
+    A, B, Theta = [], [], []
     for k in range(K + 1):
         for idx in sorted(levels[k + 1]):
             w = levels[k + 1][idx]
@@ -256,14 +236,19 @@ def cascade(
             a = grid.cell_center(parent, k)
             b = grid.cell_center(idx, k + 1)
             if a != b and np.any(w):
-                edges.append(Edge(a, b, tuple(w)))
+                A.append(a)
+                B.append(b)
+                Theta.append(w)
+    positions = nu.P.tolist()
     for idx in sorted(leaf_atoms):
         c = grid.cell_center(idx, K + 1)
-        for a in leaf_atoms[idx]:
-            if a.position != c:
-                edges.append(Edge(c, a.position, a.weight))
+        for i in leaf_atoms[idx]:
+            if tuple(positions[i]) != c:
+                A.append(c)
+                B.append(positions[i])
+                Theta.append(nu.W[i])
 
-    chain = canonicalize(Chain1(n, m, tuple(edges)))
+    chain = canonicalize(Chain1.from_arrays(n, m, A, B, Theta))
 
     ener = 0.0
     bound = math.inf
@@ -279,19 +264,14 @@ def cascade(
         kind = "cascade"
     cert = EnergyCertificate(ener, bound, kind, digest_inputs(mu_minus, mu_plus, K, grid.center, grid.edge))
 
-    sigma0 = Chain0(n, m, (Atom(grid.cell_center((0,) * n, 0), tuple(levels[0][(0,) * n])),))
+    sigma0 = Chain0.from_arrays(n, m, [grid.cell_center((0,) * n, 0)], [levels[0][(0,) * n]])
     return CascadeResult(chain, cert, K, canonicalize0(sigma0))
 
 
 def _signed_parts(nu: Chain0) -> tuple[Chain0, Chain0]:
     """Componentwise positive and negative parts (nu = plus - minus)."""
-    plus, minus = [], []
-    for a in nu.atoms:
-        w = np.array(a.weight)
-        wp = np.maximum(w, 0.0)
-        wm = np.maximum(-w, 0.0)
-        if np.any(wp):
-            plus.append(Atom(a.position, tuple(wp)))
-        if np.any(wm):
-            minus.append(Atom(a.position, tuple(wm)))
-    return Chain0(nu.n, nu.m, tuple(plus)), Chain0(nu.n, nu.m, tuple(minus))
+    parts = []
+    for W in (np.maximum(nu.W, 0.0), np.maximum(-nu.W, 0.0)):
+        keep = W.any(axis=1)
+        parts.append(Chain0.from_arrays(nu.n, nu.m, nu.P[keep], W[keep]))
+    return tuple(parts)

@@ -244,15 +244,20 @@ def dir_derivative_at_zero(
     exceeds ``cap`` or when it is still growing at the end of the grid
     (a quotient diverging slower than the cap within 60 halvings, e.g.
     t^(-eps), must still classify as infinite).
+
+    The whole grid is evaluated in one :func:`evaluate_rows` call before
+    the quotients are scanned in order, so a ``Custom`` cost's function is
+    called on every grid point, also past the point that decides the result.
     """
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         raise ValueError("v must be nonzero")
+    ts = [2.0 ** (-i) for i in range(imax + 1)]
+    C = evaluate_rows(cost, np.array([t * v for t in ts]))
     prev = -math.inf
     val = 0.0
-    for i in range(imax + 1):
-        t = 2.0 ** (-i)
-        val = evaluate(cost, t * v) / t
+    for i, (c, t) in enumerate(zip(C.tolist(), ts)):
+        val = c / t
         if val > cap:
             return math.inf
         if val < prev - tol * max(1.0, abs(prev)):
@@ -386,7 +391,7 @@ def _check_concave_nondecreasing(beta: BetaEnvelope, samples: int = 257) -> None
     xs = np.linspace(0.0, 1.0, samples)
     vals = np.array([beta(x) for x in xs])
     if np.any(np.diff(vals) < -1e-12):
-        raise UserWarning("beta envelope not non-decreasing on sampled grid")
+        raise ValueError("beta envelope not non-decreasing on sampled grid")
     second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
     if np.any(second > 1e-9 * max(1.0, float(np.max(np.abs(vals))))):
         warnings.warn("beta envelope not concave on sampled grid", stacklevel=3)

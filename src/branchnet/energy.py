@@ -12,8 +12,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from branchnet.chains import Chain1, component_lift
 from branchnet.costs import CostSpec, derivative_profile, evaluate_rows, sampled_ratios
 
@@ -41,14 +39,12 @@ class EnergyCertificate:
 
 def energy(T: Chain1, cost: CostSpec) -> float:
     """Total cost: sum of C(theta_e) * length(e) over the edges of T."""
-    if T.edges and not T.canonical:
+    if len(T.A) and not T.canonical:
         raise NonCanonicalError("energy is defined on canonical chains only; canonicalize first")
     if T.m != cost.m:
         raise ValueError("chain/cost component mismatch")
-    Theta = np.array([e.theta for e in T.edges], dtype=float).reshape(len(T.edges), T.m)
-    lengths = np.array([e.length for e in T.edges], dtype=float)
     # fsum is correctly rounded, so the order of the terms does not matter
-    return math.fsum(evaluate_rows(cost, Theta) * lengths)
+    return math.fsum(evaluate_rows(cost, T.Theta) * T.lengths())
 
 
 def energy_component(T: Chain1, cost: CostSpec, j: int) -> float:

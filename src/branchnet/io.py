@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from branchnet.chains import Atom, Chain0, Chain1, Edge
+from branchnet.chains import Chain0, Chain1, row_dots
 
 FORMAT_VERSION = 1
 
@@ -55,10 +55,13 @@ def _check_header(doc, path) -> tuple[int, int]:
     _require(isinstance(doc, dict), str(path), "top level must be an object")
     for key in ("version", "n", "m"):
         _require(key in doc, str(path), f"missing field '{key}'")
-    _require(doc["version"] == FORMAT_VERSION, f"{path}:version", f"unsupported version {doc['version']}")
+    # bool is an int subclass and True == 1, so booleans are ruled out first
+    version = doc["version"]
+    _require(not isinstance(version, bool) and version == FORMAT_VERSION, f"{path}:version",
+             f"unsupported version {version}")
     n, m = doc["n"], doc["m"]
-    _require(isinstance(n, int) and n >= 1, f"{path}:n", "n must be a positive integer")
-    _require(isinstance(m, int) and m >= 1, f"{path}:m", "m must be a positive integer")
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, f"{path}:n", "n must be a positive integer")
+    _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1, f"{path}:m", "m must be a positive integer")
     return n, m
 
 
@@ -66,15 +69,14 @@ def measure_from_document(doc, path) -> Chain0:
     """Measure from a parsed document; ``path`` prefixes error locations."""
     n, m = _check_header(doc, path)
     _require("atoms" in doc and isinstance(doc["atoms"], list), f"{path}:atoms", "missing atom list")
-    atoms = []
+    P, W = [], []
     for i, rec in enumerate(doc["atoms"]):
         where = f"{path}:atoms[{i}]"
         _require(isinstance(rec, dict), where, "expected an object")
         _require("p" in rec and "w" in rec, where, "atom needs fields 'p' and 'w'")
-        p = _check_vector(rec["p"], n, f"{where}.p")
-        w = _check_vector(rec["w"], m, f"{where}.w")
-        atoms.append(Atom(p, w))
-    return Chain0(n, m, tuple(atoms))
+        P.append(_check_vector(rec["p"], n, f"{where}.p"))
+        W.append(_check_vector(rec["w"], m, f"{where}.w"))
+    return Chain0.from_arrays(n, m, P, W)
 
 
 def load_measure(path) -> Chain0:
@@ -86,7 +88,7 @@ def save_measure(mu: Chain0, path) -> None:
         "version": FORMAT_VERSION,
         "n": mu.n,
         "m": mu.m,
-        "atoms": [{"p": list(a.position), "w": list(a.weight)} for a in mu.atoms],
+        "atoms": [{"p": p, "w": w} for p, w in zip(mu.P.tolist(), mu.W.tolist())],
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -95,7 +97,7 @@ def network_from_document(doc, path) -> Chain1:
     """Network from a parsed document; ``path`` prefixes error locations."""
     n, m = _check_header(doc, path)
     _require("edges" in doc and isinstance(doc["edges"], list), f"{path}:edges", "missing edge list")
-    edges = []
+    A, B, Theta = [], [], []
     for i, rec in enumerate(doc["edges"]):
         where = f"{path}:edges[{i}]"
         _require(isinstance(rec, dict), where, "expected an object")
@@ -103,10 +105,11 @@ def network_from_document(doc, path) -> Chain1:
             _require(key in rec, where, f"edge needs field '{key}'")
         a = _check_vector(rec["a"], n, f"{where}.a")
         b = _check_vector(rec["b"], n, f"{where}.b")
-        th = _check_vector(rec["theta"], m, f"{where}.theta")
+        Theta.append(_check_vector(rec["theta"], m, f"{where}.theta"))
         _require(a != b, where, "degenerate edge (a == b)")
-        edges.append(Edge(a, b, th))
-    return Chain1(n, m, tuple(edges))
+        A.append(a)
+        B.append(b)
+    return Chain1.from_arrays(n, m, A, B, Theta)
 
 
 def load_network(path) -> Chain1:
@@ -118,7 +121,7 @@ def save_network(T: Chain1, path) -> None:
         "version": FORMAT_VERSION,
         "n": T.n,
         "m": T.m,
-        "edges": [{"a": list(e.a), "b": list(e.b), "theta": list(e.theta)} for e in T.edges],
+        "edges": [{"a": a, "b": b, "theta": th} for a, b, th in zip(T.A.tolist(), T.B.tolist(), T.Theta.tolist())],
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -160,10 +163,10 @@ def emit_svg(
     def xy(p):
         return (p[0], p[1]) if len(p) >= 2 else (p[0], 0.0)
 
-    pts = [xy(e.a) for e in T.edges] + [xy(e.b) for e in T.edges]
+    pts = [xy(p) for p in T.A.tolist() + T.B.tolist()]
     for mu in (mu_minus, mu_plus):
         if mu is not None:
-            pts += [xy(a.position) for a in mu.atoms]
+            pts += [xy(p) for p in mu.P.tolist()]
     if not pts:
         Path(path).write_text('<svg xmlns="http://www.w3.org/2000/svg" width="64" height="64"/>\n')
         return
@@ -177,23 +180,24 @@ def emit_svg(
         q = (np.array(xy(p)) - lo + pad) * scale
         return float(q[0]), float(width - q[1])
 
-    norms = [float(np.linalg.norm(e.theta)) for e in T.edges]
+    norms = np.sqrt(row_dots(T.Theta, T.Theta)).tolist()
     wmax = max(norms) if norms else 1.0
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{width}">']
-    for e, nrm in zip(T.edges, norms):
-        (x1, y1), (x2, y2) = to_px(e.a), to_px(e.b)
+    for a, b, th, nrm in zip(T.A.tolist(), T.B.tolist(), T.Theta, norms):
+        (x1, y1), (x2, y2) = to_px(a), to_px(b)
         sw = 1.0 + 6.0 * (nrm / wmax) ** gamma if wmax > 0 else 1.0
         parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{_blend_color(e.theta)}" stroke-width="{sw:.2f}" stroke-linecap="round"/>'
+            f'stroke="{_blend_color(th)}" stroke-width="{sw:.2f}" stroke-linecap="round"/>'
         )
     for mu, color in ((mu_minus, "#1f77b4"), (mu_plus, "#d62728")):
         if mu is None:
             continue
-        wm = max((float(np.linalg.norm(a.weight)) for a in mu.atoms), default=1.0) or 1.0
-        for a in mu.atoms:
-            x, y = to_px(a.position)
-            r = 2.0 + 5.0 * float(np.linalg.norm(a.weight)) / wm
+        wnorms = np.sqrt(row_dots(mu.W, mu.W)).tolist()
+        wm = max(wnorms, default=1.0) or 1.0
+        for p, wn in zip(mu.P.tolist(), wnorms):
+            x, y = to_px(p)
+            r = 2.0 + 5.0 * wn / wm
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" fill="{color}" fill-opacity="0.8"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

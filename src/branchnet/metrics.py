@@ -15,18 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from branchnet.chains import (
-    Atom,
-    Chain0,
-    Chain1,
-    atom_arrays,
-    canonicalize,
-    canonicalize0,
-    component_lift,
-    edge_arrays,
-    mass,
-    row_dots,
-)
+from branchnet.chains import Chain0, Chain1, canonicalize, canonicalize0, component_lift, mass, row_dots
 from branchnet.costs import CostSpec, evaluate_rows
 from branchnet.energy import energy
 
@@ -58,8 +47,7 @@ def flat_norm_0chain_component(nu: Chain0, j: int) -> float:
     |p - q| per unit, or pay cost 1 per unit of untransported residual on
     either side.
     """
-    X, W = atom_arrays(nu)
-    w = W[:, j]
+    X, w = nu.P, nu.W[:, j]
     pos, neg = w > 0, w < 0
     P = math.fsum(w[pos])
     N = math.fsum(-w[neg])
@@ -114,9 +102,9 @@ def slice_chain(T: Chain1, g, y: float, offset: float = 0.0) -> Chain0:
     with a warning.
     """
     gv = np.asarray(g, dtype=float)
-    if not T.edges:
+    if not len(T.A):
         return Chain0(T.n, T.m, ())
-    A, B, Th = edge_arrays(T)
+    A, B, Th = T.A, T.B, T.Theta
     fa = A @ gv + offset
     fb = B @ gv + offset
     frange = max(float(np.max(np.concatenate([fa, fb])) - np.min(np.concatenate([fa, fb]))), 1.0)
@@ -126,16 +114,15 @@ def slice_chain(T: Chain1, g, y: float, offset: float = 0.0) -> Chain0:
         y = y + 2 * eps
         if np.any(np.abs(fa - y) <= eps) or np.any(np.abs(fb - y) <= eps):
             y = y - 4.1 * eps
-    atoms = []
+    P, W = [], []
     for i in range(len(A)):
         lo, hi = min(fa[i], fb[i]), max(fa[i], fb[i])
         if not (lo < y < hi):
             continue
         t = (y - fa[i]) / (fb[i] - fa[i])
-        z = tuple(float(c) for c in A[i] + t * (B[i] - A[i]))
-        sign = 1.0 if fb[i] > fa[i] else -1.0
-        atoms.append(Atom(z, tuple(sign * Th[i])))
-    return canonicalize0(Chain0(T.n, T.m, tuple(atoms)))
+        P.append(A[i] + t * (B[i] - A[i]))
+        W.append((1.0 if fb[i] > fa[i] else -1.0) * Th[i])
+    return canonicalize0(Chain0.from_arrays(T.n, T.m, P, W))
 
 
 def coarea_check(T: Chain1, g, offset: float = 0.0) -> tuple[float, float]:
@@ -145,11 +132,10 @@ def coarea_check(T: Chain1, g, offset: float = 0.0) -> tuple[float, float]:
     sum_e |theta_e|_2 * |f(b_e) - f(a_e)| exactly for affine f.
     """
     gv = np.asarray(g, dtype=float)
-    if not T.edges:
+    if not len(T.A):
         return 0.0, 0.0
-    A, B, Th = edge_arrays(T)
-    drops = np.abs((B - A) @ gv)
-    norms = np.linalg.norm(Th, axis=1)
+    drops = np.abs((T.B - T.A) @ gv)
+    norms = np.linalg.norm(T.Theta, axis=1)
     integral = math.fsum(norms * drops)
     bound = float(np.linalg.norm(gv)) * mass(T)
     return integral, bound
@@ -177,20 +163,22 @@ def ig_identity_mc(
     For each random unit direction v the slice integral over levels has
     the closed form sum_e C(theta_e) * len(e) * |tau_e . v|; the average
     over directions times the calibration constant c(n,1) recovers the
-    energy.  Returns (estimate, exact, relative error).
+    energy.  Returns (estimate, exact, relative error); ``samples`` must
+    be at least 1.
     """
+    if samples < 1:
+        raise ValueError("samples >= 1 required")
     exact = energy(T if T.canonical else canonicalize(T), cost)
-    if not T.edges:
+    if not len(T.A):
         return 0.0, 0.0, 0.0
-    A, B, Th = edge_arrays(T)
-    tau = B - A
+    tau = T.B - T.A
     lengths = np.linalg.norm(tau, axis=1)
     tau = tau / lengths[:, None]
-    weights = evaluate_rows(cost, Th) * lengths
+    weights = evaluate_rows(cost, T.Theta) * lengths
 
     rng = np.random.default_rng(seed)
     c = _calibration_constant(T.n, min(samples, 10**6), np.random.default_rng(seed + 1))
-    acc = np.zeros(len(T.edges))
+    acc = np.zeros(len(T.A))
     done = 0
     chunk = 1 << 16
     while done < samples:

@@ -20,15 +20,14 @@ import numpy as np
 from branchnet.chains import (
     Chain0,
     Chain1,
-    Edge,
     boundary,
     canonicalize,
     canonicalize0,
     component_lift,
     divergence,
-    edge_arrays,
     is_compatible,
     mass,
+    row_dots,
 )
 from branchnet.construct import GridShiftError, barycenter, bounding_cube, cascade, cone, shifted_grid
 from branchnet.costs import CostSpec, evaluate_rows
@@ -98,7 +97,7 @@ def _flow_tol(theta: np.ndarray) -> float:
 
 def _flow_graph(T: Chain1, j: int, tol: float):
     """Directed arcs (u, v, edge_index, flow>0) for commodity j."""
-    return _arcs([(e.a, e.b) for e in T.edges], [e.theta[j] for e in T.edges], tol)
+    return _arcs(T.ends(), T.Theta[:, j].tolist(), tol)
 
 
 def _find_directed_cycle(arcs):
@@ -155,10 +154,10 @@ def remove_cycles(T: Chain1) -> Chain1:
     """
     if not T.canonical:
         T = canonicalize(T)
-    _, _, theta = edge_arrays(T)
+    theta = np.array(T.Theta)  # a writable copy
     tol = _flow_tol(theta)
 
-    ends = [(e.a, e.b) for e in T.edges]
+    ends = T.ends()
     for j in range(T.m):
         while True:
             arcs = _arcs(ends, theta[:, j].tolist(), tol)
@@ -173,12 +172,8 @@ def remove_cycles(T: Chain1) -> Chain1:
                 if abs(theta[ei, j]) <= tol:
                     theta[ei, j] = 0.0
 
-    out = [
-        Edge(e.a, e.b, tuple(row))
-        for e, row in zip(T.edges, theta)
-        if float(np.linalg.norm(row)) > tol
-    ]
-    return Chain1(T.n, T.m, tuple(out), canonical=True)
+    keep = np.sqrt(row_dots(theta, theta)) > tol
+    return Chain1.from_arrays(T.n, T.m, T.A[keep], T.B[keep], theta[keep], canonical=True)
 
 
 @dataclass(frozen=True)
@@ -195,8 +190,7 @@ def check_multiplicity_bound(T: Chain1, tol: float = 1e-9) -> MultiplicityBoundR
     worst = 0.0
     for j in range(T.m):
         half = 0.5 * mass(boundary(component_lift(T, j)))
-        for i, e in enumerate(T.edges):
-            v = abs(e.theta[j])
+        for i, v in enumerate(np.abs(T.Theta[:, j]).tolist()):
             if v > tol:
                 worst = max(worst, v / half if half > 0 else math.inf)
                 if v > half + tol:
@@ -216,12 +210,12 @@ def straighten(T: Chain1, eps: float = 1e-12) -> Chain1:
     """
     if not T.canonical:
         T = canonicalize(T)
-    edges = {i: e for i, e in enumerate(T.edges)}
-    next_id = len(T.edges)
+    edges = {i: (a, b, th) for i, ((a, b), th) in enumerate(zip(T.ends(), T.Theta))}
+    next_id = len(edges)
     incident: dict = {}
-    for i, e in edges.items():
-        incident.setdefault(e.a, set()).add(i)
-        incident.setdefault(e.b, set()).add(i)
+    for i, (a, b, _) in edges.items():
+        incident.setdefault(a, set()).add(i)
+        incident.setdefault(b, set()).add(i)
 
     changed = True
     while changed:
@@ -230,27 +224,28 @@ def straighten(T: Chain1, eps: float = 1e-12) -> Chain1:
             if len(ids) != 2:
                 continue
             i1, i2 = sorted(ids)
-            e1, e2 = edges[i1], edges[i2]
-            thru1 = np.array(e1.theta) * (1.0 if e1.b == v else -1.0)  # flow into v
-            thru2 = np.array(e2.theta) * (1.0 if e2.a == v else -1.0)  # flow out of v
+            (a1, b1, th1), (a2, b2, th2) = edges[i1], edges[i2]
+            thru1 = th1 * (1.0 if b1 == v else -1.0)  # flow into v
+            thru2 = th2 * (1.0 if a2 == v else -1.0)  # flow out of v
             scale = max(1.0, float(np.max(np.abs(thru1))))
             if np.max(np.abs(thru1 - thru2)) > eps * scale:
                 continue
-            x = e1.a if e1.b == v else e1.b
-            y = e2.b if e2.a == v else e2.a
+            x = a1 if b1 == v else b1
+            y = b2 if a2 == v else a2
             if x == y:
                 continue  # two-edge loop; cycle removal's job
-            new_edge = Edge(x, y, tuple(thru1))
             for i in (i1, i2):
-                e = edges.pop(i)
-                incident[e.a].discard(i)
-                incident[e.b].discard(i)
-            edges[next_id] = new_edge
+                a, b, _ = edges.pop(i)
+                incident[a].discard(i)
+                incident[b].discard(i)
+            edges[next_id] = (x, y, thru1)
             incident.setdefault(x, set()).add(next_id)
             incident.setdefault(y, set()).add(next_id)
             next_id += 1
             changed = True
-    return canonicalize(Chain1(T.n, T.m, tuple(edges[i] for i in sorted(edges))))
+    kept = [edges[i] for i in sorted(edges)]
+    return canonicalize(Chain1.from_arrays(T.n, T.m, [a for a, _, _ in kept], [b for _, b, _ in kept],
+                                           [th for _, _, th in kept]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +285,13 @@ def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, diam: f
 
 
 def _free_vertices(T: Chain1) -> set:
-    bnd = {a.position for a in boundary(T).atoms}
-    return {v for v in T.vertices() if v not in bnd}
+    return T.vertices() - set(map(tuple, boundary(T).P.tolist()))
 
 
 def _chain_diam(T: Chain1) -> float:
-    A, B, _ = edge_arrays(T)
-    if not len(A):
+    if not len(T.A):
         return 1.0
-    return float(np.max(np.ptp(np.vstack([A, B]), axis=0))) or 1.0
+    return float(np.max(np.ptp(np.vstack([T.A, T.B]), axis=0))) or 1.0
 
 
 def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
@@ -318,19 +311,19 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     """
     if not T.canonical:
         T = canonicalize(T)
-    if not T.edges:
+    if not len(T.A):
         return T
     diam = _chain_diam(T)
-    edges = [(e.a, e.b, e.theta) for e in T.edges]
-    W = evaluate_rows(cost, [th for _, _, th in edges])
+    ends = T.ends()
+    W = evaluate_rows(cost, T.Theta)
     incidence: dict = {}
-    for i, (a, b, _) in enumerate(edges):
+    for i, (a, b) in enumerate(ends):
         incidence.setdefault(a, ([], []))[0].append(i)
         incidence.setdefault(b, ([], []))[1].append(i)
 
     for v in sorted(_free_vertices(T)):
         tails, heads = incidence.pop(v)
-        anchors = np.array([edges[i][1] for i in tails] + [edges[i][0] for i in heads])
+        anchors = np.array([ends[i][1] for i in tails] + [ends[i][0] for i in heads])
         weights = W[tails + heads]
         old = np.array(v)
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
@@ -345,16 +338,15 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
             continue
         vt = tuple(float(c) for c in new)
         for i in tails:
-            _, b, th = edges[i]
-            edges[i] = (vt, b, th)
+            ends[i] = (vt, ends[i][1])
         for i in heads:
-            a, _, th = edges[i]
-            edges[i] = (a, vt, th)
+            ends[i] = (ends[i][0], vt)
         there = incidence.pop(vt, ([], []))
         incidence[vt] = (sorted(there[0] + tails), sorted(there[1] + heads))
 
-    kept = [Edge(a, b, th) for a, b, th in edges if a != b]
-    return canonicalize(Chain1(T.n, T.m, tuple(kept)))
+    kept = [i for i, (a, b) in enumerate(ends) if a != b]
+    return canonicalize(Chain1.from_arrays(T.n, T.m, [ends[i][0] for i in kept], [ends[i][1] for i in kept],
+                                           T.Theta[kept]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +354,10 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
 
 def _merge_candidates(T: Chain1):
     """Pairs of distinct near-parallel nearby edges, best-first by closeness."""
-    if len(T.edges) < 2:
+    if len(T.A) < 2:
         return []
     diam = _chain_diam(T)
-    A, B, _ = edge_arrays(T)
+    A, B = T.A, T.B
     U = (B - A) / np.linalg.norm(B - A, axis=1)[:, None]
     M = 0.5 * (A + B)
     ii, jj = np.triu_indices(len(A), 1)
@@ -380,28 +372,20 @@ def _merge_candidates(T: Chain1):
 def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, config: OptimizerConfig) -> Chain1:
     """Reroute edges i and k through a shared trunk and relocate its ends.
     ``config`` is unused; benchmark tracing reads its ``rel_tol``."""
-    E = list(T.edges)
-    e1, e2 = E[i], E[k]
-    a2, b2, th2 = (e2.a, e2.b, e2.theta)
+    a1, b1, th1 = T.A[i], T.B[i], T.Theta[i]
+    a2, b2, th2 = T.A[k], T.B[k], T.Theta[k]
     if not aligned:
-        a2, b2 = b2, a2
-        th2 = tuple(-t for t in th2)
-    v = tuple(0.5 * (np.array(e1.a) + a2))
-    w = tuple(0.5 * (np.array(e1.b) + b2))
-    if v == w:
+        a2, b2, th2 = b2, a2, -th2
+    v = 0.5 * (a1 + a2)
+    w = 0.5 * (b1 + b2)
+    if np.array_equal(v, w):
         return T
-    rest = [e for idx, e in enumerate(E) if idx not in (i, k)]
-    trunk = tuple(x + y for x, y in zip(e1.theta, th2))
-    new = [
-        Edge(e1.a, v, e1.theta),
-        Edge(a2, v, th2),
-        Edge(v, w, trunk),
-        Edge(w, e1.b, e1.theta),
-        Edge(w, b2, th2),
-    ]
-    new = [e for e in new if e.a != e.b]
-    trial = canonicalize(Chain1(T.n, T.m, tuple(rest + new)))
-    return relocate_branch_points(trial, cost)
+    new = [(p, q, th) for p, q, th in ((a1, v, th1), (a2, v, th2), (v, w, th1 + th2), (w, b1, th1), (w, b2, th2))
+           if not np.array_equal(p, q)]
+    rest = [idx for idx in range(len(T.A)) if idx not in (i, k)]
+    trial = Chain1.from_arrays(T.n, T.m, [*T.A[rest], *(p for p, _, _ in new)], [*T.B[rest], *(q for _, q, _ in new)],
+                               [*T.Theta[rest], *(th for _, _, th in new)])
+    return relocate_branch_points(canonicalize(trial), cost)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +461,7 @@ def verify_solution(
     residual_chain = divergence(T) - target
     residual = flat_bounds(canonicalize0(residual_chain)).upper
     acyclic = []
-    tol = _flow_tol(edge_arrays(T)[2])
+    tol = _flow_tol(T.Theta)
     for j in range(T.m):
         arcs = _flow_graph(T, j, tol)
         acyclic.append(_find_directed_cycle(arcs) is None)
@@ -515,7 +499,7 @@ def w_upper(
     if not is_compatible(mu_minus, mu_plus):
         raise ValueError("incompatible measures")
     nu = canonicalize0(mu_plus - mu_minus)
-    if not nu.atoms:
+    if not len(nu.P):
         return 0.0
 
     best = math.inf

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -32,6 +34,69 @@ from conftest import path_chain, random_chain
 
 def seg(a, b, *theta):
     return Chain1(len(a), len(theta), (Edge(a, b, theta),))
+
+
+class TestArrays:
+    def test_edges_and_arrays_agree(self):
+        edges = (Edge((0.0, 1.0), (2.0, -0.0), (1.5, -2.0)), Edge((3.0, 4.0), (5.0, 6.0), (0.0, 1e-300)))
+        T = Chain1(2, 2, edges)
+        assert T == Chain1.from_arrays(2, 2, [e.a for e in edges], [e.b for e in edges], [e.theta for e in edges],
+                                       canonical=True)
+        assert T.edges == edges
+        assert T.A.dtype == T.B.dtype == T.Theta.dtype == np.float64
+        assert T.A.shape == T.B.shape == (2, 2) and T.Theta.shape == (2, 2)
+        mu = Chain0(3, 1, (Atom((0.0, 1.0, 2.0), (-1.0,)),))
+        assert mu.atoms == (Atom((0.0, 1.0, 2.0), (-1.0,)),)
+        assert mu == Chain0.from_arrays(3, 1, [[0.0, 1.0, 2.0]], [[-1.0]])
+        assert Chain1(2, 1) == Chain1.from_arrays(2, 1, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 1)))
+
+    def test_arrays_are_read_only_copies(self):
+        A, B, Th = np.zeros((1, 2)), np.ones((1, 2)), np.full((1, 1), 2.0)
+        T = Chain1.from_arrays(2, 1, A, B, Th)
+        A[0, 0], Th[0, 0] = 9.0, 9.0
+        assert T.edges == (Edge((0.0, 0.0), (1.0, 1.0), (2.0,)),)
+        P, W = np.zeros((1, 2)), np.ones((1, 1))
+        mu = Chain0.from_arrays(2, 1, P, W)
+        W[0, 0] = 5.0
+        assert mu.W[0, 0] == 1.0
+        for X in (T.A, T.B, T.Theta, mu.P, mu.W, (-T).Theta, (mu + mu).P):
+            with pytest.raises(ValueError):
+                X[0, 0] = 3.0
+        with pytest.raises(AttributeError):
+            T.A = A
+        with pytest.raises(AttributeError):
+            mu.n = 3
+
+    def test_pickle_and_copy_round_trip(self):
+        T = Chain1(2, 1, (Edge((0.0, 1.0), (2.0, 3.0), (-1.5,)),), canonical=True)
+        mu = Chain0(2, 1, (Atom((0.0, 1.0), (2.0,)),))
+        for X in (T, mu):
+            for Y in (pickle.loads(pickle.dumps(X)), copy.deepcopy(X), copy.copy(X)):
+                assert Y == X and repr(Y) == repr(X)
+        assert not pickle.loads(pickle.dumps(T)).A.flags.writeable
+
+    @pytest.mark.parametrize("A, B, Th", [
+        (np.zeros((2, 3)), np.ones((2, 2)), np.ones((2, 1))),  # tails in R^3
+        (np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2))),  # multiplicities in R^2
+        (np.zeros((2, 2)), np.ones((1, 2)), np.ones((2, 1))),  # one head short
+        (np.zeros(2), np.ones(2), np.ones(1)),  # 1-D rows
+        ([[0.0, math.nan]], [[1.0, 1.0]], [[1.0]]),
+        ([[0.0, 0.0]], [[1.0, math.inf]], [[1.0]]),
+        ([[0.0, 0.0]], [[1.0, 1.0]], [[-math.inf]]),
+    ], ids=["tail-dim", "theta-dim", "count", "flat", "nan-tail", "inf-head", "inf-theta"])
+    def test_chain1_rejects_bad_arrays(self, A, B, Th):
+        with pytest.raises(ValueError):
+            Chain1.from_arrays(2, 1, A, B, Th)
+
+    @pytest.mark.parametrize("P, W", [
+        (np.zeros((2, 3)), np.ones((2, 1))),
+        (np.zeros((2, 2)), np.ones((3, 1))),
+        ([[0.0, math.nan]], [[1.0]]),
+        ([[0.0, 0.0]], [[math.inf]]),
+    ], ids=["position-dim", "count", "nan-position", "inf-weight"])
+    def test_chain0_rejects_bad_arrays(self, P, W):
+        with pytest.raises(ValueError):
+            Chain0.from_arrays(2, 1, P, W)
 
 
 class TestCanonicalize:

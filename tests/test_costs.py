@@ -20,6 +20,7 @@ from branchnet.costs import (
     sum_alpha,
     validate_cost,
 )
+from conftest import COST_FAMILIES
 
 
 class TestEvaluate:
@@ -111,6 +112,33 @@ class TestValidateCost:
         assert not rep.ok
 
 
+def _dir_derivative_reference(cost, v, cap=1e12, imax=60, tol=1e-9):
+    """The scalar loop dir_derivative_at_zero replaced: one evaluate per grid point."""
+    v = np.asarray(v, dtype=float)
+    prev = -math.inf
+    val = 0.0
+    for i in range(imax + 1):
+        t = 2.0 ** (-i)
+        val = evaluate(cost, t * v) / t
+        if val > cap:
+            return math.inf
+        if val < prev - tol * max(1.0, abs(prev)):
+            raise ValueError("C(tv)/t not monotone along the doubling grid: cost axioms violated")
+        prev_step = val - prev if i > 0 else 0.0
+        prev = val
+    if imax > 0 and prev_step > 1e-6 * max(1.0, abs(val)):
+        return math.inf
+    return val
+
+
+def _outcome(fn, cost, v):
+    """("value", float hex) or ("raise", message) of one derivative call."""
+    try:
+        return ("value", float(fn(cost, v)).hex())
+    except ValueError as exc:
+        return ("raise", str(exc))
+
+
 class TestDerivatives:
     def test_linear_axis_derivative_is_weight(self):
         c = sum_alpha(2, 1.0, weights=[1.0, 4.0])
@@ -135,6 +163,28 @@ class TestDerivatives:
         assert prof.axis_derivatives[2] == pytest.approx(5.0)
         assert prof.V_dim == 2
 
+    @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bit_equal_to_scalar_loop(self, family, m):
+        cost = COST_FAMILIES[family](m)
+        rng = np.random.default_rng(m)
+        directions = list(np.eye(m)) + [u / np.linalg.norm(u) for u in rng.normal(size=(3, m))]
+        for v in directions:
+            assert _outcome(dir_derivative_at_zero, cost, v) == _outcome(_dir_derivative_reference, cost, v)
+
+    def test_cap_and_raise_match_scalar_loop(self):
+        calls = []
+        steep = custom_cost(1, lambda t: calls.append(1) or float(abs(t[0]) ** 0.5))
+        # C(t)/t = t^-0.5 passes the cap of 100 at t = 2^-14
+        assert dir_derivative_at_zero(steep, [1.0], cap=100.0) == math.inf
+        assert len(calls) == 61  # the whole doubling grid, also past the cap
+        assert _dir_derivative_reference(steep, [1.0], cap=100.0) == math.inf
+        assert len(calls) == 61 + 15
+        square = custom_cost(1, lambda t: float(t[0] ** 2))
+        outcome = _outcome(dir_derivative_at_zero, square, [1.0])
+        assert outcome[0] == "raise" and "not monotone" in outcome[1]
+        assert outcome == _outcome(_dir_derivative_reference, square, [1.0])
+
     def test_rectifiability_flag_analytic(self):
         assert rectifiability_flag(sum_alpha(2, 0.5))
         assert rectifiability_flag(p_norm_alpha(2, 2.0, 0.8))
@@ -157,6 +207,10 @@ class TestAdmissibility:
         beta = BetaEnvelope(lambda x: x**0.75)  # power not declared
         ok, value = admissibility_check(beta, n=2)
         assert ok and value == pytest.approx(4.0, rel=1e-3)
+
+    def test_decreasing_envelope_is_invalid_input(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            admissibility_check(BetaEnvelope(lambda x: 1.0 - x), 2)
 
     def test_generic_divergent_detected(self):
         beta = BetaEnvelope(lambda x: x**0.5)

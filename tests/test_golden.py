@@ -1,0 +1,108 @@
+"""Golden outputs: one SHA-256 per case over every reported float in hex.
+
+Each digest covers the energy (``float.hex``) and every coordinate and
+multiplicity of every edge, in order, so any change in the last bit of any
+output changes it.  The values were recorded before the chain storage became
+array-native and must stay fixed; an intentional output change updates them
+and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from branchnet import Atom, Chain0, OptimizerConfig, cascade, local_search, p_norm_alpha, shifted_grid, sum_alpha
+from branchnet.cli import main
+from branchnet.construct import barycenter, bounding_cube, cone
+from branchnet.chains import canonicalize
+from branchnet.io import save_measure, save_network
+
+
+def _pair(seed, n, m, atoms):
+    rng = np.random.default_rng(seed)
+    wm = rng.uniform(0.2, 2.0, (atoms, m))
+    wp = rng.uniform(0.2, 2.0, (atoms + 1, m))
+    wp *= wm.sum(axis=0) / wp.sum(axis=0)
+    pm = rng.uniform(-3.0, 3.0, (atoms, n))
+    pp = rng.uniform(-3.0, 3.0, (atoms + 1, n))
+    return (Chain0(n, m, tuple(Atom(tuple(p), tuple(w)) for p, w in zip(pm, wm))),
+            Chain0(n, m, tuple(Atom(tuple(p), tuple(w)) for p, w in zip(pp, wp))))
+
+
+def _digest(T, *values) -> str:
+    h = hashlib.sha256()
+    for v in values:
+        h.update(float(v).hex().encode() if isinstance(v, float) else repr(v).encode())
+    for e in T.edges:
+        h.update(" ".join(float(c).hex() for c in e.a + e.b + e.theta).encode() + b";")
+    return h.hexdigest()
+
+
+COSTS = {"sum_alpha": lambda m: sum_alpha(m, 0.6), "p_norm_alpha": lambda m: p_norm_alpha(m, 2.0, 0.7)}
+
+SEARCH_CASES = [
+    (1, 1, "sum_alpha", "cone"),
+    (2, 2, "p_norm_alpha", "cone"),
+    (3, 3, "sum_alpha", "cone"),
+    (4, 1, "p_norm_alpha", "cascade"),
+    (5, 2, "sum_alpha", "cascade"),
+    (6, 3, "p_norm_alpha", "cascade"),
+]
+
+SEARCH_GOLDEN = {
+    1: "b7125ba6e51be2cba3a39150edc9414ff58399faccffcce0e7a081a861b0f4a8",
+    2: "8807f94b97611e097c1236de4a934820b0554c8d65bf88be31f2db631cc9586d",
+    3: "b04d2f5972b6a8570aad2402de8207d883f328a57d1bdb843ba9014af97cf9a5",
+    4: "feac4146b25741573e74fd4ea55566240b354f3b2c86537cf54dbf1e2c1dc455",
+    5: "3499b84de9a47f2c4b0ef7df11494051fa04b16469816e0759d9da666b34dadc",
+    6: "dd19b08e834fb8921af4b8d5b09ad26ebb22cae9058110d7f8c044b07caa4340",
+}
+
+
+@pytest.mark.parametrize("seed,m,family,init", SEARCH_CASES)
+def test_local_search_golden(seed, m, family, init):
+    mu_minus, mu_plus = _pair(seed, 2, m, 5)
+    T, rep = local_search(mu_minus, mu_plus, COSTS[family](m), OptimizerConfig(max_iters=8, init=init))
+    assert _digest(T, rep.energy, rep.mass, rep.mass_bound_constant, rep.iterations, rep.ok) == SEARCH_GOLDEN[seed]
+
+
+CASCADE_GOLDEN = {
+    (2, 1): "bcea81d1f4d3477c8e4d90e44b9a7bafb9319eb62935fb20321159170607b68e",
+    (3, 2): "2f1e699757957eac4f00ea5c6aedffa3857fdd117490d1ad28b29c5fa3ed0ba6",
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(CASCADE_GOLDEN))
+def test_cascade_golden(n, m):
+    mu_minus, mu_plus = _pair(10 + n, n, m, 6)
+    nu = mu_plus - mu_minus
+    grid = shifted_grid(*bounding_cube(nu), [mu_minus, mu_plus], seed=3)
+    out = cascade(mu_minus, mu_plus, grid, 3, cost=sum_alpha(m, 0.8))
+    cert = out.certificate
+    assert _digest(out.chain, cert.energy, cert.bound, cert.inputs_digest) == CASCADE_GOLDEN[(n, m)]
+
+
+CLI_GOLDEN = {
+    "verify": "0893c849d0dbf2ef6ec865990f357b84eee5222f9978d6988811c8800f83f349",
+    "flat-bound": "df99679a3e46c77b9da50f409dc6c187c335d1a4d6d92a9531ac297612739332",
+    "flat-bound-measure": "c66c3c7a60b9b2338df99ca46bcb86d7c77df3400876f102e401c3c0d999505c",
+}
+
+
+def test_cli_golden(tmp_path, capsys):
+    mu_minus, mu_plus = _pair(21, 3, 2, 5)
+    nu = mu_plus - mu_minus
+    T = canonicalize(cone(nu, barycenter(nu)))
+    net, src, snk, div = (str(tmp_path / f) for f in ("net.json", "src.json", "snk.json", "nu.json"))
+    save_network(T, net)
+    save_measure(mu_minus, src)
+    save_measure(mu_plus, snk)
+    save_measure(nu, div)
+    digests = {}
+    for name, argv in (("verify", ["verify", net, src, snk, "--cost", "sum_alpha:alpha=0.6"]),
+                       ("flat-bound", ["flat-bound", net]),
+                       ("flat-bound-measure", ["flat-bound", div])):
+        assert main(argv) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == CLI_GOLDEN

@@ -185,7 +185,11 @@ class TestCli:
          r"atoms\[1\]\.p"),
         ('[1, 2]', "top level must be an object"),
         ('{"version": 1, "n": 2', "cannot read input file"),
-    ], ids=["network", "measure", "not-an-object", "malformed-json"])
+        # bool is an int subclass and true == 1: each boolean header field is rejected
+        ('{"version": true, "n": true, "m": true, "atoms": [{"p": [0], "w": [1]}]}', r"json:version: "),
+        ('{"version": 1, "n": true, "m": 1, "atoms": [{"p": [0], "w": [1]}]}', r"json:n: "),
+        ('{"version": 1, "n": 1, "m": true, "atoms": [{"p": [0], "w": [1]}]}', r"json:m: "),
+    ], ids=["network", "measure", "not-an-object", "malformed-json", "bool-version", "bool-n", "bool-m"])
     def test_flat_bound_schema_errors_located(self, tmp_path, capsys, text, where):
         path = tmp_path / "in.json"
         path.write_text(text)
@@ -255,6 +259,16 @@ class TestCli:
         capsys.readouterr()
         assert main(["ig-check", str(out), "--cost", "sum_alpha:alpha=0.5",
                      "--samples", "100000"]) == EXIT_OK
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_ig_check_needs_a_sample(self, instance, capsys, samples):
+        pm, pp, d = instance
+        out = d / "net.json"
+        main(["optimize", str(pm), str(pp), "--cost", "sum_alpha:alpha=0.5", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["ig-check", str(out), "--cost", "sum_alpha:alpha=0.5",
+                     "--samples", samples]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
 
     def test_seed_reproducible(self, instance, capsys):
         pm, pp, _ = instance

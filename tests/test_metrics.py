@@ -201,6 +201,12 @@ class TestIntegralGeometric:
         est, exact, rel = ig_identity_mc(Chain1(2, 1, (), canonical=True), sum_alpha(1, 0.5))
         assert (est, exact, rel) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_needs_a_sample(self, samples):
+        T = canonicalize(Chain1(2, 1, (Edge((0.0, 0.0), (1.0, 0.0), (1.0,)),)))
+        with pytest.raises(ValueError, match="samples"):
+            ig_identity_mc(T, sum_alpha(1, 1.0), samples=samples)
+
     def test_random_chain_converges(self, rng):
         T = random_chain(rng, edges=6, m=2)
         _, _, rel = ig_identity_mc(T, sum_alpha(2, 0.7), samples=400_000, seed=1)

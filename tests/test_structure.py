@@ -51,3 +51,21 @@ def test_module_import_graph_is_acyclic():
 
     for stem in sorted(graph):
         visit(stem)
+
+
+def test_only_chains_builds_or_reads_edge_and_atom_views():
+    """Chains are stored as arrays; the Edge/Atom tuples are views for
+    callers outside the package, so no other module builds or reads them."""
+    found = []
+    for stem, tree in MODULES.items():
+        if stem == "chains":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("Edge", "Atom"):
+                    found.append(f"{stem}.py:{node.lineno} calls {name}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("edges", "atoms"):
+                found.append(f"{stem}.py:{node.lineno} reads .{node.attr}")
+    assert not found, found
