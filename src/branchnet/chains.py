@@ -27,8 +27,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_EPS_GEOM = 1e-9
+EPS_GEOM = 1e-9  # snapping and splitting tolerance of canonicalization
 EPS_MULT_REL = 1e-12
+EPS_COMPAT = 1e-9  # per-component total weights this close are equal
 
 
 class DegenerateEdgeError(ValueError):
@@ -261,7 +262,7 @@ class _PointRegistry:
     def __init__(self, n: int, eps: float):
         self.n = n
         self.eps = eps
-        self.h = 4.0 * eps if eps > 0 else 1e-30
+        self.h = 4.0 * eps
         self.cells: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
 
     def snap(self, p: Sequence[float]) -> tuple[float, ...]:
@@ -366,18 +367,16 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> list[list
     return splits
 
 
-def canonicalize(T: Chain1, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain1:
+def canonicalize(T: Chain1) -> Chain1:
     """Return an equivalent canonical chain.
 
-    Endpoints within ``eps_geom`` are snapped together, edges are split at
+    Endpoints within ``EPS_GEOM`` are snapped together, edges are split at
     mutual intersections/overlap endpoints, coincident sub-segments are
     merged by summing multiplicities (sign-adjusted: flipping orientation
     negates theta), and edges with negligible multiplicity are dropped.
     Idempotent; preserves boundary and can only decrease mass.
     """
-    if eps_geom <= 0:
-        raise ValueError("eps_geom must be positive")
-    reg = _PointRegistry(T.n, eps_geom)
+    reg = _PointRegistry(T.n, EPS_GEOM)
     ends, rows = [], []
     for i, (a, b) in enumerate(T.ends()):
         if a == b:
@@ -392,7 +391,7 @@ def canonicalize(T: Chain1, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain1:
     eps_mult = EPS_MULT_REL * float(np.sqrt(row_dots(Theta, Theta)).max())
     A = np.array([a for a, _ in ends])
     B = np.array([b for _, b in ends])
-    splits = _segment_interactions(A, B, eps_geom)
+    splits = _segment_interactions(A, B, EPS_GEOM)
 
     # split every edge at its parameter list, snapping new interior points
     pieces: list[tuple[tuple[float, ...], tuple[float, ...], int]] = []
@@ -402,7 +401,7 @@ def canonicalize(T: Chain1, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain1:
             continue
         d = B[k] - A[k]
         merged_cuts: list[float] = []
-        tol = eps_geom / math.dist(a, b)
+        tol = EPS_GEOM / math.dist(a, b)
         for t in sorted(set(tlist)):
             if not merged_cuts or t - merged_cuts[-1] > tol:
                 merged_cuts.append(t)
@@ -426,11 +425,11 @@ def canonicalize(T: Chain1, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain1:
                               merged[[i for _, i in order]], canonical=True)
 
 
-def canonicalize0(mu: Chain0, eps_geom: float = DEFAULT_EPS_GEOM) -> Chain0:
-    """Merge atoms at coincident positions and drop negligible weights."""
+def canonicalize0(mu: Chain0) -> Chain0:
+    """Merge atoms within ``EPS_GEOM`` of each other and drop negligible weights."""
     if not len(mu.P):
         return mu
-    reg = _PointRegistry(mu.n, eps_geom)
+    reg = _PointRegistry(mu.n, EPS_GEOM)
     acc: dict[tuple[float, ...], np.ndarray] = {}
     for p, w in zip(mu.P.tolist(), mu.W):
         p = reg.snap(p)
@@ -596,7 +595,7 @@ def component_lift0(mu: Chain0, j: int) -> Chain0:
     return Chain0.from_arrays(mu.n, mu.m, mu.P[keep], W)
 
 
-def _common_refinement(Tp: Chain1, T: Chain1, eps_geom: float):
+def _common_refinement(Tp: Chain1, T: Chain1):
     """Refine both chains onto shared sub-segments.
 
     Stacks the two multiplicity vectors into R^{2m} and canonicalizes the
@@ -607,37 +606,37 @@ def _common_refinement(Tp: Chain1, T: Chain1, eps_geom: float):
     stacked[:k, :m] = Tp.Theta
     stacked[k:, m:] = T.Theta
     combined = Chain1.from_arrays(T.n, 2 * m, np.concatenate([Tp.A, T.A]), np.concatenate([Tp.B, T.B]), stacked)
-    return canonicalize(combined, eps_geom)
+    return canonicalize(combined)
 
 
-def is_piece(Tp: Chain1, T: Chain1, eps: float = 1e-9, eps_geom: float = DEFAULT_EPS_GEOM) -> bool:
+def is_piece(Tp: Chain1, T: Chain1, eps: float = 1e-9) -> bool:
     """Whether Tp is a piece of T: per component, a sign-compatible
     sub-flow with |theta'_j| <= |theta_j| edgewise on the common refinement.
     """
     _check_dims(Tp, T)
-    R = _common_refinement(Tp, T, eps_geom).Theta
+    R = _common_refinement(Tp, T).Theta
     tp, t = R[:, : T.m], R[:, T.m :]
     bad = (np.abs(tp) > eps) & ((tp * t < 0.0) | (np.abs(tp) > np.abs(t) + eps))
     return not bad.any()
 
 
-def is_compatible(mu_minus: Chain0, mu_plus: Chain0, eps: float = 1e-9) -> bool:
-    """Whether per-component total weights agree (flux existence criterion)."""
+def is_compatible(mu_minus: Chain0, mu_plus: Chain0) -> bool:
+    """Flux existence criterion: per-component totals agree within ``EPS_COMPAT``."""
     _check_dims(mu_minus, mu_plus)
     diff = mu_minus.total_weight() - mu_plus.total_weight()
-    return bool(np.all(np.abs(diff) <= eps))
+    return bool(np.all(np.abs(diff) <= EPS_COMPAT))
 
 
 # ---------------------------------------------------------------------------
 # equality helpers
 
-def chains_close(S: Chain1, T: Chain1, tol: float = 1e-9, eps_geom: float = DEFAULT_EPS_GEOM) -> bool:
+def chains_close(S: Chain1, T: Chain1, tol: float = 1e-9) -> bool:
     """Canonical equality of 1-chains up to multiplicity tolerance."""
-    Theta = canonicalize(S - T, eps_geom).Theta
+    Theta = canonicalize(S - T).Theta
     return bool(np.all(np.sqrt(row_dots(Theta, Theta)) <= tol))
 
 
-def chain0_close(a: Chain0, b: Chain0, tol: float = 1e-9, eps_geom: float = DEFAULT_EPS_GEOM) -> bool:
+def chain0_close(a: Chain0, b: Chain0, tol: float = 1e-9) -> bool:
     """Canonical equality of 0-chains up to atom-weight tolerance."""
-    W = canonicalize0(a - b, eps_geom).W
+    W = canonicalize0(a - b).W
     return bool(np.all(np.sqrt(row_dots(W, W)) <= tol))

@@ -8,6 +8,7 @@ failure, 3 IO/schema error, 4 invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -84,7 +85,7 @@ def cmd_validate_cost(args) -> int:
             "violations": report.as_dict(),
             "axis_derivatives": list(profile.axis_derivatives),
             "basis": list(profile.basis_set),
-            "rectifiability_flag": costs.rectifiability_flag(cost),
+            "rectifiability_flag": profile.V_dim == 0,
         }
     )
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -243,6 +244,7 @@ def _report_record(report) -> dict:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="branchnet",
                                  description="Multi-material branched transportation networks.")

@@ -20,6 +20,8 @@ from branchnet.chains import Chain0, Chain1, canonicalize, canonicalize0, is_com
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
 from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
+_GRID_TRIES = 100  # random shifts shifted_grid tries before it gives up
+
 
 def cone(nu: Chain0, vertex) -> Chain1:
     """Cone over the measure nu with the given vertex.
@@ -115,43 +117,34 @@ class GridShiftError(RuntimeError):
         self.nearest = nearest
 
 
-def shifted_grid(
-    Qprime_center,
-    Qprime_edge: float,
-    atom_measures: list[Chain0],
-    k_max: int = 12,
-    max_tries: int = 100,
-    seed: int = 0,
-    eps_skel: float | None = None,
-) -> DyadicGrid:
+def shifted_grid(Qprime_center, Qprime_edge: float, atom_measures: list[Chain0], k_max: int = 12,
+                 seed: int = 0) -> DyadicGrid:
     """Coordinate cube containing Q' whose dyadic skeletons avoid all atoms.
 
-    Randomly shifts an enlarged cube until every atom of every input
-    measure keeps a distance of at least ``eps_skel`` from the level-k_max
-    skeleton (which contains all coarser skeletons).  Almost every shift
-    works since the skeleton is a null set; the retry loop is deterministic
-    given the seed.
+    Randomly shifts an enlarged cube, at most ``_GRID_TRIES`` times, until
+    every atom of every input measure keeps a distance of at least 1e-6
+    level-k_max cell widths from the level-k_max skeleton (which contains
+    all coarser skeletons).  Almost every shift works since the skeleton is
+    a null set; the retry loop is deterministic given the seed.
     """
     c0 = np.asarray(Qprime_center, dtype=float)
     n = len(c0)
     edge = 2.0 * float(Qprime_edge) + 2.0
     h_fine = edge / 2**k_max
-    if eps_skel is None:
-        eps_skel = 1e-6 * h_fine
     points = [p for mu in atom_measures for p in mu.P]
 
     rng = np.random.default_rng(seed)
     nearest = math.inf
-    for t in range(1, max_tries + 1):
+    for t in range(1, _GRID_TRIES + 1):
         shift = rng.uniform(0.0, 1.0, size=n) * h_fine * 0.98
         grid = DyadicGrid(tuple(c0 + shift), edge, k_max, tuple(shift), t)
         if not points:
             return grid
         d = min(grid.skeleton_distance(p, k_max) for p in points)
         nearest = min(nearest, d)
-        if d >= eps_skel and all(grid.contains(p) for p in points):
+        if d >= 1e-6 * h_fine and all(grid.contains(p) for p in points):
             return grid
-    raise GridShiftError(max_tries, nearest)
+    raise GridShiftError(_GRID_TRIES, nearest)
 
 
 def dyadic_approx(mu: Chain0, grid: DyadicGrid, k: int) -> Chain0:
@@ -186,7 +179,6 @@ def cascade(
     K: int,
     cost=None,
     beta: BetaEnvelope | None = None,
-    eps_compat: float = 1e-9,
 ) -> CascadeResult:
     """Hierarchical dyadic flux between mu_minus and mu_plus.
 
@@ -200,7 +192,7 @@ def cascade(
     certificate carries the dyadic-series bound
     (m/2) * diam(Q) * sum_{k=1}^{K+2} S_beta(n,k) * max(1, mass(nu-) + mass(nu+)).
     """
-    if not is_compatible(mu_minus, mu_plus, eps_compat):
+    if not is_compatible(mu_minus, mu_plus):
         raise ValueError("incompatible measures: per-component totals differ")
     if K + 1 > grid.k_max:
         raise ValueError(f"depth K={K} needs grid.k_max >= {K + 1}")

@@ -27,6 +27,8 @@ from branchnet.chains import row_dots
 
 INF_CAP = 1e12
 _DIR_DERIV_IMAX = 60
+_AXIOM_TOL = 1e-9  # relative slack of validate_cost's axiom tests
+_QUAD_POINTS = 64  # midpoints per dyadic subinterval in admissibility_check
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ class CostValidationReport:
         }
 
 
-def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -> CostValidationReport:
+def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0) -> CostValidationReport:
     """Probe the cost axioms on random samples.
 
     Evenness, positivity off 0, subadditivity on random pairs, monotonicity
@@ -194,6 +196,7 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0, tol: flo
     without sign change), and a continuity probe along random rays.  Lower
     semicontinuity itself is not pointwise testable; a genuinely
     discontinuous custom cost can pass vacuously (noted in the report).
+    Violations are counted beyond a relative slack of ``_AXIOM_TOL``.
     """
     if samples < 1:
         raise ValueError("samples >= 1 required")
@@ -208,15 +211,15 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0, tol: flo
         th = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 2)
         eta = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 2)
         c_th = evaluate(cost, th)
-        if abs(evaluate(cost, -th) - c_th) > tol * max(1.0, c_th):
+        if abs(evaluate(cost, -th) - c_th) > _AXIOM_TOL * max(1.0, c_th):
             rep.evenness_violations += 1
         if np.any(th != 0) and c_th <= 0.0:
             rep.positivity_violations += 1
-        if evaluate(cost, th + eta) > c_th + evaluate(cost, eta) + tol * max(1.0, c_th):
+        if evaluate(cost, th + eta) > c_th + evaluate(cost, eta) + _AXIOM_TOL * max(1.0, c_th):
             rep.subadditivity_violations += 1
         # order-comparable pair: eta_j = u_j * th_j with u_j in [0,1]
         shrunk = rng.uniform(0.0, 1.0, size=m) * th
-        if evaluate(cost, shrunk) > c_th + tol * max(1.0, c_th):
+        if evaluate(cost, shrunk) > c_th + _AXIOM_TOL * max(1.0, c_th):
             rep.monotonicity_violations += 1
         # continuity probe along the ray through th (lsc surrogate)
         t = rng.uniform(0.1, 1.0)
@@ -233,17 +236,15 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0, tol: flo
 # ---------------------------------------------------------------------------
 # directional derivatives at zero
 
-def dir_derivative_at_zero(
-    cost: CostSpec, v, cap: float = INF_CAP, imax: int = _DIR_DERIV_IMAX, tol: float = 1e-9
-) -> float:
+def dir_derivative_at_zero(cost: CostSpec, v, cap: float = INF_CAP) -> float:
     """Right-derivative of the cost at 0 along v: lim_{t->0+} C(tv)/t.
 
     The limit equals sup_{t>0} C(tv)/t, so C(tv)/t evaluated on the doubling
-    grid t = 2^-i is non-decreasing as t decreases; a decrease beyond
-    tolerance flags an axiom violation.  Returns math.inf once the quotient
-    exceeds ``cap`` or when it is still growing at the end of the grid
-    (a quotient diverging slower than the cap within 60 halvings, e.g.
-    t^(-eps), must still classify as infinite).
+    grid t = 2^-i, i = 0.._DIR_DERIV_IMAX, is non-decreasing as t decreases;
+    a relative decrease beyond 1e-9 flags an axiom violation.  Returns
+    math.inf once the quotient exceeds ``cap`` or when it is still growing
+    at the end of the grid (a quotient diverging slower than the cap within
+    60 halvings, e.g. t^(-eps), must still classify as infinite).
 
     The whole grid is evaluated in one :func:`evaluate_rows` call before
     the quotients are scanned in order, so a ``Custom`` cost's function is
@@ -252,19 +253,18 @@ def dir_derivative_at_zero(
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         raise ValueError("v must be nonzero")
-    ts = [2.0 ** (-i) for i in range(imax + 1)]
+    ts = [2.0 ** (-i) for i in range(_DIR_DERIV_IMAX + 1)]
     C = evaluate_rows(cost, np.array([t * v for t in ts]))
     prev = -math.inf
-    val = 0.0
     for i, (c, t) in enumerate(zip(C.tolist(), ts)):
         val = c / t
         if val > cap:
             return math.inf
-        if val < prev - tol * max(1.0, abs(prev)):
+        if val < prev - 1e-9 * max(1.0, abs(prev)):
             raise ValueError("C(tv)/t not monotone along the doubling grid: cost axioms violated")
         prev_step = val - prev if i > 0 else 0.0
         prev = val
-    if imax > 0 and prev_step > 1e-6 * max(1.0, abs(val)):
+    if prev_step > 1e-6 * max(1.0, abs(val)):
         return math.inf
     return val
 
@@ -284,7 +284,7 @@ class DerivativeProfile:
     homog_bound: float
 
 
-def derivative_profile(cost: CostSpec, samples: int = 1000, seed: int = 0, cap: float = INF_CAP) -> DerivativeProfile:
+def derivative_profile(cost: CostSpec, samples: int = 1000, seed: int = 0) -> DerivativeProfile:
     """Compute per-axis derivatives at 0 and verify the sandwich estimate
     f(v) <= sum_{j in basis} |v_j| f(e_j) <= m f(v) on sampled unit v in V.
     """
@@ -293,7 +293,7 @@ def derivative_profile(cost: CostSpec, samples: int = 1000, seed: int = 0, cap: 
     for j in range(m):
         ej = np.zeros(m)
         ej[j] = 1.0
-        derivs.append(dir_derivative_at_zero(cost, ej, cap=cap))
+        derivs.append(dir_derivative_at_zero(cost, ej))
     basis = tuple(j for j in range(m) if math.isfinite(derivs[j]))
     vdim = len(basis)
     L = 0.0
@@ -306,7 +306,7 @@ def derivative_profile(cost: CostSpec, samples: int = 1000, seed: int = 0, cap: 
             if nv == 0.0:
                 continue
             v /= nv
-            fv = dir_derivative_at_zero(cost, v, cap=cap)
+            fv = dir_derivative_at_zero(cost, v)
             upper = sum(abs(v[j]) * derivs[j] for j in basis)
             if fv > upper * (1 + 1e-9) + 1e-12 or upper > m * fv * (1 + 1e-9) + 1e-12:
                 raise ValueError("derivative sandwich estimate violated: cost axioms suspect")
@@ -314,10 +314,10 @@ def derivative_profile(cost: CostSpec, samples: int = 1000, seed: int = 0, cap: 
     return DerivativeProfile(tuple(derivs), basis, vdim, L)
 
 
-def rectifiability_flag(cost: CostSpec, cap: float = INF_CAP) -> bool:
-    """True iff every per-axis derivative at 0 is infinite; then every
-    finite-mass finite-energy chain is rectifiable."""
-    prof = derivative_profile(cost, samples=0, cap=cap)
+def rectifiability_flag(cost: CostSpec) -> bool:
+    """True iff every per-axis derivative at 0 is infinite (above
+    ``INF_CAP``); then every finite-mass finite-energy chain is rectifiable."""
+    prof = derivative_profile(cost, samples=0)
     return prof.V_dim == 0
 
 
@@ -345,16 +345,15 @@ class BetaEnvelope:
         return BetaEnvelope(lambda x, a=alpha: x**a, power=alpha)
 
 
-def admissibility_check(
-    beta: BetaEnvelope, n: int, quad_points: int = 64, k_max: int = 200
-) -> tuple[bool, float]:
+def admissibility_check(beta: BetaEnvelope, n: int) -> tuple[bool, float]:
     """Decide convergence of the singular integral of beta(x)/x^(2-1/n) on (0,1].
 
     For a power envelope the answer is analytic: admissible iff the exponent
-    exceeds 1 - 1/n.  Otherwise integrates on dyadic subintervals
-    [2^-(k+1), 2^-k] with midpoint quadrature and declares convergence when
-    the subinterval contributions decay geometrically; returns the partial
-    value (a lower bound when divergent).
+    exceeds 1 - 1/n.  Otherwise integrates on the first 200 dyadic
+    subintervals [2^-(k+1), 2^-k] with ``_QUAD_POINTS``-point midpoint
+    quadrature and declares convergence when the subinterval contributions
+    decay geometrically; returns the partial value (a lower bound when
+    divergent).
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -374,12 +373,12 @@ def admissibility_check(
 
     total = 0.0
     prev_piece = math.inf
-    for k in range(k_max):
+    for k in range(200):
         lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
-        xs = np.linspace(lo, hi, quad_points + 1)
+        xs = np.linspace(lo, hi, _QUAD_POINTS + 1)
         mids = 0.5 * (xs[:-1] + xs[1:])
         vals = np.array([beta(x) / x**expo for x in mids])
-        piece = float(np.sum(vals) * (hi - lo) / quad_points)
+        piece = float(np.sum(vals) * (hi - lo) / _QUAD_POINTS)
         total += piece
         if k > 10 and piece > 0.999 * prev_piece:
             return False, total
@@ -387,8 +386,8 @@ def admissibility_check(
     return True, total
 
 
-def _check_concave_nondecreasing(beta: BetaEnvelope, samples: int = 257) -> None:
-    xs = np.linspace(0.0, 1.0, samples)
+def _check_concave_nondecreasing(beta: BetaEnvelope) -> None:
+    xs = np.linspace(0.0, 1.0, 257)
     vals = np.array([beta(x) for x in xs])
     if np.any(np.diff(vals) < -1e-12):
         raise ValueError("beta envelope not non-decreasing on sampled grid")

@@ -52,20 +52,14 @@ def energy_component(T: Chain1, cost: CostSpec, j: int) -> float:
     return energy(component_lift(T, j), cost)
 
 
-def mass_bound_constant(
-    cost: CostSpec,
-    boundary_mass: float,
-    directions: int = 10_000,
-    radii: int = 64,
-    seed: int = 0,
-) -> float:
+def mass_bound_constant(cost: CostSpec, boundary_mass: float, directions: int = 10_000, seed: int = 0) -> float:
     """Constant C with mass(T') <= C * energy(T) for acyclic fluxes T'.
 
     Built from the inverse per-axis derivatives at 0 (with the convention
     that an infinite derivative contributes 0) and the supremum of
     |theta|/C(theta) over the ball |theta| <= boundary_mass, scaled by m.
     The supremum is still sampled, not certified: it is taken over a
-    (directions // radii random directions plus the m axes) x radii grid,
+    (directions // 64 random directions plus the m axes) x 64 radii grid,
     whose costs are evaluated in batches (:func:`sampled_ratios`).
     """
     if boundary_mass <= 0:
@@ -76,7 +70,7 @@ def mass_bound_constant(
         inv_deriv = max(inv_deriv, 1.0 / prof.axis_derivatives[j])
 
     # axis directions are the extremal ones for the built-in families
-    R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // radii), radii, seed, axes=True)
+    R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // 64), 64, seed, axes=True)
     sup_ratio = float(R.max())
     return cost.m * max(inv_deriv, sup_ratio)
 

@@ -149,12 +149,11 @@ def emit_svg(
     mu_minus: Chain0 | None = None,
     mu_plus: Chain0 | None = None,
     path="network.svg",
-    gamma: float = 0.7,
-    width: int = 640,
     project: bool = False,
 ) -> None:
-    """Render a planar network: stroke width proportional to |theta|_2^gamma,
-    per-component hue blending, measures as discs scaled by weight norm.
+    """Render a planar network on a 640-pixel square: stroke width
+    proportional to |theta|_2^0.7, per-component hue blending, measures as
+    discs scaled by weight norm.
 
     Chains with n > 2 require project=True (first two coordinates)."""
     if T.n != 2 and not project:
@@ -174,6 +173,7 @@ def emit_svg(
     lo, hi = P.min(axis=0), P.max(axis=0)
     span = float(np.max(hi - lo)) or 1.0
     pad = 0.05 * span
+    width = 640
     scale = width / (span + 2 * pad)
 
     def to_px(p):
@@ -185,7 +185,7 @@ def emit_svg(
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{width}">']
     for a, b, th, nrm in zip(T.A.tolist(), T.B.tolist(), T.Theta, norms):
         (x1, y1), (x2, y2) = to_px(a), to_px(b)
-        sw = 1.0 + 6.0 * (nrm / wmax) ** gamma if wmax > 0 else 1.0
+        sw = 1.0 + 6.0 * (nrm / wmax) ** 0.7 if wmax > 0 else 1.0
         parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="{_blend_color(th)}" stroke-width="{sw:.2f}" stroke-linecap="round"/>'

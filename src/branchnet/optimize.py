@@ -183,17 +183,17 @@ class MultiplicityBoundReport:
     violations: tuple[tuple[int, int], ...]  # (edge index, component)
 
 
-def check_multiplicity_bound(T: Chain1, tol: float = 1e-9) -> MultiplicityBoundReport:
-    """Verify |theta_j(e)| <= half the boundary mass of each component lift
-    (valid for acyclic chains)."""
+def check_multiplicity_bound(T: Chain1) -> MultiplicityBoundReport:
+    """Verify |theta_j(e)| <= half the boundary mass of each component lift,
+    up to an absolute 1e-9 (valid for acyclic chains)."""
     violations = []
     worst = 0.0
     for j in range(T.m):
         half = 0.5 * mass(boundary(component_lift(T, j)))
         for i, v in enumerate(np.abs(T.Theta[:, j]).tolist()):
-            if v > tol:
+            if v > 1e-9:
                 worst = max(worst, v / half if half > 0 else math.inf)
-                if v > half + tol:
+                if v > half + 1e-9:
                     violations.append((i, j))
     return MultiplicityBoundReport(not violations, worst, tuple(violations))
 
@@ -201,8 +201,8 @@ def check_multiplicity_bound(T: Chain1, tol: float = 1e-9) -> MultiplicityBoundR
 # ---------------------------------------------------------------------------
 # straightening
 
-def straighten(T: Chain1, eps: float = 1e-12) -> Chain1:
-    """Collapse interior degree-2 vertices with identical through-flow.
+def straighten(T: Chain1) -> Chain1:
+    """Collapse interior degree-2 vertices whose through-flow agrees within a relative 1e-12.
 
     Replaces the two incident edges by their chord; energy never increases
     (triangle inequality times the shared cost term) and the boundary is
@@ -228,7 +228,7 @@ def straighten(T: Chain1, eps: float = 1e-12) -> Chain1:
             thru1 = th1 * (1.0 if b1 == v else -1.0)  # flow into v
             thru2 = th2 * (1.0 if a2 == v else -1.0)  # flow out of v
             scale = max(1.0, float(np.max(np.abs(thru1))))
-            if np.max(np.abs(thru1 - thru2)) > eps * scale:
+            if np.max(np.abs(thru1 - thru2)) > 1e-12 * scale:
                 continue
             x = a1 if b1 == v else b1
             y = b2 if a2 == v else a2
@@ -439,6 +439,11 @@ def local_search(
                 break
         if E_start - E < config.rel_tol * max(E_start, 1e-300):
             break
+    # a move after the last sweep's cycle removal can close a cycle
+    T2 = remove_cycles(T)
+    E2 = energy(T2, cost)
+    if E2 <= E:
+        T, E = T2, E2
 
     report = verify_solution(T, mu_minus, mu_plus, cost, iterations=iters)
     return T, report

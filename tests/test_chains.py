@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchnet.chains import (
-    DEFAULT_EPS_GEOM,
+    EPS_GEOM,
     Atom,
     Box,
     Chain0,
@@ -318,7 +318,7 @@ def near_face_clouds(draw):
     """Points in R^n (n = 2..6) clustered around a point within 1e-12 of
     cell faces along some axes, with offsets up to 1.5 eps on each axis.
     At 1e7 the coordinates are spaced wider than eps."""
-    eps = DEFAULT_EPS_GEOM
+    eps = EPS_GEOM
     h = 4.0 * eps
     n = draw(st.integers(2, 6))
     scale = draw(st.sampled_from([1.0, 1e3, 1e6, 1e7]))
@@ -339,7 +339,7 @@ def near_face_clouds(draw):
 @settings(max_examples=300, deadline=None)
 @given(near_face_clouds())
 def test_snap_matches_brute_force(points):
-    reg = _PointRegistry(len(points[0]), DEFAULT_EPS_GEOM)
-    ref = _BruteForceRegistry(DEFAULT_EPS_GEOM)
+    reg = _PointRegistry(len(points[0]), EPS_GEOM)
+    ref = _BruteForceRegistry(EPS_GEOM)
     for p in points:
         assert reg.snap(p) == ref.snap(p)

@@ -11,6 +11,7 @@ from branchnet.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     main,
     parse_cost,
 )
@@ -214,6 +215,12 @@ class TestCli:
                      "--samples", "500"]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert rec["axioms_ok"] and rec["rectifiability_flag"]
+        assert main(["validate-cost", "--cost", "sum_alpha:alpha=1", "--m", "2", "--samples", "50"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["axis_derivatives"] == [1.0, 1.0] and rec["rectifiability_flag"] is False
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_cone_cascade_flat_slice(self, instance, capsys):
         pm, pp, d = instance

@@ -16,7 +16,7 @@ from branchnet.chains import (
     is_piece,
     mass,
 )
-from branchnet.costs import evaluate, sum_alpha
+from branchnet.costs import evaluate, p_norm_alpha, sum_alpha
 from branchnet.energy import energy
 from branchnet.optimize import (
     OptimizerConfig,
@@ -360,6 +360,18 @@ class TestLocalSearch:
         cfg = OptimizerConfig(init="cascade", max_iters=5)
         T, rep = local_search(mm, mp, sum_alpha(1, 0.8), cfg)
         assert rep.ok
+
+    def test_stopping_at_max_iters_leaves_no_cycle(self):
+        # a move accepted after the sixth sweep's cycle removal closes a cycle
+        rng = np.random.default_rng(1010)
+        wm, wp = rng.uniform(0.2, 2, (5, 2)), rng.uniform(0.2, 2, (6, 2))
+        pm, pp = rng.uniform(0, 1, (5, 2)), rng.uniform(0, 1, (6, 2))
+        wp *= wm.sum(axis=0) / wp.sum(axis=0)
+        mm, mp = Chain0.from_arrays(2, 2, pm, wm), Chain0.from_arrays(2, 2, pp, wp)
+        T, rep = local_search(mm, mp, p_norm_alpha(2, 2.0, 0.7), OptimizerConfig(max_iters=6))
+        assert rep.iterations == 6
+        assert rep.acyclic_per_component == (True, True) and rep.ok
+        assert remove_cycles(T) == T
 
 
 class TestVerifySolution:

@@ -1,5 +1,6 @@
-"""Import structure of the package: every import at module level, and no
-import cycle between branchnet modules."""
+"""Structure of the package: every import at module level, no import cycle
+between branchnet modules, only ``chains`` touches the Edge/Atom views, and
+every parameter default is set by some call."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,10 @@ import branchnet
 
 PACKAGE = Path(branchnet.__file__).parent
 MODULES = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_TREES = [ast.parse(p.read_text(), str(p))
+                for d in ("src", "tests", "bnbench") for p in sorted((ROOT / d).rglob("*.py"))]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _branchnet_targets(node) -> set:
@@ -69,3 +74,87 @@ def test_only_chains_builds_or_reads_edge_and_atom_views():
             elif isinstance(node, ast.Attribute) and node.attr in ("edges", "atoms"):
                 found.append(f"{stem}.py:{node.lineno} reads .{node.attr}")
     assert not found, found
+
+
+def _callee(owner, fn) -> str:
+    """The name a call uses: the class name for ``__new__``."""
+    return owner.name if owner is not None and fn.name == "__new__" else fn.name
+
+
+def _parameters() -> dict:
+    """(callee, parameter) -> (module, position in a call or None for
+    keyword-only, whether it has a default) for every function parameter in
+    the package but ``self`` and ``cls``."""
+    found = {}
+    for stem, tree in MODULES.items():
+        scopes = [(None, node) for node in tree.body]
+        while scopes:
+            owner, fn = scopes.pop()
+            if isinstance(fn, ast.ClassDef):
+                scopes += [(fn, child) for child in fn.body]
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            scopes += [(None, child) for child in fn.body]
+            args = fn.args
+            params = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            skip = 1 if owner is not None and not static else 0  # self or cls
+            first_default = len(params) - len(args.defaults)
+            for i in range(skip, len(params)):
+                found[_callee(owner, fn), params[i].arg] = (stem, i - skip, i >= first_default)
+            for p, d in zip(args.kwonlyargs, args.kw_defaults):
+                found[_callee(owner, fn), p.arg] = (stem, None, d is not None)
+    return found
+
+
+def _set_parameters(params: dict) -> set:
+    """The parameters some call in the package, its tests or its benchmark
+    sets.  An argument that only forwards a parameter of the calling
+    function sets the callee's parameter only if the caller's own parameter
+    is set; a parameter without a default that no call passes is set by the
+    library's users."""
+    positions: dict = {}
+    for (callee, name), (_, pos, _) in params.items():
+        if pos is not None:
+            positions[callee, pos] = name
+    is_set, forwards, passed = set(), [], set()
+
+    def visit(node, owner, fn):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            given = [(positions.get((callee, i)), a) for i, a in enumerate(node.args)]
+            given += [(k.arg, k.value) for k in node.keywords]
+            for name, value in given:
+                if (callee, name) not in params:
+                    continue
+                passed.add((callee, name))
+                source = (_callee(owner, fn), value.id) if fn is not None and isinstance(value, ast.Name) else None
+                if source in params:
+                    forwards.append((source, (callee, name)))
+                else:
+                    is_set.add((callee, name))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, None)
+            elif isinstance(child, FUNCTIONS):
+                visit(child, owner if fn is None else None, child)
+            else:
+                visit(child, owner, fn)
+
+    for tree in CALLER_TREES:
+        visit(tree, None, None)
+    is_set |= {key for key, (_, _, default) in params.items() if not default} - passed
+    while True:
+        more = {target for source, target in forwards if source in is_set} - is_set
+        if not more:
+            return is_set
+        is_set |= more
+
+
+def test_every_parameter_default_has_a_caller():
+    """A parameter with a default that no call ever sets is an option nobody
+    uses: its default belongs in the body as a constant."""
+    params = _parameters()
+    unset = {key for key, (_, _, default) in params.items() if default} - _set_parameters(params)
+    assert not unset, sorted(f"{params[key][0]}.{key[0]}({key[1]})" for key in unset)
