@@ -253,10 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     p = add("validate-cost", cmd_validate_cost, "probe the cost axioms and derivative profile")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cost", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=10_000)
@@ -271,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", action="store_true")
 
     p = add("cascade", cmd_cascade, "dyadic cascade flux with energy certificate")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("mu_minus")
     p.add_argument("mu_plus")
     p.add_argument("--depth", type=int, default=4)
@@ -281,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", action="store_true")
 
     p = add("optimize", cmd_optimize, "local-search energy minimization")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("mu_minus")
     p.add_argument("mu_plus")
     p.add_argument("--cost", required=True)
@@ -305,12 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=float, default=0.0)
 
     p = add("ig-check", cmd_ig_check, "Monte Carlo integral-geometric identity check")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("network")
     p.add_argument("--cost", required=True)
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--tol", type=float, default=0.05)
 
     p = add("w-sweep", cmd_w_sweep, "CSV of w_upper between dyadic approximations and a target")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("target")
     p.add_argument("--cost", required=True)
     p.add_argument("--max-depth", type=int, default=6)

@@ -85,27 +85,24 @@ class DyadicGrid:
     def cell_width(self, k: int) -> float:
         return self.edge / 2**k
 
-    def cell_index(self, p, k: int) -> tuple[int, ...]:
-        h = self.cell_width(k)
-        r = (np.asarray(p, dtype=float) - self.origin) / h
-        idx = np.floor(r).astype(int)
-        idx = np.clip(idx, 0, 2**k - 1)
-        return tuple(int(i) for i in idx)
+    def cell_index(self, p, k: int) -> np.ndarray:
+        """Level-k cell of one point (n,) or of each point (..., n)."""
+        r = (np.asarray(p, dtype=float) - self.origin) / self.cell_width(k)
+        return np.clip(np.floor(r).astype(int), 0, 2**k - 1)
 
-    def cell_center(self, idx, k: int) -> tuple[float, ...]:
-        h = self.cell_width(k)
-        return tuple(self.origin + (np.asarray(idx, dtype=float) + 0.5) * h)
+    def cell_center(self, idx, k: int) -> np.ndarray:
+        return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.cell_width(k)
 
-    def skeleton_distance(self, p, k: int) -> float:
-        """Distance from p to the nearest level-k skeleton hyperplane."""
+    def skeleton_distance(self, p, k: int) -> np.ndarray:
+        """Distance from each point to its nearest level-k skeleton hyperplane."""
         h = self.cell_width(k)
         r = (np.asarray(p, dtype=float) - self.origin) / h
         frac = r - np.floor(r)
-        return float(np.min(np.minimum(frac, 1.0 - frac)) * h)
+        return np.min(np.minimum(frac, 1.0 - frac), axis=-1) * h
 
-    def contains(self, p) -> bool:
+    def contains(self, p) -> np.ndarray:
         q = np.asarray(p, dtype=float) - self.origin
-        return bool(np.all(q >= 0) and np.all(q <= self.edge))
+        return np.all((q >= 0) & (q <= self.edge), axis=-1)
 
 
 class GridShiftError(RuntimeError):
@@ -131,18 +128,18 @@ def shifted_grid(Qprime_center, Qprime_edge: float, atom_measures: list[Chain0],
     n = len(c0)
     edge = 2.0 * float(Qprime_edge) + 2.0
     h_fine = edge / 2**k_max
-    points = [p for mu in atom_measures for p in mu.P]
+    points = np.concatenate([np.empty((0, n)), *(mu.P for mu in atom_measures)])
 
     rng = np.random.default_rng(seed)
     nearest = math.inf
     for t in range(1, _GRID_TRIES + 1):
         shift = rng.uniform(0.0, 1.0, size=n) * h_fine * 0.98
         grid = DyadicGrid(tuple(c0 + shift), edge, k_max, tuple(shift), t)
-        if not points:
+        if not len(points):
             return grid
-        d = min(grid.skeleton_distance(p, k_max) for p in points)
+        d = float(grid.skeleton_distance(points, k_max).min())
         nearest = min(nearest, d)
-        if d >= 1e-6 * h_fine and all(grid.contains(p) for p in points):
+        if d >= 1e-6 * h_fine and grid.contains(points).all():
             return grid
     raise GridShiftError(_GRID_TRIES, nearest)
 
@@ -152,16 +149,28 @@ def dyadic_approx(mu: Chain0, grid: DyadicGrid, k: int) -> Chain0:
     the cell center with the cell's total weight."""
     if k < 0 or k > grid.k_max:
         raise ValueError(f"level {k} outside [0, {grid.k_max}]")
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(mu.P.tolist()):
-        if not grid.contains(p):
-            raise ValueError(f"atom {tuple(p)} outside grid cube")
-        if grid.skeleton_distance(p, grid.k_max) <= 0.0:
-            raise ValueError(f"atom {tuple(p)} on grid skeleton; re-run shifted_grid")
-        cells.setdefault(grid.cell_index(p, k), []).append(i)
-    order = sorted(cells)
-    return Chain0.from_arrays(mu.n, mu.m, [grid.cell_center(idx, k) for idx in order],
-                              [np.sum(mu.W[cells[idx]], axis=0) for idx in order])
+    outside = ~grid.contains(mu.P)
+    bad = outside | (grid.skeleton_distance(mu.P, grid.k_max) <= 0.0)
+    if bad.any():  # the first offending atom decides the message
+        i = int(np.argmax(bad))
+        where = "outside grid cube" if outside[i] else "on grid skeleton; re-run shifted_grid"
+        raise ValueError(f"atom {tuple(mu.P[i].tolist())} {where}")
+    cells, _, W = _cell_sums(grid.cell_index(mu.P, k), mu.W)
+    return Chain0.from_arrays(mu.n, mu.m, grid.cell_center(cells, k), W)
+
+
+def _cell_sums(codes: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of W by their cell codes (rows of ``codes``).
+
+    Returns the occupied cells in sorted order, each row's cell and each
+    cell's weight, one ``np.sum`` over that cell's rows in row order (a
+    ``reduceat``/``bincount`` sum would round differently).
+    """
+    cells, inverse = np.unique(codes, axis=0, return_inverse=True)
+    rows = np.argsort(inverse, kind="stable")
+    ends = np.searchsorted(inverse[rows], np.arange(len(cells) + 1))
+    sums = [np.sum(W[rows[a:b]], axis=0) for a, b in zip(ends[:-1], ends[1:])]
+    return cells, inverse, np.array(sums).reshape(len(cells), W.shape[1])
 
 
 @dataclass(frozen=True)
@@ -182,11 +191,16 @@ def cascade(
 ) -> CascadeResult:
     """Hierarchical dyadic flux between mu_minus and mu_plus.
 
-    Builds, for k = 0..K, the cones connecting the level-k grid
-    approximation of nu = mu_plus - mu_minus to the level-(k+1) one (edges
-    from each cell center to its occupied children's centers), then closes
-    the truncation exactly with cones from the level-(K+1) centers to the
-    true atoms.  Divergence of the result equals mu_minus - mu_plus.
+    One loop over the levels k = K+1, K, ..., 0 of the grid: level k
+    connects its points to the centers of their level-k cells (one edge per
+    point, carrying the point's weight, skipped when the point is its
+    center or its weight is zero) and passes the cells, with their summed
+    weights, up as the points of level k-1.  Level K+1 starts from the
+    atoms of nu = mu_plus - mu_minus, so parent weights are the exact
+    floating-point sums of their children's; the single level-0 cell left
+    at the end is ``residual0``.  Edges are emitted coarse to fine, the
+    atoms grouped by leaf cell.  Divergence of the result equals
+    mu_minus - mu_plus.
 
     When ``beta`` is supplied (and ``cost`` for the energy evaluation), the
     certificate carries the dyadic-series bound
@@ -203,43 +217,18 @@ def cascade(
         cert = EnergyCertificate(0.0, 0.0, "none")
         return CascadeResult(empty, cert, K, Chain0(n, m))
 
-    # leaf cells at level K+1, then aggregate upward so parent weights are
-    # the exact floating-point sums of their children's
-    levels: list[dict[tuple[int, ...], np.ndarray]] = [dict() for _ in range(K + 2)]
-    leaf_atoms: dict[tuple[int, ...], list[int]] = {}
-    for i, p in enumerate(nu.P):
-        leaf_atoms.setdefault(grid.cell_index(p, K + 1), []).append(i)
-    for idx in sorted(leaf_atoms):
-        levels[K + 1][idx] = np.sum(nu.W[leaf_atoms[idx]], axis=0)
-    for k in range(K, -1, -1):
-        acc: dict[tuple[int, ...], list] = {}
-        for idx, w in levels[k + 1].items():
-            parent = tuple(i // 2 for i in idx)
-            acc.setdefault(parent, []).append((idx, w))
-        for parent in sorted(acc):
-            children = sorted(acc[parent], key=lambda t: t[0])
-            levels[k][parent] = np.sum(np.array([w for _, w in children]), axis=0)
-
-    A, B, Theta = [], [], []
-    for k in range(K + 1):
-        for idx in sorted(levels[k + 1]):
-            w = levels[k + 1][idx]
-            parent = tuple(i // 2 for i in idx)
-            a = grid.cell_center(parent, k)
-            b = grid.cell_center(idx, k + 1)
-            if a != b and np.any(w):
-                A.append(a)
-                B.append(b)
-                Theta.append(w)
-    positions = nu.P.tolist()
-    for idx in sorted(leaf_atoms):
-        c = grid.cell_center(idx, K + 1)
-        for i in leaf_atoms[idx]:
-            if tuple(positions[i]) != c:
-                A.append(c)
-                B.append(positions[i])
-                Theta.append(nu.W[i])
-
+    codes = grid.cell_index(nu.P, K + 1)
+    leaf_order = np.lexsort(codes.T[::-1])  # stable: atoms keep their order within a cell
+    P, W, codes = nu.P[leaf_order], nu.W[leaf_order], codes[leaf_order]
+    edges = []
+    for k in range(K + 1, -1, -1):
+        cells, inverse, sums = _cell_sums(codes, W)
+        centers = grid.cell_center(cells, k)
+        tails = centers[inverse]
+        keep = np.any(tails != P, axis=1) & np.any(W != 0.0, axis=1)
+        edges.append((tails[keep], P[keep], W[keep]))
+        P, W, codes = centers, sums, cells // 2
+    A, B, Theta = (np.concatenate(x) for x in zip(*reversed(edges)))
     chain = canonicalize(Chain1.from_arrays(n, m, A, B, Theta))
 
     ener = 0.0
@@ -255,9 +244,7 @@ def cascade(
         bound = 0.5 * m * grid.diam * series * max(1.0, mass(nu_minus) + mass(nu_plus))
         kind = "cascade"
     cert = EnergyCertificate(ener, bound, kind, digest_inputs(mu_minus, mu_plus, K, grid.center, grid.edge))
-
-    sigma0 = Chain0.from_arrays(n, m, [grid.cell_center((0,) * n, 0)], [levels[0][(0,) * n]])
-    return CascadeResult(chain, cert, K, canonicalize0(sigma0))
+    return CascadeResult(chain, cert, K, canonicalize0(Chain0.from_arrays(n, m, P, W)))
 
 
 def _signed_parts(nu: Chain0) -> tuple[Chain0, Chain0]:

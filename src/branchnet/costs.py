@@ -29,6 +29,7 @@ INF_CAP = 1e12
 _DIR_DERIV_IMAX = 60
 _AXIOM_TOL = 1e-9  # relative slack of validate_cost's axiom tests
 _QUAD_POINTS = 64  # midpoints per dyadic subinterval in admissibility_check
+_RADII = 64  # log-spaced radii per direction in sampled_ratios
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,14 @@ def evaluate_rows(cost: CostSpec, Theta) -> np.ndarray:
 
 
 def sampled_ratios(
-    cost: CostSpec, delta: float, directions: int, radii: int = 64, seed: int = 0, axes: bool = False
+    cost: CostSpec, delta: float, directions: int, seed: int = 0, axes: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """|v|/C(v) on a sampled grid of the ball of radius delta.
 
     Draws ``directions`` random unit directions u (followed by the m
-    coordinate axes when ``axes``) and ``radii`` log-spaced radii r in
+    coordinate axes when ``axes``) and ``_RADII`` log-spaced radii r in
     [1e-8 delta, delta].  Returns (R, C), both of shape (directions [+ m],
-    radii): the costs C(r u), from :func:`evaluate_rows` on blocks of 16
+    _RADII): the costs C(r u), from :func:`evaluate_rows` on blocks of 16
     directions, and the ratios R = r / C(r u), set to 0 where the cost is
     not positive.
     """
@@ -144,11 +145,11 @@ def sampled_ratios(
     U /= np.sqrt(row_dots(U, U))[:, None]
     if axes:
         U = np.vstack([U, np.eye(cost.m)])
-    rs = delta * np.logspace(-8, 0, radii)
-    C = np.empty((len(U), radii))
+    rs = delta * np.logspace(-8, 0, _RADII)
+    C = np.empty((len(U), _RADII))
     for i in range(0, len(U), 16):  # blocks keep the temporaries small
         block = U[i : i + 16, None, :] * rs[None, :, None]
-        C[i : i + 16] = evaluate_rows(cost, block.reshape(-1, cost.m)).reshape(-1, radii)
+        C[i : i + 16] = evaluate_rows(cost, block.reshape(-1, cost.m)).reshape(-1, _RADII)
     R = np.divide(rs, C, out=np.zeros_like(C), where=C > 0.0)
     return R, C
 
@@ -436,7 +437,7 @@ def norm_cost_ratio(cost: CostSpec, delta: float, samples: int = 10_000, seed: i
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    R, C = sampled_ratios(cost, delta, max(1, samples // 64), 64, seed)
+    R, C = sampled_ratios(cost, delta, max(1, samples // _RADII), seed)
     if np.any(C <= 0.0):
         raise ValueError("cost vanishes off the origin")
     best = float(R.max())

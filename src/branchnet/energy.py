@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from branchnet.chains import Chain1, component_lift
-from branchnet.costs import CostSpec, derivative_profile, evaluate_rows, sampled_ratios
+from branchnet.costs import _RADII, CostSpec, derivative_profile, evaluate_rows, sampled_ratios
 
 
 class NonCanonicalError(ValueError):
@@ -28,7 +28,6 @@ class EnergyCertificate:
     bound: float
     bound_kind: str  # "cascade" | "mass_control" | "none"
     inputs_digest: str = ""
-    sample_count: int = 0
 
     def __post_init__(self):
         if self.bound_kind not in ("cascade", "mass_control", "none"):
@@ -59,7 +58,7 @@ def mass_bound_constant(cost: CostSpec, boundary_mass: float, directions: int = 
     that an infinite derivative contributes 0) and the supremum of
     |theta|/C(theta) over the ball |theta| <= boundary_mass, scaled by m.
     The supremum is still sampled, not certified: it is taken over a
-    (directions // 64 random directions plus the m axes) x 64 radii grid,
+    (directions // _RADII random directions plus the m axes) x _RADII radii grid,
     whose costs are evaluated in batches (:func:`sampled_ratios`).
     """
     if boundary_mass <= 0:
@@ -70,7 +69,7 @@ def mass_bound_constant(cost: CostSpec, boundary_mass: float, directions: int = 
         inv_deriv = max(inv_deriv, 1.0 / prof.axis_derivatives[j])
 
     # axis directions are the extremal ones for the built-in families
-    R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // 64), 64, seed, axes=True)
+    R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // _RADII), seed, axes=True)
     sup_ratio = float(R.max())
     return cost.m * max(inv_deriv, sup_ratio)
 

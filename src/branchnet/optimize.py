@@ -136,10 +136,6 @@ def _find_directed_cycle(arcs):
             if not advanced:
                 color[u] = 2
                 stack.pop()
-        # unwind leaves color 1 entries; mark done
-        for u in adj:
-            if color[u] == 1:
-                color[u] = 2
     return None
 
 
@@ -400,9 +396,13 @@ def local_search(
     """Heuristic minimizer of the transportation energy between two
     compatible measures.
 
-    Starts from the cone (or cascade) competitor and sweeps the move set,
-    accepting only strict energy decreases; stops when a full sweep gains
-    less than rel_tol relatively or after max_iters sweeps.
+    Starts from the cone (or cascade) competitor and sweeps the move set.
+    Each sweep keeps cycle removal when the energy does not rise
+    (E2 <= E), straightening and branch-point relocation when it rises by
+    at most a relative 1e-12 (E2 <= E (1 + 1e-12)), and the first of up to
+    8 merge candidates that lowers it by more than rel_tol relatively.  It
+    stops when a full sweep gains less than rel_tol relatively or after
+    max_iters sweeps, then removes cycles once more under the same rule.
     """
     config = config or OptimizerConfig()
     if not is_compatible(mu_minus, mu_plus):

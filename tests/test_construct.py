@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import branchnet.construct as construct
 from branchnet.chains import (
     Atom,
     Chain0,
+    Chain1,
     boundary,
     canonicalize,
     canonicalize0,
@@ -92,6 +94,22 @@ class TestShiftedGrid:
         c = grid.cell_center(idx, 2)
         assert all(abs(ci - pi) <= grid.cell_width(2) / 2 for ci, pi in zip(c, (0.3, -0.7)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_methods_on_arrays_match_per_row(self, rng, n):
+        grid = DyadicGrid(tuple(rng.uniform(-1, 1, n)), 3.0, 6, tuple(rng.uniform(0, 0.01, n)))
+        # points inside, outside and exactly on the cube's faces
+        P = np.vstack([rng.uniform(-3, 3, (40, n)), grid.origin, grid.origin + grid.edge])
+        for k in (0, 3, 6):
+            idx = grid.cell_index(P, k)
+            assert np.array_equal(idx, [grid.cell_index(p, k) for p in P])
+            assert grid.cell_center(idx, k).tobytes() == np.array([grid.cell_center(i, k) for i in idx]).tobytes()
+            d = grid.skeleton_distance(P, k)
+            assert d.shape == (len(P),)
+            assert d.tobytes() == np.array([grid.skeleton_distance(p, k) for p in P]).tobytes()
+        inside = grid.contains(P)
+        assert np.array_equal(inside, [grid.contains(p) for p in P])
+        assert inside[-2:].all() and not inside.all()
+
 
 class TestDyadicApprox:
     def test_total_weight_preserved(self, rng):
@@ -113,8 +131,104 @@ class TestDyadicApprox:
         counts = [len(dyadic_approx(mu, grid, k).atoms) for k in range(0, 6)]
         assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("positions, error", [
+        ([(5.0, 0.1), (0.0, 0.1)], r"atom \(5\.0, 0\.1\) outside grid cube"),
+        ([(0.0, 0.1), (5.0, 0.1)], r"atom \(0\.0, 0\.1\) on grid skeleton"),
+        ([(0.3, 0.1), (6.0, 0.0), (0.0, 0.1)], r"atom \(6\.0, 0\.0\) outside grid cube"),
+    ], ids=["outside-first", "skeleton-first", "outside-and-on-skeleton"])
+    def test_first_offending_atom_decides_the_error(self, positions, error):
+        # origin (-2, -2), level-3 cells of width 0.5: x = 0 is a skeleton line
+        grid = DyadicGrid((0.0, 0.0), 4.0, 3)
+        mu = Chain0.from_arrays(2, 1, positions, np.ones((len(positions), 1)))
+        with pytest.raises(ValueError, match=error):
+            dyadic_approx(mu, grid, 1)
+
+    def test_empty_measure(self):
+        ap = dyadic_approx(Chain0(2, 3), DyadicGrid((0.0, 0.0), 4.0, 3), 2)
+        assert ap.P.shape == (0, 2) and ap.W.shape == (0, 3)
+
+
+def _reference_cascade(nu, grid, K):
+    """The per-point, dict-of-levels cascade assembly: leaf cells, then
+    parent sums level by level, then tree edges for levels 0..K in sorted
+    child order, then the leaf cones.  Returns the chain before
+    canonicalization and residual0."""
+    key = lambda a: tuple(np.asarray(a).tolist())  # noqa: E731
+    levels = [dict() for _ in range(K + 2)]
+    leaf_atoms = {}
+    for i, p in enumerate(nu.P):
+        leaf_atoms.setdefault(key(grid.cell_index(p, K + 1)), []).append(i)
+    for idx in sorted(leaf_atoms):
+        levels[K + 1][idx] = np.sum(nu.W[leaf_atoms[idx]], axis=0)
+    for k in range(K, -1, -1):
+        acc = {}
+        for idx, w in levels[k + 1].items():
+            acc.setdefault(tuple(i // 2 for i in idx), []).append((idx, w))
+        for parent in sorted(acc):
+            levels[k][parent] = np.sum(np.array([w for _, w in sorted(acc[parent], key=lambda t: t[0])]), axis=0)
+    A, B, Theta = [], [], []
+    for k in range(K + 1):
+        for idx in sorted(levels[k + 1]):
+            w = levels[k + 1][idx]
+            a = key(grid.cell_center(tuple(i // 2 for i in idx), k))
+            b = key(grid.cell_center(idx, k + 1))
+            if a != b and np.any(w):
+                A.append(a)
+                B.append(b)
+                Theta.append(w)
+    for idx in sorted(leaf_atoms):
+        c = key(grid.cell_center(idx, K + 1))
+        for i in leaf_atoms[idx]:
+            if key(nu.P[i]) != c:
+                A.append(c)
+                B.append(key(nu.P[i]))
+                Theta.append(nu.W[i])
+    root = (0,) * nu.n
+    residual0 = Chain0.from_arrays(nu.n, nu.m, [grid.cell_center(root, 0)], [levels[0][root]])
+    return Chain1.from_arrays(nu.n, nu.m, A, B, Theta), canonicalize0(residual0)
+
+
+def _bits(*arrays):
+    return [X.tobytes() for X in arrays]
+
 
 class TestCascade:
+    @pytest.mark.parametrize("layout", ["uniform", "clustered", "lattice"])
+    def test_matches_reference_assembly_bit_for_bit(self, rng, monkeypatch, layout):
+        # compare the edges in emission order, before canonicalization
+        monkeypatch.setattr(construct, "canonicalize", lambda T: T)
+        for _ in range(12):
+            n, m, K = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(0, 5))
+            atoms = int(rng.integers(9, 40))
+            if layout == "lattice":
+                # atoms at level-(K+1) cell centers, where the leaf cones skip
+                # them; integer weights cancel exactly in some cells
+                grid = DyadicGrid((0.5,) * n, 1.0, K + 2)
+                h = grid.cell_width(K + 1)
+                pm = grid.origin + (rng.integers(0, 2 ** (K + 1), (atoms, n)) + 0.5) * h
+                pp = grid.origin + (rng.integers(0, 2 ** (K + 1), (atoms, n)) + 0.5) * h
+                wm = rng.integers(1, 4, (atoms, m)).astype(float)
+                wp = wm[rng.permutation(atoms)]
+            else:
+                pm, pp = rng.uniform(0, 1, (2, atoms, n))
+                wm, wp = rng.uniform(0.1, 2.0, (2, atoms, m))
+                wp *= wm.sum(axis=0) / wp.sum(axis=0)
+                if layout == "clustered":
+                    # one leaf cell holds every source: numpy sums more than
+                    # 8 rows pairwise, so the grouping must match row for row
+                    m, pm, wm, wp = 1, 0.3 + 1e-6 * pm, wm[:, :1], wp[:, :1]
+            mm, mp = Chain0.from_arrays(n, m, pm, wm), Chain0.from_arrays(n, m, pp, wp)
+            if layout != "lattice":
+                grid = shifted_grid((0.5,) * n, 1.0, [mm, mp], k_max=K + 2, seed=int(rng.integers(100)))
+            nu = canonicalize0(mp - mm)
+            if layout == "clustered":
+                _, counts = np.unique(grid.cell_index(nu.P, K + 1), axis=0, return_counts=True)
+                assert counts.max() > 8
+            res = cascade(mm, mp, grid, K)
+            chain, residual0 = _reference_cascade(nu, grid, K)
+            assert _bits(res.chain.A, res.chain.B, res.chain.Theta) == _bits(chain.A, chain.B, chain.Theta)
+            assert _bits(res.residual0.P, res.residual0.W) == _bits(residual0.P, residual0.W)
+
     def test_divergence_exact_unit_weights(self, rng):
         for i in range(5):
             atoms = 16

@@ -66,9 +66,9 @@ class TestEnergyBatched:
 
 class TestCertificate:
     def test_bound_must_dominate(self):
-        EnergyCertificate(1.0, 2.0, "cascade", "abc", 0)
+        EnergyCertificate(1.0, 2.0, "cascade", "abc")
         with pytest.raises(ValueError):
-            EnergyCertificate(2.0, 1.0, "cascade", "abc", 0)
+            EnergyCertificate(2.0, 1.0, "cascade", "abc")
 
 
 class TestMassBoundConstant:

@@ -277,6 +277,21 @@ class TestCli:
                      "--samples", samples]) == EXIT_VALIDATION
         assert capsys.readouterr().out == ""
 
+    def test_seed_only_on_commands_that_read_it(self, instance, capsys):
+        pm, pp, d = instance
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(d / "net.json"), str(pm), str(pp), "--cost", "sum_alpha:alpha=0.5", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        for argv in (["validate-cost", "--cost", "c", "--m", "1"], ["cascade", "mm", "mp"],
+                     ["optimize", "mm", "mp", "--cost", "c"], ["ig-check", "net", "--cost", "c"],
+                     ["w-sweep", "target", "--cost", "c"]):
+            assert build_parser().parse_args(argv + ["--seed", "1"]).seed == 1
+        for argv in (["cone", "mm", "mp"], ["energy", "net", "--cost", "c"], ["flat-bound", "nu"],
+                     ["slice", "net", "--gradient", "0,1", "--level", "0"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--seed", "1"])
+
     def test_seed_reproducible(self, instance, capsys):
         pm, pp, _ = instance
         main(["optimize", str(pm), str(pp), "--cost", "sum_alpha:alpha=0.75", "--seed", "5"])
