@@ -113,7 +113,7 @@ def cmd_cascade(args) -> int:
     mu_minus = load_measure(args.mu_minus)
     mu_plus = load_measure(args.mu_plus)
     nu = chains.canonicalize0(mu_plus - mu_minus)
-    grid = construct.shifted_grid(*construct.bounding_cube(nu), [mu_minus, mu_plus], seed=args.seed,
+    grid = construct.shifted_grid(*construct.bounding_cube(nu.P), [mu_minus, mu_plus], seed=args.seed,
                                   k_max=max(args.depth + 1, 8))
     cost = parse_cost(args.cost, mu_minus.m) if args.cost else None
     beta = costs.BetaEnvelope.from_power(args.beta) if args.beta else None
@@ -206,7 +206,7 @@ def cmd_ig_check(args) -> int:
 def cmd_w_sweep(args) -> int:
     target = load_measure(args.target)
     cost = parse_cost(args.cost, target.m)
-    grid = construct.shifted_grid(*construct.bounding_cube(target), [target], seed=args.seed,
+    grid = construct.shifted_grid(*construct.bounding_cube(target.P), [target], seed=args.seed,
                                   k_max=max(args.max_depth + 2, 8))
     config = optimize.OptimizerConfig(max_iters=args.max_iters, seed=args.seed)
     sys.stdout.write("depth,w_upper\n")

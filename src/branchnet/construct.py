@@ -46,12 +46,12 @@ def barycenter(nu: Chain0) -> tuple[float, ...]:
     return tuple((wts @ nu.P) / np.sum(wts))
 
 
-def bounding_cube(mu: Chain0) -> tuple[tuple[float, ...], float]:
-    """(center, edge) of the smallest coordinate cube holding every atom; edge 1
-    when all atoms share one position, the unit cube at the origin if empty."""
-    if not len(mu.P):
-        return (0.0,) * mu.n, 1.0
-    lo, hi = mu.P.min(axis=0), mu.P.max(axis=0)
+def bounding_cube(P: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """(center, edge) of the smallest coordinate cube holding the (k, n) points P;
+    edge 1 when all points coincide, the unit cube at the origin if k = 0."""
+    if not len(P):
+        return (0.0,) * P.shape[1], 1.0
+    lo, hi = P.min(axis=0), P.max(axis=0)
     return tuple(0.5 * (lo + hi)), float(np.max(hi - lo)) or 1.0
 
 

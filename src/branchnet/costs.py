@@ -30,6 +30,8 @@ _DIR_DERIV_IMAX = 60
 _AXIOM_TOL = 1e-9  # relative slack of validate_cost's axiom tests
 _QUAD_POINTS = 64  # midpoints per dyadic subinterval in admissibility_check
 _RADII = 64  # log-spaced radii per direction in sampled_ratios
+_BLOCK = 256  # samples of validate_cost, or directions of a derivative scan, per evaluate_rows call
+_NOT_MONOTONE = "C(tv)/t not monotone along the doubling grid: cost axioms violated"
 
 
 @dataclass(frozen=True)
@@ -74,33 +76,22 @@ def custom_cost(m: int, fn: Callable[[np.ndarray], float]) -> CostSpec:
 
 
 def evaluate(cost: CostSpec, theta) -> float:
+    """Cost of one multiplicity vector: the one-row case of :func:`evaluate_rows`."""
     th = np.asarray(theta, dtype=float)
     if th.shape != (cost.m,):
         raise ValueError(f"theta must have length {cost.m}")
-    if not np.all(np.isfinite(th)):
-        raise ValueError("non-finite multiplicity")
-    if cost.family == "SumAlpha":
-        s = float(np.dot(cost.params["weights"], np.abs(th)))
-        return s ** cost.params["alpha"]
-    if cost.family == "ComponentSum":
-        return float(np.dot(cost.params["coeffs"], np.abs(th) ** cost.params["alphas"]))
-    if cost.family == "PNormAlpha":
-        p = cost.params["p"]
-        return float(np.linalg.norm(th, ord=p) ** cost.params["alpha"])
-    if cost.family == "Custom":
-        return float(cost.fn(th))
-    raise ValueError(f"unknown cost family {cost.family!r}")
+    return float(evaluate_rows(cost, th[None])[0])
 
 
 def _pow_each(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e per entry with the scalar power of :func:`evaluate` (array
-    ``np.power`` may use a vector kernel that differs in the last bit)."""
+    """x ** e per entry with the scalar float power (array ``np.power`` may
+    use a vector kernel that differs from it in the last bit)."""
     return np.fromiter(map(pow, x.tolist(), itertools.repeat(e)), dtype=float, count=len(x))
 
 
 def evaluate_rows(cost: CostSpec, Theta) -> np.ndarray:
-    """Costs of the k rows of a (k, m) array, equal bit for bit to
-    ``[evaluate(cost, row) for row in Theta]`` for the built-in families."""
+    """Costs of the k rows of a (k, m) array: the one branch on the cost family.
+    Rows are costed independently, so a row costs the same bit for bit in any batch."""
     Th = np.asarray(Theta, dtype=float)
     if Th.ndim != 2 or Th.shape[1] != cost.m:
         raise ValueError(f"Theta must have shape (k, {cost.m})")
@@ -197,7 +188,8 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0) -> CostV
     without sign change), and a continuity probe along random rays.  Lower
     semicontinuity itself is not pointwise testable; a genuinely
     discontinuous custom cost can pass vacuously (noted in the report).
-    Violations are counted beyond a relative slack of ``_AXIOM_TOL``.
+    Violations are counted beyond a relative slack of ``_AXIOM_TOL``.  Each
+    block of ``_BLOCK`` samples takes one :func:`evaluate_rows` call.
     """
     if samples < 1:
         raise ValueError("samples >= 1 required")
@@ -208,27 +200,22 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0) -> CostV
         rep.positivity_violations += 1
         rep.notes.append("C(0) != 0")
 
-    for _ in range(samples):
-        th = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 2)
-        eta = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 2)
-        c_th = evaluate(cost, th)
-        if abs(evaluate(cost, -th) - c_th) > _AXIOM_TOL * max(1.0, c_th):
-            rep.evenness_violations += 1
-        if np.any(th != 0) and c_th <= 0.0:
-            rep.positivity_violations += 1
-        if evaluate(cost, th + eta) > c_th + evaluate(cost, eta) + _AXIOM_TOL * max(1.0, c_th):
-            rep.subadditivity_violations += 1
-        # order-comparable pair: eta_j = u_j * th_j with u_j in [0,1]
-        shrunk = rng.uniform(0.0, 1.0, size=m) * th
-        if evaluate(cost, shrunk) > c_th + _AXIOM_TOL * max(1.0, c_th):
-            rep.monotonicity_violations += 1
-        # continuity probe along the ray through th (lsc surrogate)
-        t = rng.uniform(0.1, 1.0)
+    for start in range(0, samples, _BLOCK):
+        # each sample draws theta, eta, the shrink factors u and the ray parameter t, in this order
+        draws = [(rng.normal(size=m) * 10.0 ** rng.uniform(-3, 2), rng.normal(size=m) * 10.0 ** rng.uniform(-3, 2),
+                  rng.uniform(0.0, 1.0, size=m), rng.uniform(0.1, 1.0)) for _ in range(min(_BLOCK, samples - start))]
+        th, eta, u, t = map(np.array, zip(*draws))
         dt = 1e-7 * t
-        lo, mid, hi = (evaluate(cost, s * th) for s in (t - dt, t, t + dt))
-        scale = max(1.0, abs(mid))
-        if mid > hi + 1e-3 * scale or mid < lo - 1e-3 * scale:
-            rep.continuity_violations += 1
+        # u * th is order-comparable with th; the continuity probe runs along the ray through th (lsc surrogate)
+        points = [th, -th, th + eta, eta, u * th] + [s[:, None] * th for s in (t - dt, t, t + dt)]
+        c_th, c_neg, c_sum, c_eta, c_shrunk, lo, mid, hi = evaluate_rows(cost, np.concatenate(points)).reshape(8, -1)
+        slack = _AXIOM_TOL * np.maximum(c_th, 1.0)
+        rep.evenness_violations += int(np.count_nonzero(np.abs(c_neg - c_th) > slack))
+        rep.positivity_violations += int(np.count_nonzero(np.any(th != 0, axis=1) & (c_th <= 0.0)))
+        rep.subadditivity_violations += int(np.count_nonzero(c_sum > c_th + c_eta + slack))
+        rep.monotonicity_violations += int(np.count_nonzero(c_shrunk > c_th + slack))
+        scale = np.maximum(np.abs(mid), 1.0)
+        rep.continuity_violations += int(np.count_nonzero((mid > hi + 1e-3 * scale) | (mid < lo - 1e-3 * scale)))
 
     rep.notes.append("lsc checked only via continuity probe along rays")
     return rep
@@ -237,37 +224,50 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0) -> CostV
 # ---------------------------------------------------------------------------
 # directional derivatives at zero
 
-def dir_derivative_at_zero(cost: CostSpec, v, cap: float = INF_CAP) -> float:
+def _derivative_scan(cost: CostSpec, V: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Right-derivatives at 0 along the rows of V, and which rows break
+    monotonicity (their values are meaningless); see
+    :func:`dir_derivative_at_zero` for the rules."""
+    ts = np.ldexp(1.0, -np.arange(_DIR_DERIV_IMAX + 1))
+    C = np.empty((len(V), len(ts)))
+    for i in range(0, len(V), _BLOCK):
+        grid = V[i : i + _BLOCK, None, :] * ts[:, None]
+        C[i : i + _BLOCK] = evaluate_rows(cost, grid.reshape(-1, V.shape[1])).reshape(-1, len(ts))
+    # a custom cost's huge or infinite values give inf or NaN quotients; NaN compares false in every rule
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = C / ts
+        prev = np.pad(Q[:, :-1], ((0, 0), (1, 0)), constant_values=-math.inf)
+        over = Q > cap
+        stop = over | (Q < prev - 1e-9 * np.maximum(np.abs(prev), 1.0))
+        growing = Q[:, -1] - prev[:, -1] > 1e-6 * np.maximum(np.abs(Q[:, -1]), 1.0)
+    # each scan along t ends at its first quotient above the cap (inf) or below its predecessor (raise)
+    stopped, first = stop.any(axis=1), stop.argmax(axis=1)
+    return np.where(stopped | growing, math.inf, Q[:, -1]), stopped & ~over[np.arange(len(Q)), first]
+
+
+def dir_derivative_at_zero(cost: CostSpec, v, cap: float = INF_CAP):
     """Right-derivative of the cost at 0 along v: lim_{t->0+} C(tv)/t.
 
     The limit equals sup_{t>0} C(tv)/t, so C(tv)/t evaluated on the doubling
     grid t = 2^-i, i = 0.._DIR_DERIV_IMAX, is non-decreasing as t decreases;
     a relative decrease beyond 1e-9 flags an axiom violation.  Returns
-    math.inf once the quotient exceeds ``cap`` or when it is still growing
-    at the end of the grid (a quotient diverging slower than the cap within
-    60 halvings, e.g. t^(-eps), must still classify as infinite).
+    math.inf once the quotient exceeds ``cap`` (tested first at each grid
+    point) or when it is still growing at the end of the grid (a quotient
+    diverging slower than the cap within 60 halvings, e.g. t^(-eps), must
+    still classify as infinite).
 
-    The whole grid is evaluated in one :func:`evaluate_rows` call before
-    the quotients are scanned in order, so a ``Custom`` cost's function is
-    called on every grid point, also past the point that decides the result.
+    One direction (m,) gives a float; k directions (k, m) give k values,
+    and a decrease along any of them raises.  The grids of ``_BLOCK``
+    directions are evaluated in one :func:`evaluate_rows` call before the
+    scan, so a ``Custom`` cost's function is called on every grid point.
     """
-    v = np.asarray(v, dtype=float)
-    if not np.any(v):
+    V = np.asarray(v, dtype=float)
+    if not np.all(np.any(V, axis=-1)):
         raise ValueError("v must be nonzero")
-    ts = [2.0 ** (-i) for i in range(_DIR_DERIV_IMAX + 1)]
-    C = evaluate_rows(cost, np.array([t * v for t in ts]))
-    prev = -math.inf
-    for i, (c, t) in enumerate(zip(C.tolist(), ts)):
-        val = c / t
-        if val > cap:
-            return math.inf
-        if val < prev - 1e-9 * max(1.0, abs(prev)):
-            raise ValueError("C(tv)/t not monotone along the doubling grid: cost axioms violated")
-        prev_step = val - prev if i > 0 else 0.0
-        prev = val
-    if prev_step > 1e-6 * max(1.0, abs(val)):
-        return math.inf
-    return val
+    values, non_monotone = _derivative_scan(cost, np.atleast_2d(V), cap)
+    if non_monotone.any():
+        raise ValueError(_NOT_MONOTONE)
+    return float(values[0]) if V.ndim == 1 else values
 
 
 @dataclass(frozen=True)
@@ -288,38 +288,38 @@ class DerivativeProfile:
 def derivative_profile(cost: CostSpec, samples: int = 1000, seed: int = 0) -> DerivativeProfile:
     """Compute per-axis derivatives at 0 and verify the sandwich estimate
     f(v) <= sum_{j in basis} |v_j| f(e_j) <= m f(v) on sampled unit v in V.
+
+    The m axes take one :func:`dir_derivative_at_zero` call and the
+    samples one more; the first sample that breaks monotonicity or the
+    sandwich decides which error is raised.
     """
     m = cost.m
-    derivs = []
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = 1.0
-        derivs.append(dir_derivative_at_zero(cost, ej))
+    derivs = dir_derivative_at_zero(cost, np.eye(m))
     basis = tuple(j for j in range(m) if math.isfinite(derivs[j]))
     vdim = len(basis)
     L = 0.0
     if vdim:
         rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            v = np.zeros(m)
-            v[list(basis)] = rng.normal(size=vdim)
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                continue
-            v /= nv
-            fv = dir_derivative_at_zero(cost, v)
-            upper = sum(abs(v[j]) * derivs[j] for j in basis)
-            if fv > upper * (1 + 1e-9) + 1e-12 or upper > m * fv * (1 + 1e-9) + 1e-12:
-                raise ValueError("derivative sandwich estimate violated: cost axioms suspect")
-            L = max(L, fv)
-    return DerivativeProfile(tuple(derivs), basis, vdim, L)
+        V = np.zeros((samples, m))
+        V[:, list(basis)] = rng.normal(size=(samples, vdim))
+        norms = np.sqrt(row_dots(V, V))
+        V = V[norms != 0.0] / norms[norms != 0.0, None]
+        fv, non_monotone = _derivative_scan(cost, V, INF_CAP)
+        upper = sum(np.abs(V[:, j]) * derivs[j] for j in basis)
+        off = (fv > upper * (1 + 1e-9) + 1e-12) | (upper > m * fv * (1 + 1e-9) + 1e-12)
+        first_bad = np.flatnonzero(non_monotone | off)[:1]
+        if non_monotone[first_bad].any():
+            raise ValueError(_NOT_MONOTONE)
+        if len(first_bad):
+            raise ValueError("derivative sandwich estimate violated: cost axioms suspect")
+        L = float(np.max(fv, initial=0.0, where=fv > 0.0))
+    return DerivativeProfile(tuple(derivs.tolist()), basis, vdim, L)
 
 
 def rectifiability_flag(cost: CostSpec) -> bool:
     """True iff every per-axis derivative at 0 is infinite (above
     ``INF_CAP``); then every finite-mass finite-energy chain is rectifiable."""
-    prof = derivative_profile(cost, samples=0)
-    return prof.V_dim == 0
+    return derivative_profile(cost, samples=0).V_dim == 0
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,7 @@ def mass_bound_constant(cost: CostSpec, boundary_mass: float, directions: int = 
     if boundary_mass <= 0:
         raise ValueError("boundary_mass must be positive")
     prof = derivative_profile(cost, samples=0)
-    inv_deriv = 0.0
-    for j in prof.basis_set:
-        inv_deriv = max(inv_deriv, 1.0 / prof.axis_derivatives[j])
+    inv_deriv = max([0.0] + [1.0 / prof.axis_derivatives[j] for j in prof.basis_set])
 
     # axis directions are the extremal ones for the built-in families
     R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // _RADII), seed, axes=True)

@@ -36,7 +36,10 @@ def _check_vector(v, length: int, where: str) -> tuple[float, ...]:
     out = []
     for i, x in enumerate(v):
         _require(isinstance(x, (int, float)) and not isinstance(x, bool), f"{where}[{i}]", "expected a number")
-        xf = float(x)
+        try:
+            xf = float(x)
+        except OverflowError:  # an integer beyond the float range
+            raise SchemaError(f"{where}[{i}]: number out of range") from None
         _require(math.isfinite(xf), f"{where}[{i}]", "non-finite number")
         out.append(xf)
     return tuple(out)
@@ -47,7 +50,7 @@ def read_document(path, kind: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and over-long integers
         raise SchemaError(f"{path}: cannot read {kind} file: {exc}") from exc
 
 

@@ -164,11 +164,13 @@ def ig_identity_mc(
     the closed form sum_e C(theta_e) * len(e) * |tau_e . v|; the average
     over directions times the calibration constant c(n,1) recovers the
     energy.  Returns (estimate, exact, relative error); ``samples`` must
-    be at least 1.
+    be at least 1.  A non-canonical T is canonicalized first, and both
+    sides are taken over that chain.
     """
     if samples < 1:
         raise ValueError("samples >= 1 required")
-    exact = energy(T if T.canonical else canonicalize(T), cost)
+    T = T if T.canonical else canonicalize(T)
+    exact = energy(T, cost)
     if not len(T.A):
         return 0.0, 0.0, 0.0
     tau = T.B - T.A

@@ -95,11 +95,6 @@ def _flow_tol(theta: np.ndarray) -> float:
     return _FLOW_TOL_REL * float(np.max(np.abs(theta), initial=0.0))
 
 
-def _flow_graph(T: Chain1, j: int, tol: float):
-    """Directed arcs (u, v, edge_index, flow>0) for commodity j."""
-    return _arcs(T.ends(), T.Theta[:, j].tolist(), tol)
-
-
 def _find_directed_cycle(arcs):
     """One directed cycle as a list of arc indices, or None (iterative DFS)."""
     adj: dict = {}
@@ -284,12 +279,6 @@ def _free_vertices(T: Chain1) -> set:
     return T.vertices() - set(map(tuple, boundary(T).P.tolist()))
 
 
-def _chain_diam(T: Chain1) -> float:
-    if not len(T.A):
-        return 1.0
-    return float(np.max(np.ptp(np.vstack([T.A, T.B]), axis=0))) or 1.0
-
-
 def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     """One sweep of Weiszfeld relocation over the free vertices.
 
@@ -309,7 +298,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         T = canonicalize(T)
     if not len(T.A):
         return T
-    diam = _chain_diam(T)
+    diam = bounding_cube(np.vstack([T.A, T.B]))[1]
     ends = T.ends()
     W = evaluate_rows(cost, T.Theta)
     incidence: dict = {}
@@ -352,7 +341,7 @@ def _merge_candidates(T: Chain1):
     """Pairs of distinct near-parallel nearby edges, best-first by closeness."""
     if len(T.A) < 2:
         return []
-    diam = _chain_diam(T)
+    diam = bounding_cube(np.vstack([T.A, T.B]))[1]
     A, B = T.A, T.B
     U = (B - A) / np.linalg.norm(B - A, axis=1)[:, None]
     M = 0.5 * (A + B)
@@ -410,7 +399,7 @@ def local_search(
     nu = mu_plus - mu_minus
 
     if config.init == "cascade":
-        grid = shifted_grid(*bounding_cube(nu), [mu_minus, mu_plus], seed=config.seed)
+        grid = shifted_grid(*bounding_cube(nu.P), [mu_minus, mu_plus], seed=config.seed)
         T = cascade(mu_minus, mu_plus, grid, K=4).chain
     else:
         T = canonicalize(cone(nu, barycenter(nu)))
@@ -467,9 +456,9 @@ def verify_solution(
     residual = flat_bounds(canonicalize0(residual_chain)).upper
     acyclic = []
     tol = _flow_tol(T.Theta)
+    ends = T.ends()
     for j in range(T.m):
-        arcs = _flow_graph(T, j, tol)
-        acyclic.append(_find_directed_cycle(arcs) is None)
+        acyclic.append(_find_directed_cycle(_arcs(ends, T.Theta[:, j].tolist(), tol)) is None)
 
     bm = mass(canonicalize0(target))
     E = energy(T, cost)
@@ -510,7 +499,7 @@ def w_upper(
     best = math.inf
     if grid is None:
         try:
-            grid = shifted_grid(*bounding_cube(nu), [mu_minus, mu_plus], k_max=max(K + 1, 8))
+            grid = shifted_grid(*bounding_cube(nu.P), [mu_minus, mu_plus], k_max=max(K + 1, 8))
         except GridShiftError as exc:
             warnings.warn(f"w_upper: {exc}; the bound comes from local search alone", stacklevel=2)
     if grid is not None:

@@ -53,7 +53,7 @@ from branchnet import (
     w_upper,
 )
 from branchnet.chains import component_lift0
-from branchnet.optimize import _find_directed_cycle, _flow_graph
+from branchnet.optimize import _arcs, _find_directed_cycle
 from conftest import compatible_pair, random_chain, random_measure
 
 
@@ -176,7 +176,7 @@ def test_criterion_04_cycle_removal():
         if energy(A, cost) > energy(T, cost) * (1 + 1e-12):
             bad += 1
         for j in range(A.m):
-            if _find_directed_cycle(_flow_graph(A, j, 1e-12)) is not None:
+            if _find_directed_cycle(_arcs(A.ends(), A.Theta[:, j].tolist(), 1e-12)) is not None:
                 bad += 1
         if not check_multiplicity_bound(A).ok:
             bad += 1

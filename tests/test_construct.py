@@ -64,14 +64,14 @@ class TestBarycenter:
 class TestBoundingCube:
     def test_encloses_atoms(self):
         mu = Chain0(2, 1, (Atom((1.0, -2.0), (1.0,)), Atom((3.0, 2.0), (-1.0,))))
-        assert bounding_cube(mu) == ((2.0, 0.0), 4.0)
+        assert bounding_cube(mu.P) == ((2.0, 0.0), 4.0)
 
     def test_zero_extent_gets_unit_edge(self):
         mu = Chain0(2, 1, (Atom((0.5, 0.25), (1.0,)), Atom((0.5, 0.25), (2.0,))))
-        assert bounding_cube(mu) == ((0.5, 0.25), 1.0)
+        assert bounding_cube(mu.P) == ((0.5, 0.25), 1.0)
 
     def test_empty_measure_gets_unit_cube_at_origin(self):
-        assert bounding_cube(Chain0(3, 1)) == ((0.0, 0.0, 0.0), 1.0)
+        assert bounding_cube(Chain0(3, 1).P) == ((0.0, 0.0, 0.0), 1.0)
 
 
 class TestShiftedGrid:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import branchnet.costs as costs_module
 from branchnet.costs import (
     BetaEnvelope,
+    DerivativeProfile,
     admissibility_check,
     component_sum,
     custom_cost,
@@ -21,6 +23,21 @@ from branchnet.costs import (
     validate_cost,
 )
 from conftest import COST_FAMILIES
+
+
+def evaluate_reference(cost, theta) -> float:
+    """The scalar formula of each cost family, written independently of
+    ``evaluate_rows`` (which is the library's only family dispatch)."""
+    th = np.asarray(theta, dtype=float)
+    if cost.family == "SumAlpha":
+        return float(np.dot(cost.params["weights"], np.abs(th))) ** cost.params["alpha"]
+    if cost.family == "ComponentSum":
+        return float(np.dot(cost.params["coeffs"], np.abs(th) ** cost.params["alphas"]))
+    if cost.family == "PNormAlpha":
+        return float(np.linalg.norm(th, ord=cost.params["p"]) ** cost.params["alpha"])
+    if cost.family == "Custom":
+        return float(cost.fn(th))
+    raise ValueError(f"unknown cost family {cost.family!r}")
 
 
 class TestEvaluate:
@@ -61,12 +78,21 @@ class TestEvaluateRows:
         Theta = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-8, 3, size=(500, 1))
         Theta[::7, 1] = 0.0
         Theta[0] = 0.0
-        expected = np.array([evaluate(cost, row) for row in Theta])
+        expected = np.array([evaluate_reference(cost, row) for row in Theta])
         got = evaluate_rows(cost, Theta)
         assert got.shape == (500,)
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
         if cost.family in ("SumAlpha", "PNormAlpha") and cost.params.get("p", 2.0) == 2.0:
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("cost", COSTS, ids=lambda c: f"{c.family}{c.params.get('p', '')}")
+    def test_rows_independent_of_batch(self, cost, rng):
+        """evaluate is the one-row batch, and a row costs the same in any batch."""
+        Theta = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-8, 3, size=(300, 1))
+        got = evaluate_rows(cost, Theta)
+        assert np.array_equal(got, [evaluate(cost, row) for row in Theta])
+        assert np.array_equal(got[::-1], evaluate_rows(cost, Theta[::-1]))
+        assert np.array_equal(got[5:17], evaluate_rows(cost, Theta[5:17]))
 
     def test_empty_batch(self):
         assert evaluate_rows(sum_alpha(2, 0.5), np.zeros((0, 2))).shape == (0,)
@@ -83,9 +109,64 @@ class TestEvaluateRows:
         for cost in (sum_alpha(2, 0.5), p_norm_alpha(2, 2.0, 0.5), custom_cost(2, lambda t: 1.0)):
             with pytest.raises(ValueError, match="non-finite"):
                 evaluate_rows(cost, Theta)
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate(cost, Theta[1])
+
+
+def _validate_reference(cost, samples, seed):
+    """The scalar loop validate_cost replaced: eight scalar costs per sample."""
+    rng = np.random.default_rng(seed)
+    counts = dict.fromkeys(("evenness", "positivity", "subadditivity", "monotonicity", "continuity"), 0)
+    notes = []
+    if evaluate_reference(cost, np.zeros(cost.m)) != 0.0:
+        counts["positivity"] += 1
+        notes.append("C(0) != 0")
+    for _ in range(samples):
+        th = rng.normal(size=cost.m) * 10.0 ** rng.uniform(-3, 2)
+        eta = rng.normal(size=cost.m) * 10.0 ** rng.uniform(-3, 2)
+        c_th = evaluate_reference(cost, th)
+        slack = 1e-9 * max(1.0, c_th)
+        counts["evenness"] += abs(evaluate_reference(cost, -th) - c_th) > slack
+        counts["positivity"] += bool(np.any(th != 0) and c_th <= 0.0)
+        counts["subadditivity"] += evaluate_reference(cost, th + eta) > c_th + evaluate_reference(cost, eta) + slack
+        counts["monotonicity"] += evaluate_reference(cost, rng.uniform(0.0, 1.0, size=cost.m) * th) > c_th + slack
+        t = rng.uniform(0.1, 1.0)
+        lo, mid, hi = (evaluate_reference(cost, s * th) for s in (t - 1e-7 * t, t, t + 1e-7 * t))
+        scale = max(1.0, abs(mid))
+        counts["continuity"] += mid > hi + 1e-3 * scale or mid < lo - 1e-3 * scale
+    return {"samples": samples, **counts, "notes": notes + ["lsc checked only via continuity probe along rays"]}
+
+
+AXIOM_BREAKERS = {
+    "square": custom_cost(2, lambda t: float(np.sum(t * t))),
+    "odd": custom_cost(2, lambda t: float(t[0] + 2 * np.abs(t).sum())),
+    "decreasing": custom_cost(2, lambda t: float(1.0 / (1.0 + np.abs(t).sum())) if np.any(t) else 0.0),
+    "jump": custom_cost(2, lambda t: float(np.abs(t).sum() > 1.0) + 0.1 * float(np.abs(t).sum()) ** 0.5),
+    "offset": custom_cost(2, lambda t: 1.0 + float(np.abs(t).sum())),
+    "half_plane": custom_cost(2, lambda t: max(float(t[0]), 0.0)),
+}
 
 
 class TestValidateCost:
+    @pytest.mark.parametrize("cost", [
+        sum_alpha(2, 0.6, weights=[1.0, 2.5]),
+        component_sum(3, [1.0, 0.5, 2.0], [0.4, 0.8, 1.0]),
+        p_norm_alpha(2, 1.5, 0.8),
+        p_norm_alpha(3, math.inf, 0.7),
+        *AXIOM_BREAKERS.values(),
+    ], ids=["sum_alpha", "component_sum", "p1.5", "pinf", *AXIOM_BREAKERS])
+    def test_report_equals_scalar_loop(self, cost):
+        for samples, seed in ((1, 0), (7, 3), (600, 1)):
+            assert validate_cost(cost, samples, seed).as_dict() == _validate_reference(cost, samples, seed)
+
+    def test_blocks_bound_the_batch(self, monkeypatch):
+        """Memory does not grow with samples: no batch exceeds eight points per sample of a block."""
+        sizes = []
+        real = costs_module.evaluate_rows
+        monkeypatch.setattr(costs_module, "evaluate_rows", lambda c, T: sizes.append(len(T)) or real(c, T))
+        validate_cost(sum_alpha(2, 0.7), samples=3 * costs_module._BLOCK + 5)
+        assert max(sizes) == 8 * costs_module._BLOCK and sum(sizes) == 1 + 8 * (3 * costs_module._BLOCK + 5)
+
     @pytest.mark.parametrize("cost", [
         sum_alpha(2, 0.6, weights=[1.0, 2.5]),
         component_sum(3, [1.0, 0.5, 2.0], [0.4, 0.8, 1.0]),
@@ -113,13 +194,13 @@ class TestValidateCost:
 
 
 def _dir_derivative_reference(cost, v, cap=1e12, imax=60, tol=1e-9):
-    """The scalar loop dir_derivative_at_zero replaced: one evaluate per grid point."""
+    """The scalar loop dir_derivative_at_zero replaced: one scalar cost per grid point."""
     v = np.asarray(v, dtype=float)
     prev = -math.inf
     val = 0.0
     for i in range(imax + 1):
         t = 2.0 ** (-i)
-        val = evaluate(cost, t * v) / t
+        val = evaluate_reference(cost, t * v) / t
         if val > cap:
             return math.inf
         if val < prev - tol * max(1.0, abs(prev)):
@@ -131,12 +212,48 @@ def _dir_derivative_reference(cost, v, cap=1e12, imax=60, tol=1e-9):
     return val
 
 
-def _outcome(fn, cost, v):
+def _outcome(fn, cost, v, **kw):
     """("value", float hex) or ("raise", message) of one derivative call."""
     try:
-        return ("value", float(fn(cost, v)).hex())
+        return ("value", float(fn(cost, v, **kw)).hex())
     except ValueError as exc:
         return ("raise", str(exc))
+
+
+def _profile_reference(cost, samples, seed):
+    """The scalar loop derivative_profile replaced: one derivative per axis and per sample."""
+    m = cost.m
+    derivs = [_dir_derivative_reference(cost, np.eye(m)[j]) for j in range(m)]
+    basis = tuple(j for j in range(m) if math.isfinite(derivs[j]))
+    L = 0.0
+    if basis:
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            v = np.zeros(m)
+            v[list(basis)] = rng.normal(size=len(basis))
+            v /= np.linalg.norm(v)
+            fv = _dir_derivative_reference(cost, v)
+            upper = sum(abs(v[j]) * derivs[j] for j in basis)
+            if fv > upper * (1 + 1e-9) + 1e-12 or upper > m * fv * (1 + 1e-9) + 1e-12:
+                raise ValueError("derivative sandwich estimate violated: cost axioms suspect")
+            L = max(L, fv)
+    return tuple(derivs), basis, len(basis), L
+
+
+def _profile_outcome(fn, cost, samples, seed):
+    try:
+        out = fn(cost, samples, seed)
+    except ValueError as exc:
+        return ("raise", str(exc))
+    if isinstance(out, DerivativeProfile):
+        out = (out.axis_derivatives, out.basis_set, out.V_dim, out.homog_bound)
+    derivs, basis, vdim, bound = out
+    return ("value", [float(d).hex() for d in derivs], basis, vdim, float(bound).hex())
+
+
+# C(tv)/t = |v|_1 + t v1 v2 falls toward 0 where v1 v2 > 0 (not monotone); where v1 v2 < 0 the
+# derivative |v|_1 + sqrt(-v1 v2) exceeds the sum over the axes (sandwich); the axes pass both
+MIXED_BREAKER = custom_cost(2, lambda t: float(np.abs(t).sum() + max(t[0] * t[1], 0.0) + max(-t[0] * t[1], 0.0) ** 0.5))
 
 
 class TestDerivatives:
@@ -171,6 +288,51 @@ class TestDerivatives:
         directions = list(np.eye(m)) + [u / np.linalg.norm(u) for u in rng.normal(size=(3, m))]
         for v in directions:
             assert _outcome(dir_derivative_at_zero, cost, v) == _outcome(_dir_derivative_reference, cost, v)
+
+    @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batch_equals_per_row(self, family, m):
+        cost = COST_FAMILIES[family](m)
+        rng = np.random.default_rng(m)
+        V = np.vstack([np.eye(cost.m), rng.normal(size=(2 * costs_module._BLOCK + 3, cost.m))])
+        for cap in (1e12, 100.0):
+            got = dir_derivative_at_zero(cost, V, cap=cap)
+            assert isinstance(got, np.ndarray) and got.shape == (len(V),)
+            assert [float(x).hex() for x in got] == [_outcome(dir_derivative_at_zero, cost, v, cap=cap)[1] for v in V]
+
+    def test_batch_raises_on_any_non_monotone_direction(self):
+        V = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert list(dir_derivative_at_zero(MIXED_BREAKER, V[:2])) == [1.0, 1.0]
+        with pytest.raises(ValueError, match="not monotone"):
+            dir_derivative_at_zero(MIXED_BREAKER, V)
+        with pytest.raises(ValueError, match="nonzero"):
+            dir_derivative_at_zero(MIXED_BREAKER, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("cost", [
+        *(COST_FAMILIES[f](m) for f in sorted(COST_FAMILIES) for m in (1, 2, 3)),
+        sum_alpha(3, 1.0, weights=[1.0, 2.0, 3.0]),
+        component_sum(2, [2.0, 1.0], [1.0, 1.0]),
+        p_norm_alpha(2, 1.5, 1.0),
+        p_norm_alpha(3, math.inf, 1.0),
+        custom_cost(2, lambda t: float(np.abs(t).sum() + t[0] * t[0])),
+        custom_cost(2, lambda t: float(np.abs(t).sum() + abs(t[0] * t[1]) ** 0.5)),
+        MIXED_BREAKER,
+    ])
+    def test_profile_equals_scalar_loop(self, cost):
+        for samples, seed in ((0, 0), (50, 1), (200, 2), (200, 3)):
+            assert (_profile_outcome(derivative_profile, cost, samples, seed)
+                    == _profile_outcome(_profile_reference, cost, samples, seed))
+
+    def test_first_failing_sample_decides_the_error(self):
+        raised = {_profile_outcome(derivative_profile, MIXED_BREAKER, 20, seed)[1] for seed in range(8)}
+        assert any("not monotone" in r for r in raised) and any("sandwich" in r for r in raised)
+
+    def test_growth_in_the_last_step_is_infinite(self):
+        # C(t)/t is 1 down to t = 2^-59 and 1 + 1e-3 at t = 2^-60, the last grid point
+        late = custom_cost(1, lambda t: abs(t[0]) * (1.001 if 0 < abs(t[0]) < 2.0**-59.5 else 1.0))
+        assert dir_derivative_at_zero(late, [1.0]) == math.inf == _dir_derivative_reference(late, [1.0])
+        # along 0.5 the jump comes one step earlier, so the quotient is flat at the end: finite
+        assert list(dir_derivative_at_zero(late, [[1.0], [0.5]])) == [math.inf, 0.5 * 1.001]
 
     def test_cap_and_raise_match_scalar_loop(self):
         calls = []
@@ -253,7 +415,7 @@ class TestNormCostRatio:
                 u = rng.normal(size=cost.m)
                 u /= np.linalg.norm(u)
                 for r in delta * np.logspace(-8, 0, 64):
-                    best = max(best, r / evaluate(cost, r * u))
+                    best = max(best, r / evaluate_reference(cost, r * u))
             return best
 
         for cost in (sum_alpha(2, 0.6), p_norm_alpha(3, 2.0, 0.8)):

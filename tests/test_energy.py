@@ -11,8 +11,9 @@ from branchnet.energy import (
     energy_component,
     mass_bound_constant,
 )
-from branchnet.costs import component_sum, custom_cost, derivative_profile, evaluate, p_norm_alpha, sum_alpha
+from branchnet.costs import component_sum, custom_cost, derivative_profile, p_norm_alpha, sum_alpha
 from conftest import COST_FAMILIES, random_chain
+from test_costs import evaluate_reference
 
 
 class TestEnergy:
@@ -48,8 +49,8 @@ class TestEnergy:
 
 
 def _energy_reference(T, cost):
-    """The scalar loop: one evaluate per edge, summed in sorted order."""
-    return float(math.fsum(sorted(evaluate(cost, e.theta) * e.length for e in T.edges)))
+    """The scalar loop: one scalar cost per edge, summed in sorted order."""
+    return float(math.fsum(sorted(evaluate_reference(cost, e.theta) * e.length for e in T.edges)))
 
 
 class TestEnergyBatched:
@@ -101,7 +102,7 @@ class TestMassBoundConstant:
 
 
 def _mass_bound_reference(cost, boundary_mass, directions=10_000, radii=64, seed=0):
-    """mass_bound_constant as a scalar loop: one evaluate per grid point."""
+    """mass_bound_constant as a scalar loop: one scalar cost per grid point."""
     prof = derivative_profile(cost, samples=0)
     inv_deriv = 0.0
     for j in prof.basis_set:
@@ -113,14 +114,14 @@ def _mass_bound_reference(cost, boundary_mass, directions=10_000, radii=64, seed
         u = rng.normal(size=cost.m)
         u /= np.linalg.norm(u)
         for r in rs:
-            c = evaluate(cost, r * u)
+            c = evaluate_reference(cost, r * u)
             if c > 0.0:
                 sup_ratio = max(sup_ratio, r / c)
     for j in range(cost.m):
         ej = np.zeros(cost.m)
         ej[j] = 1.0
         for r in rs:
-            c = evaluate(cost, r * ej)
+            c = evaluate_reference(cost, r * ej)
             if c > 0.0:
                 sup_ratio = max(sup_ratio, r / c)
     return cost.m * max(inv_deriv, sup_ratio)

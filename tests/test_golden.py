@@ -77,7 +77,7 @@ CASCADE_GOLDEN = {
 def test_cascade_golden(n, m):
     mu_minus, mu_plus = _pair(10 + n, n, m, 6)
     nu = mu_plus - mu_minus
-    grid = shifted_grid(*bounding_cube(nu), [mu_minus, mu_plus], seed=3)
+    grid = shifted_grid(*bounding_cube(nu.P), [mu_minus, mu_plus], seed=3)
     out = cascade(mu_minus, mu_plus, grid, 3, cost=sum_alpha(m, 0.8))
     cert = out.certificate
     assert _digest(out.chain, cert.energy, cert.bound, cert.inputs_digest) == CASCADE_GOLDEN[(n, m)]

@@ -190,7 +190,13 @@ class TestCli:
         ('{"version": true, "n": true, "m": true, "atoms": [{"p": [0], "w": [1]}]}', r"json:version: "),
         ('{"version": 1, "n": true, "m": 1, "atoms": [{"p": [0], "w": [1]}]}', r"json:n: "),
         ('{"version": 1, "n": 1, "m": true, "atoms": [{"p": [0], "w": [1]}]}', r"json:m: "),
-    ], ids=["network", "measure", "not-an-object", "malformed-json", "bool-version", "bool-n", "bool-m"])
+        # an integer beyond the float range, and one longer than Python parses by default
+        ('{"version": 1, "n": 2, "m": 1, "atoms": [{"p": [0, 1' + "0" * 400 + '], "w": [1]}]}',
+         r"atoms\[0\]\.p\[1\]: number out of range"),
+        ('{"version": 1, "n": 1, "m": 1, "atoms": [{"p": [1' + "0" * 5000 + '], "w": [1]}]}',
+         "cannot read input file"),
+    ], ids=["network", "measure", "not-an-object", "malformed-json", "bool-version", "bool-n", "bool-m",
+            "huge-integer", "over-long-integer"])
     def test_flat_bound_schema_errors_located(self, tmp_path, capsys, text, where):
         path = tmp_path / "in.json"
         path.write_text(text)

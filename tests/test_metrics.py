@@ -212,6 +212,17 @@ class TestIntegralGeometric:
         _, _, rel = ig_identity_mc(T, sum_alpha(2, 0.7), samples=400_000, seed=1)
         assert rel < 0.01
 
+    def test_non_canonical_input_compared_on_its_canonical_form(self):
+        # opposite orientations of one segment cancel: the chain is zero
+        back_and_forth = Chain1(2, 1, (Edge((0.0, 0.0), (1.0, 0.0), (1.0,)), Edge((1.0, 0.0), (0.0, 0.0), (1.0,))))
+        assert ig_identity_mc(back_and_forth, sum_alpha(1, 0.5), samples=1000) == (0.0, 0.0, 0.0)
+        # overlapping collinear edges: the overlap carries multiplicity 2
+        overlap = Chain1(2, 1, (Edge((0.0, 0.0), (2.0, 0.0), (1.0,)), Edge((1.0, 0.0), (3.0, 0.0), (1.0,))))
+        est, exact, rel = ig_identity_mc(overlap, sum_alpha(1, 0.5), samples=200_000, seed=0)
+        assert exact == pytest.approx(2.0 + 2.0**0.5)
+        assert rel < 5e-3
+        assert (est, exact, rel) == ig_identity_mc(canonicalize(overlap), sum_alpha(1, 0.5), samples=200_000, seed=0)
+
     def test_deterministic_given_seed(self, rng):
         T = random_chain(rng, edges=4)
         a = ig_identity_mc(T, sum_alpha(1, 0.8), samples=50_000, seed=9)

@@ -16,11 +16,10 @@ from branchnet.chains import (
     is_piece,
     mass,
 )
-from branchnet.costs import evaluate, p_norm_alpha, sum_alpha
+from branchnet.costs import p_norm_alpha, sum_alpha
 from branchnet.energy import energy
 from branchnet.optimize import (
     OptimizerConfig,
-    _chain_diam,
     _free_vertices,
     check_multiplicity_bound,
     local_search,
@@ -30,6 +29,7 @@ from branchnet.optimize import (
     verify_solution,
 )
 from conftest import COST_FAMILIES, compatible_pair, path_chain, random_chain
+from test_costs import evaluate_reference
 
 
 def square_cycle(theta=(1.0,)):
@@ -200,7 +200,7 @@ def _relocate_reference(T, cost, iters=200, tol=1e-12):
         T = canonicalize(T)
     if not T.edges:
         return T
-    diam = _chain_diam(T)
+    diam = float(np.max(np.ptp(np.vstack([T.A, T.B]), axis=0))) or 1.0
     edges = [(e.a, e.b, e.theta) for e in T.edges]
     for v in sorted(_free_vertices(T)):
         inc = [(i, 0) for i, (a, _, _) in enumerate(edges) if a == v]
@@ -208,7 +208,7 @@ def _relocate_reference(T, cost, iters=200, tol=1e-12):
         if not inc:
             continue
         anchors = np.array([edges[i][1 - side] for i, side in inc])
-        weights = np.array([evaluate(cost, edges[i][2]) for i, side in inc])
+        weights = np.array([evaluate_reference(cost, edges[i][2]) for i, side in inc])
         old = np.array(v)
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
         new = _weiszfeld_reference(old, anchors, weights, iters, tol, diam)

@@ -1,6 +1,7 @@
 """Structure of the package: every import at module level, no import cycle
-between branchnet modules, only ``chains`` touches the Edge/Atom views, and
-every parameter default is set by some call."""
+between branchnet modules, only ``chains`` touches the Edge/Atom views,
+only ``costs.evaluate_rows`` branches on the cost family, and every
+parameter default is set by some call."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,30 @@ def test_only_chains_builds_or_reads_edge_and_atom_views():
             elif isinstance(node, ast.Attribute) and node.attr in ("edges", "atoms"):
                 found.append(f"{stem}.py:{node.lineno} reads .{node.attr}")
     assert not found, found
+
+
+def _reads_family(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "family"
+
+
+def test_only_evaluate_rows_branches_on_the_cost_family():
+    """Each cost family's formula is written once: no other function
+    compares, matches or indexes by a ``.family`` attribute."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if ((isinstance(node, ast.Compare) and any(map(_reads_family, [node.left, *node.comparators])))
+                or (isinstance(node, ast.Match) and _reads_family(node.subject))
+                or (isinstance(node, ast.Subscript) and _reads_family(node.slice))):
+            found.add(f"{scope}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for stem, tree in MODULES.items():
+        visit(tree, stem)
+    assert {site.split(":")[0] for site in found} == {"costs.evaluate_rows"}, sorted(found)
 
 
 def _callee(owner, fn) -> str:
