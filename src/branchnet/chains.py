@@ -14,7 +14,8 @@ All values are immutable after construction: ``from_arrays`` copies its
 input into read-only float64 arrays, checked once for shape and
 finiteness, and every operation is a pure function returning new values.
 The ``Edge``/``Atom`` tuples of ``.edges``/``.atoms`` are views built on
-first use.
+first use, and so is a chain's graph ``V``/``ij`` (see ``Chain1.V``),
+from which every incidence-based operation reads.
 """
 
 from __future__ import annotations
@@ -211,17 +212,35 @@ class Chain1(_Stored):
     def __neg__(self) -> "Chain1":
         return Chain1.from_arrays(self.n, self.m, self.A, self.B, -self.Theta, self.canonical)
 
-    def ends(self) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-        """(a, b) endpoint tuples of every edge, in order: the hashable keys
-        that snapping, merging and incidence maps use."""
-        return list(zip(map(tuple, self.A.tolist()), map(tuple, self.B.tolist())))
+    @cached_property
+    def _graph(self) -> tuple[np.ndarray, np.ndarray]:
+        # np.unique(axis=0) at a third of its cost: a stable sort keeps equal endpoints in order
+        ends = np.stack([self.A, self.B], axis=1).reshape(-1, self.n)  # a0, b0, a1, b1, ...
+        order = np.lexsort(ends.T[::-1])
+        ends = ends[order]
+        first = np.ones(len(ends), dtype=bool)
+        first[1:] = np.any(ends[1:] != ends[:-1], axis=1)
+        ids = np.empty(len(ends), dtype=int)
+        ids[order] = np.cumsum(first) - 1
+        V, ij = ends[first], ids.reshape(-1, 2)
+        V.flags.writeable = ij.flags.writeable = False
+        return V, ij
+
+    @property
+    def V(self) -> np.ndarray:
+        """(k, n) distinct endpoints in lexicographic order, built on first use
+        with ``ij``.  Endpoints equal as floats (0.0 and -0.0 too) are one
+        vertex, represented by its first occurrence among a0, b0, a1, b1, ..."""
+        return self._graph[0]
+
+    @property
+    def ij(self) -> np.ndarray:
+        """(E, 2) vertex ids: edge i runs from V[ij[i, 0]] to V[ij[i, 1]]."""
+        return self._graph[1]
 
     def lengths(self) -> np.ndarray:
         """Edge lengths, each as ``math.dist`` gives it."""
         return np.array([math.dist(a, b) for a, b in zip(self.A.tolist(), self.B.tolist())], dtype=float)
-
-    def vertices(self) -> set[tuple[float, ...]]:
-        return set(map(tuple, self.A.tolist())) | set(map(tuple, self.B.tolist()))
 
 
 def _check_dims(x, y) -> None:
@@ -378,7 +397,7 @@ def canonicalize(T: Chain1) -> Chain1:
     """
     reg = _PointRegistry(T.n, EPS_GEOM)
     ends, rows = [], []
-    for i, (a, b) in enumerate(T.ends()):
+    for i, (a, b) in enumerate(zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist()))):
         if a == b:
             raise DegenerateEdgeError(f"degenerate edge at {a}")
         a, b = reg.snap(a), reg.snap(b)
@@ -388,7 +407,6 @@ def canonicalize(T: Chain1) -> Chain1:
     if not rows:
         return Chain1.from_arrays(T.n, T.m, (), (), (), canonical=True)
     Theta = T.Theta[rows]
-    eps_mult = EPS_MULT_REL * float(np.sqrt(row_dots(Theta, Theta)).max())
     A = np.array([a for a, _ in ends])
     B = np.array([b for _, b in ends])
     splits = _segment_interactions(A, B, EPS_GEOM)
@@ -419,7 +437,7 @@ def canonicalize(T: Chain1) -> Chain1:
 
     keys = list(acc)
     merged = np.array(list(acc.values())).reshape(len(keys), T.m)
-    keep = np.sqrt(row_dots(merged, merged)) > eps_mult
+    keep = _significant(merged, Theta)
     order = sorted((key, i) for i, key in enumerate(keys) if keep[i])
     return Chain1.from_arrays(T.n, T.m, [a for (a, _), _ in order], [b for (_, b), _ in order],
                               merged[[i for _, i in order]], canonical=True)
@@ -434,32 +452,35 @@ def canonicalize0(mu: Chain0) -> Chain0:
     for p, w in zip(mu.P.tolist(), mu.W):
         p = reg.snap(p)
         acc[p] = acc[p] + w if p in acc else w
-    return _significant_atoms(mu.n, mu.m, acc, mu.W)
-
-
-def _significant_atoms(n: int, m: int, acc: dict, inputs: np.ndarray) -> Chain0:
-    """Atoms of ``acc`` in sorted order, dropping weights within the
-    relative tolerance of the largest input weight."""
-    eps_w = EPS_MULT_REL * float(np.sqrt(row_dots(inputs, inputs)).max(initial=0.0))
     points = sorted(acc)
-    W = np.array([acc[p] for p in points]).reshape(len(points), m)
-    keep = np.sqrt(row_dots(W, W)) > eps_w
-    return Chain0.from_arrays(n, m, [p for p, k in zip(points, keep) if k], W[keep])
+    W = np.array([acc[p] for p in points])
+    keep = _significant(W, mu.W)
+    return Chain0.from_arrays(mu.n, mu.m, np.array(points)[keep], W[keep])
+
+
+def _significant(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Which rows of W are longer than the relative tolerance of the longest input row."""
+    eps_w = EPS_MULT_REL * float(np.sqrt(row_dots(inputs, inputs)).max(initial=0.0))
+    return np.sqrt(row_dots(W, W)) > eps_w
 
 
 # ---------------------------------------------------------------------------
 # boundary / divergence / mass
 
+def _vertex_weights(T: Chain1) -> np.ndarray:
+    """(k, m) net weight at each vertex ``T.V[k]``: the sum over edges, in
+    order, of +theta at the head and then -theta at the tail.  Sums start
+    from -0.0, which keeps the first term bit for bit, even a signed zero."""
+    W = np.full((len(T.V), T.m), -0.0)
+    np.add.at(W, T.ij[:, ::-1].ravel(), np.stack([T.Theta, -T.Theta], axis=1).reshape(-1, T.m))
+    return W
+
+
 def boundary(T: Chain1) -> Chain0:
     """Boundary 0-chain: sum over edges of theta * (delta_b - delta_a)."""
-    acc: dict[tuple[float, ...], np.ndarray] = {}
-    for (a, b), th in zip(T.ends(), T.Theta):
-        for p, s in ((b, 1.0), (a, -1.0)):
-            if p in acc:
-                acc[p] += s * th
-            else:
-                acc[p] = s * th
-    return _significant_atoms(T.n, T.m, acc, T.Theta)
+    W = _vertex_weights(T)
+    keep = _significant(W, T.Theta)
+    return Chain0.from_arrays(T.n, T.m, T.V[keep], W[keep])
 
 
 def divergence(T: Chain1) -> Chain0:
@@ -494,26 +515,6 @@ class Box:
         return all(l <= c <= h for c, l, h in zip(p, self.lo, self.hi))
 
 
-def _clip_param_interval(a: np.ndarray, b: np.ndarray, box: Box) -> tuple[float, float] | None:
-    """Parameter range [t0,t1] of segment a->b inside the closed box."""
-    t0, t1 = 0.0, 1.0
-    d = b - a
-    for i in range(len(a)):
-        if d[i] == 0.0:
-            if not (box.lo[i] <= a[i] <= box.hi[i]):
-                return None
-            continue
-        ta = (box.lo[i] - a[i]) / d[i]
-        tb = (box.hi[i] - a[i]) / d[i]
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 >= t1:
-            return None
-    return (t0, t1)
-
-
 def restrict(T: Chain1, box: Box, complement: bool = False) -> Chain1:
     """Clip T to a closed box (or to its open complement).
 
@@ -521,25 +522,25 @@ def restrict(T: Chain1, box: Box, complement: bool = False) -> Chain1:
     box faces, so restrict(T, B) + restrict(T, B, complement=True)
     canonically equals T.
     """
-    A, B, rows = [], [], []
-    for i, (ea, eb) in enumerate(T.ends()):
-        a, b = T.A[i], T.B[i]
-        iv = _clip_param_interval(a, b, box)
-        if iv is None:
-            pieces = [(ea, eb)] if complement else []
-        else:
-            t0, t1 = iv
-            p0 = tuple(a + t0 * (b - a)) if t0 > 0.0 else ea
-            p1 = tuple(a + t1 * (b - a)) if t1 < 1.0 else eb
-            if complement:
-                pieces = ([(ea, p0)] if t0 > 0.0 else []) + ([(p1, eb)] if t1 < 1.0 else [])
-            else:
-                pieces = [(p0, p1)] if p0 != p1 else []
-        for p, q in pieces:
-            A.append(p)
-            B.append(q)
-            rows.append(i)
-    return Chain1.from_arrays(T.n, T.m, A, B, T.Theta[rows], canonical=T.canonical)
+    A, B, D = T.A, T.B, T.B - T.A
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    flat = D == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta, tb = (lo - A) / D, (hi - A) / D
+    t0 = np.max(np.where(flat, 0.0, np.minimum(ta, tb)), axis=1, initial=0.0)
+    t1 = np.min(np.where(flat, 1.0, np.maximum(ta, tb)), axis=1, initial=1.0)
+    hit = (t0 < t1) & ~np.any(flat & ((A < lo) | (A > hi)), axis=1)
+    cut0, cut1 = hit & (t0 > 0.0), hit & (t1 < 1.0)
+    P0 = np.where(cut0[:, None], A + t0[:, None] * D, A)
+    P1 = np.where(cut1[:, None], A + t1[:, None] * D, B)
+    if complement:  # per edge: the piece before t0 (the whole edge if it misses), then the piece after t1
+        keep = np.stack([~hit | cut0, cut1], axis=1)
+        tails = np.stack([A, P1], axis=1)[keep]
+        heads = np.stack([np.where(hit[:, None], P0, B), B], axis=1)[keep]
+        return Chain1.from_arrays(T.n, T.m, tails, heads, np.repeat(T.Theta, keep.sum(axis=1), axis=0),
+                                  canonical=T.canonical)
+    keep = hit & np.any(P0 != P1, axis=1)
+    return Chain1.from_arrays(T.n, T.m, P0[keep], P1[keep], T.Theta[keep], canonical=T.canonical)
 
 
 def restrict0(mu: Chain0, box: Box, complement: bool = False) -> Chain0:
@@ -550,24 +551,15 @@ def restrict0(mu: Chain0, box: Box, complement: bool = False) -> Chain0:
 def restrict_halfspace(T: Chain1, g: Sequence[float], c: float, y: float) -> Chain1:
     """Clip T to the halfspace {x : g.x + c <= y}, splitting crossing edges."""
     G = np.broadcast_to(np.array(g, dtype=float), T.A.shape)
-    fa = (row_dots(T.A, G) + c).tolist()
-    fb = (row_dots(T.B, G) + c).tolist()
-    A, B, rows = [], [], []
-    for i, (ea, eb) in enumerate(T.ends()):
-        if fa[i] > y and fb[i] > y:
-            continue
-        if fa[i] <= y and fb[i] <= y:
-            p, q = ea, eb
-        else:
-            t = (y - fa[i]) / (fb[i] - fa[i])
-            z = tuple(T.A[i] + t * (T.B[i] - T.A[i]))
-            p, q = (ea, z) if fa[i] <= y else (z, eb)
-            if p == q:
-                continue
-        A.append(p)
-        B.append(q)
-        rows.append(i)
-    return Chain1.from_arrays(T.n, T.m, A, B, T.Theta[rows], canonical=T.canonical)
+    fa, fb = row_dots(T.A, G) + c, row_dots(T.B, G) + c
+    ina, inb = fa <= y, fb <= y
+    cross = ina != inb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Z = T.A + ((y - fa) / (fb - fa))[:, None] * (T.B - T.A)
+    P = np.where((cross & inb)[:, None], Z, T.A)
+    Q = np.where((cross & ina)[:, None], Z, T.B)
+    keep = (ina | inb) & ~(cross & np.all(P == Q, axis=1))
+    return Chain1.from_arrays(T.n, T.m, P[keep], Q[keep], T.Theta[keep], canonical=T.canonical)
 
 
 # ---------------------------------------------------------------------------

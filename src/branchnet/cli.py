@@ -76,7 +76,7 @@ def _maybe_svg(args, T, mu_minus=None, mu_plus=None) -> None:
 def cmd_validate_cost(args) -> int:
     cost = parse_cost(args.cost, args.m)
     report = costs.validate_cost(cost, samples=args.samples, seed=args.seed)
-    profile = costs.derivative_profile(cost)
+    profile = costs.derivative_profile(cost, samples=args.samples, seed=args.seed)
     _emit(
         {
             "family": cost.family,
@@ -85,6 +85,8 @@ def cmd_validate_cost(args) -> int:
             "violations": report.as_dict(),
             "axis_derivatives": list(profile.axis_derivatives),
             "basis": list(profile.basis_set),
+            "homog_bound": profile.homog_bound,
+            "homog_bound_kind": "sampled" if profile.V_dim else "none",
             "rectifiability_flag": profile.V_dim == 0,
         }
     )

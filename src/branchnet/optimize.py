@@ -16,6 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from branchnet.chains import (
     Chain0,
@@ -28,6 +30,8 @@ from branchnet.chains import (
     is_compatible,
     mass,
     row_dots,
+    _significant,
+    _vertex_weights,
 )
 from branchnet.construct import GridShiftError, barycenter, bounding_cube, cascade, cone, shifted_grid
 from branchnet.costs import CostSpec, evaluate_rows
@@ -39,6 +43,7 @@ _WEISZFELD_ITERS = 200
 _WEISZFELD_TOL = 1e-12
 _MERGE_COS = math.cos(math.radians(30.0))  # bundles at most 30 degrees apart
 _MERGE_DIST_FRAC = 0.1  # midpoints at most this fraction of the diameter apart
+_MERGE_TRIES = 8  # best merge candidates tried per sweep
 
 
 @dataclass(frozen=True)
@@ -78,16 +83,13 @@ class SolutionReport:
 # ---------------------------------------------------------------------------
 # cycle removal
 
-def _arcs(ends, flows, tol: float):
-    """Directed arcs (u, v, edge_index, flow>0) from edge endpoints (a, b)
-    and one commodity's multiplicities, reversing edges with negative flow."""
-    arcs = []
-    for i, ((a, b), f) in enumerate(zip(ends, flows)):
-        if f > tol:
-            arcs.append((a, b, i, f))
-        elif f < -tol:
-            arcs.append((b, a, i, -f))
-    return arcs
+def _arcs(ij: np.ndarray, flow: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """One commodity's flow support: the (u, v) vertex ids of each edge
+    with |flow| > tol, oriented along the flow, and the edge indices, in
+    edge order."""
+    edges = np.flatnonzero(np.abs(flow) > tol)
+    uv = np.where((flow[edges] < 0)[:, None], ij[edges, ::-1], ij[edges])
+    return uv, edges
 
 
 def _flow_tol(theta: np.ndarray) -> float:
@@ -95,37 +97,44 @@ def _flow_tol(theta: np.ndarray) -> float:
     return _FLOW_TOL_REL * float(np.max(np.abs(theta), initial=0.0))
 
 
-def _find_directed_cycle(arcs):
-    """One directed cycle as a list of arc indices, or None (iterative DFS)."""
-    adj: dict = {}
-    for k, (u, v, _, _) in enumerate(arcs):
-        adj.setdefault(u, []).append((v, k))
-        adj.setdefault(v, [])
-    color = {u: 0 for u in adj}  # 0 white, 1 on stack, 2 done
-    parent_arc: dict = {}
-    for start in adj:
+def _find_directed_cycle(k: int, uv: np.ndarray):
+    """One directed cycle of the arcs uv (vertex id pairs on k vertices) as
+    arc indices, or None.  A cycle exists iff a strongly connected component
+    has more than one vertex; only then does an iterative DFS look for one,
+    from each vertex in order of first appearance, along its arcs in order."""
+    order = np.argsort(uv[:, 0], kind="stable")  # CSR by tail, built directly: cheaper than from (row, col)
+    indptr = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(np.bincount(uv[:, 0], minlength=k), out=indptr[1:])
+    heads = uv[order, 1].astype(np.int32)
+    graph = csr_matrix((np.ones(len(uv)), heads, indptr), shape=(k, k))
+    if connected_components(graph, connection="strong", return_labels=False) == k:
+        return None
+    ptr, heads, arcs, tails = indptr.tolist(), heads.tolist(), order.tolist(), uv[:, 0].tolist()
+    color = [0] * k  # 0 white, 1 on stack, 2 done
+    parent_arc = [0] * k
+    for start in uv.ravel().tolist():
         if color[start] != 0:
             continue
-        stack = [(start, iter(adj[start]))]
+        stack = [(start, iter(range(ptr[start], ptr[start + 1])))]
         color[start] = 1
         while stack:
             u, it = stack[-1]
             advanced = False
-            for v, k in it:
+            for p in it:
+                v, a = heads[p], arcs[p]
                 if color[v] == 0:
                     color[v] = 1
-                    parent_arc[v] = k
-                    stack.append((v, iter(adj[v])))
+                    parent_arc[v] = a
+                    stack.append((v, iter(range(ptr[v], ptr[v + 1]))))
                     advanced = True
                     break
                 if color[v] == 1:
                     # back edge: walk the stack from u back to v
-                    cycle = [k]
+                    cycle = [a]
                     w = u
                     while w != v:
-                        ka = parent_arc[w]
-                        cycle.append(ka)
-                        w = arcs[ka][0]
+                        cycle.append(parent_arc[w])
+                        w = tails[parent_arc[w]]
                     cycle.reverse()
                     return cycle
             if not advanced:
@@ -148,16 +157,15 @@ def remove_cycles(T: Chain1) -> Chain1:
     theta = np.array(T.Theta)  # a writable copy
     tol = _flow_tol(theta)
 
-    ends = T.ends()
     for j in range(T.m):
         while True:
-            arcs = _arcs(ends, theta[:, j].tolist(), tol)
-            cycle = _find_directed_cycle(arcs)
+            uv, edges = _arcs(T.ij, theta[:, j], tol)
+            cycle = _find_directed_cycle(len(T.V), uv)
             if cycle is None:
                 break
-            c = min(arcs[k][3] for k in cycle)
-            for k in cycle:
-                _, _, ei, _ = arcs[k]
+            cycle = edges[cycle].tolist()
+            c = np.min(np.abs(theta[cycle, j]))
+            for ei in cycle:
                 s = 1.0 if theta[ei, j] > 0 else -1.0
                 theta[ei, j] -= s * c
                 if abs(theta[ei, j]) <= tol:
@@ -201,17 +209,18 @@ def straighten(T: Chain1) -> Chain1:
     """
     if not T.canonical:
         T = canonicalize(T)
-    edges = {i: (a, b, th) for i, ((a, b), th) in enumerate(zip(T.ends(), T.Theta))}
+    edges = {i: (a, b, th) for i, ((a, b), th) in enumerate(zip(T.ij.tolist(), T.Theta))}
     next_id = len(edges)
-    incident: dict = {}
+    incident: list[set[int]] = [set() for _ in T.V]
     for i, (a, b, _) in edges.items():
-        incident.setdefault(a, set()).add(i)
-        incident.setdefault(b, set()).add(i)
-
+        incident[a].add(i)
+        incident[b].add(i)
+    order = list(dict.fromkeys(T.ij.ravel().tolist()))  # vertices by first appearance
     changed = True
     while changed:
         changed = False
-        for v, ids in list(incident.items()):
+        for v in order:
+            ids = incident[v]
             if len(ids) != 2:
                 continue
             i1, i2 = sorted(ids)
@@ -230,12 +239,12 @@ def straighten(T: Chain1) -> Chain1:
                 incident[a].discard(i)
                 incident[b].discard(i)
             edges[next_id] = (x, y, thru1)
-            incident.setdefault(x, set()).add(next_id)
-            incident.setdefault(y, set()).add(next_id)
+            incident[x].add(next_id)
+            incident[y].add(next_id)
             next_id += 1
             changed = True
-    kept = [edges[i] for i in sorted(edges)]
-    return canonicalize(Chain1.from_arrays(T.n, T.m, [a for a, _, _ in kept], [b for _, b, _ in kept],
+    kept = list(edges.values())  # in id order, as a new id is the largest yet
+    return canonicalize(Chain1.from_arrays(T.n, T.m, T.V[[a for a, _, _ in kept]], T.V[[b for _, b, _ in kept]],
                                            [th for _, _, th in kept]))
 
 
@@ -275,10 +284,6 @@ def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, diam: f
     return v
 
 
-def _free_vertices(T: Chain1) -> set:
-    return T.vertices() - set(map(tuple, boundary(T).P.tolist()))
-
-
 def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     """One sweep of Weiszfeld relocation over the free vertices.
 
@@ -288,29 +293,30 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     is energy non-increasing.  Vertices that land on a neighbor make the
     connecting edge vanish.
 
-    The edge costs are evaluated once and the incidence (position -> tail
+    The edge costs are evaluated once and the incidence (vertex id -> tail
     and head edge indices) is built once per call; the sweep is
     Gauss-Seidel over the free vertices in sorted order, and a moved
-    vertex's edges join the incidence of its new position, so a later free
-    vertex there sees them.
+    vertex's edges join the incidence of a vertex it lands on, so a later
+    free vertex there sees them.
     """
     if not T.canonical:
         T = canonicalize(T)
     if not len(T.A):
         return T
     diam = bounding_cube(np.vstack([T.A, T.B]))[1]
-    ends = T.ends()
     W = evaluate_rows(cost, T.Theta)
-    incidence: dict = {}
+    pos, ends = np.array(T.V), T.ij.tolist()  # vertex positions and the [a, b] ids of each edge
+    incidence: list[tuple[list[int], list[int]] | None] = [([], []) for _ in pos]
     for i, (a, b) in enumerate(ends):
-        incidence.setdefault(a, ([], []))[0].append(i)
-        incidence.setdefault(b, ([], []))[1].append(i)
+        incidence[a][0].append(i)
+        incidence[b][1].append(i)
 
-    for v in sorted(_free_vertices(T)):
-        tails, heads = incidence.pop(v)
-        anchors = np.array([ends[i][1] for i in tails] + [ends[i][0] for i in heads])
+    for v in np.flatnonzero(~_significant(_vertex_weights(T), T.Theta)).tolist():
+        tails, heads = incidence[v]
+        incidence[v] = None
+        anchors = pos[[ends[i][1] for i in tails] + [ends[i][0] for i in heads]]
         weights = W[tails + heads]
-        old = np.array(v)
+        old = pos[v]
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
         new = _weiszfeld(old, anchors, weights, diam)
         # snap to a coincident anchor so the degenerate edge can be dropped
@@ -321,26 +327,28 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         f_new = float(np.sum(weights * np.linalg.norm(anchors - new, axis=1)))
         if f_new > f_old * (1 + 1e-12):
             continue
-        vt = tuple(float(c) for c in new)
+        pos[v] = new
         for i in tails:
-            ends[i] = (vt, ends[i][1])
+            ends[i][0] = v
         for i in heads:
-            ends[i] = (ends[i][0], vt)
-        there = incidence.pop(vt, ([], []))
-        incidence[vt] = (sorted(there[0] + tails), sorted(there[1] + heads))
+            ends[i][1] = v
+        u = next((u for u in np.flatnonzero(np.all(pos == new, axis=1)).tolist() if incidence[u] is not None), v)
+        there = incidence[u] or ([], [])
+        incidence[u] = (sorted(there[0] + tails), sorted(there[1] + heads))
 
-    kept = [i for i, (a, b) in enumerate(ends) if a != b]
-    return canonicalize(Chain1.from_arrays(T.n, T.m, [ends[i][0] for i in kept], [ends[i][1] for i in kept],
-                                           T.Theta[kept]))
+    A, B = pos[[a for a, _ in ends]], pos[[b for _, b in ends]]
+    kept = np.any(A != B, axis=1)
+    return canonicalize(Chain1.from_arrays(T.n, T.m, A[kept], B[kept], T.Theta[kept]))
 
 
 # ---------------------------------------------------------------------------
 # merge/split topology move
 
-def _merge_candidates(T: Chain1):
-    """Pairs of distinct near-parallel nearby edges, best-first by closeness."""
+def _merge_candidates(T: Chain1) -> np.ndarray:
+    """Pairs of distinct near-parallel nearby edges, best-first by closeness
+    of their midpoints, then by edge indices: one row (i, k, aligned) each."""
     if len(T.A) < 2:
-        return []
+        return np.zeros((0, 3), dtype=int)
     diam = bounding_cube(np.vstack([T.A, T.B]))[1]
     A, B = T.A, T.B
     U = (B - A) / np.linalg.norm(B - A, axis=1)[:, None]
@@ -349,9 +357,9 @@ def _merge_candidates(T: Chain1):
     dots = np.sum(U[ii] * U[jj], axis=1)
     dist = np.linalg.norm(M[ii] - M[jj], axis=1)
     keep = (np.abs(dots) >= _MERGE_COS) & (dist <= _MERGE_DIST_FRAC * diam)
-    out = [(float(dist[k]), int(ii[k]), int(jj[k]), float(dots[k])) for k in np.nonzero(keep)[0]]
-    out.sort()
-    return out
+    ii, jj = ii[keep], jj[keep]
+    order = np.lexsort((jj, ii, dist[keep]))
+    return np.column_stack([ii, jj, dots[keep] > 0])[order]
 
 
 def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, config: OptimizerConfig) -> Chain1:
@@ -420,8 +428,8 @@ def local_search(
         E2 = energy(T2, cost)
         if E2 <= E * (1 + 1e-12):
             T, E = T2, E2
-        for _, i, k, dot in _merge_candidates(T)[:8]:
-            T2 = _apply_merge(T, i, k, dot > 0, cost, config)
+        for i, k, aligned in _merge_candidates(T)[:_MERGE_TRIES].tolist():
+            T2 = _apply_merge(T, i, k, bool(aligned), cost, config)
             E2 = energy(T2, cost)
             if E2 < E * (1 - config.rel_tol):
                 T, E = T2, E2
@@ -454,11 +462,8 @@ def verify_solution(
     target = mu_minus - mu_plus
     residual_chain = divergence(T) - target
     residual = flat_bounds(canonicalize0(residual_chain)).upper
-    acyclic = []
     tol = _flow_tol(T.Theta)
-    ends = T.ends()
-    for j in range(T.m):
-        acyclic.append(_find_directed_cycle(_arcs(ends, T.Theta[:, j].tolist(), tol)) is None)
+    acyclic = [_find_directed_cycle(len(T.V), _arcs(T.ij, T.Theta[:, j], tol)[0]) is None for j in range(T.m)]
 
     bm = mass(canonicalize0(target))
     E = energy(T, cost)

@@ -36,6 +36,29 @@ def random_chain(rng, n=2, m=1, edges=6, span=4.0, grid=None) -> Chain1:
     return canonicalize(Chain1(n, m, tuple(out)))
 
 
+def signed_zero_chain(rng, n=2, m=1, edges=8) -> Chain1:
+    """Non-canonical chain on the lattice {-1, -0.0, 0.0, 0.5, 1}^n, so that
+    endpoints coincide often and 0.0 and -0.0 both occur; a fifth of the
+    multiplicities are signed zeros.  No edge is degenerate."""
+    coords = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    ends = []
+    while len(ends) < edges:
+        a, b = coords[rng.integers(5, size=n)], coords[rng.integers(5, size=n)]
+        if not np.array_equal(a, b):
+            ends.append((a, b))
+    Theta = rng.normal(scale=2.0, size=(edges, m))
+    zero = rng.random((edges, m)) < 0.2
+    Theta[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return Chain1.from_arrays(n, m, [a for a, _ in ends], [b for _, b in ends], Theta)
+
+
+def bits(X) -> tuple:
+    """Shape and bytes of every array of a chain: equal iff the chains agree
+    bit for bit, signs of zeros included."""
+    arrays = (X.A, X.B, X.Theta) if isinstance(X, Chain1) else (X.P, X.W)
+    return tuple((a.shape, a.tobytes()) for a in arrays)
+
+
 def random_measure(rng, n=2, m=1, atoms=8, span=4.0, weights=None) -> Chain0:
     pts = rng.uniform(-span, span, (atoms, n))
     if weights is None:

@@ -53,8 +53,8 @@ from branchnet import (
     w_upper,
 )
 from branchnet.chains import component_lift0
-from branchnet.optimize import _arcs, _find_directed_cycle
 from conftest import compatible_pair, random_chain, random_measure
+from test_optimize import arcs_reference, endpoint_tuples, find_directed_cycle_reference
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -175,8 +175,9 @@ def test_criterion_04_cycle_removal():
             bad += 1
         if energy(A, cost) > energy(T, cost) * (1 + 1e-12):
             bad += 1
+        ends = endpoint_tuples(A)
         for j in range(A.m):
-            if _find_directed_cycle(_arcs(A.ends(), A.Theta[:, j].tolist(), 1e-12)) is not None:
+            if find_directed_cycle_reference(arcs_reference(ends, A.Theta[:, j].tolist(), 1e-12)) is not None:
                 bad += 1
         if not check_multiplicity_bound(A).ok:
             bad += 1

@@ -27,9 +27,10 @@ from branchnet.chains import (
     mass,
     restrict,
     restrict0,
+    restrict_halfspace,
     _PointRegistry,
 )
-from conftest import path_chain, random_chain
+from conftest import bits, path_chain, random_chain, signed_zero_chain
 
 
 def seg(a, b, *theta):
@@ -75,6 +76,28 @@ class TestArrays:
                 assert Y == X and repr(Y) == repr(X)
         assert not pickle.loads(pickle.dumps(T)).A.flags.writeable
 
+    def test_vertex_ids_match_first_occurrence_keys(self, rng):
+        # a dict keyed by endpoint tuples keeps the first of equal keys, and
+        # 0.0 == -0.0, so its sorted keys are the vertices bit for bit
+        for k in range(30):
+            T = signed_zero_chain(rng, n=2 + k % 2, edges=10)
+            ends = [tuple(p) for ab in zip(T.A.tolist(), T.B.tolist()) for p in ab]
+            keys = sorted(dict.fromkeys(ends))
+            assert T.V.tobytes() == np.array(keys).tobytes()
+            assert T.ij.tolist() == [[keys.index(tuple(a)), keys.index(tuple(b))]
+                                     for a, b in zip(T.A.tolist(), T.B.tolist())]
+            assert not T.V.flags.writeable and not T.ij.flags.writeable
+            # canonicalization snaps equal endpoints to one representative
+            C = canonicalize(T)
+            assert (C.V[C.ij[:, 0]].tobytes(), C.V[C.ij[:, 1]].tobytes()) == (C.A.tobytes(), C.B.tobytes())
+
+    def test_signed_zeros_are_one_vertex(self):
+        T = Chain1.from_arrays(2, 1, [[-0.0, 1.0], [2.0, 2.0]], [[1.0, 1.0], [0.0, 1.0]], [[1.0], [1.0]])
+        assert T.V.tolist() == [[-0.0, 1.0], [1.0, 1.0], [2.0, 2.0]]
+        assert math.copysign(1.0, T.V[0, 0]) == -1.0
+        assert T.ij.tolist() == [[0, 1], [2, 0]]
+        assert Chain1(3, 2).V.shape == (0, 3) and Chain1(3, 2).ij.shape == (0, 2)
+
     @pytest.mark.parametrize("A, B, Th", [
         (np.zeros((2, 3)), np.ones((2, 2)), np.ones((2, 1))),  # tails in R^3
         (np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2))),  # multiplicities in R^2
@@ -113,7 +136,7 @@ class TestCanonicalize:
         ))
         T = canonicalize(X)
         assert len(T.edges) == 4
-        assert any(math.dist(v, (1.0, 1.0)) < 1e-9 for v in T.vertices())
+        assert any(math.dist(v, (1.0, 1.0)) < 1e-9 for v in T.V.tolist())
 
     def test_collinear_overlap_merged(self):
         X = Chain1(2, 1, (
@@ -147,7 +170,7 @@ class TestCanonicalize:
             Edge((1.0, 1e-12), (2.0, 0.0), (1.0,)),
         ))
         T = canonicalize(X)
-        assert len(T.vertices()) == 3
+        assert len(T.V) == 3
 
     def test_degenerate_edge_rejected(self):
         with pytest.raises(DegenerateEdgeError):
@@ -192,6 +215,33 @@ class TestBoundaryDivergence:
         T = random_chain(rng, edges=5)
         assert chain0_close(boundary(S + T), boundary(S) + boundary(T))
 
+    def test_matches_tuple_keyed_reference_bit_for_bit(self, rng):
+        chains = [Chain1(2, 1), random_chain(rng, n=3, m=2, edges=8, grid=1)]
+        for k in range(60):
+            raw = signed_zero_chain(rng, n=2 + k % 2, m=1 + k % 3, edges=10)
+            # edges from a vertex to itself, after others there: head and tail sum in order
+            loops = Chain1.from_arrays(raw.n, raw.m, raw.B[:4], raw.B[:4], rng.normal(size=(4, raw.m)))
+            chains += [raw, canonicalize(raw), -raw, raw + loops]
+        for T in chains:
+            assert bits(boundary(T)) == bits(boundary_reference(T))
+
+
+def boundary_reference(T: Chain1) -> Chain0:
+    """Boundary keyed by endpoint tuples in a dict: +theta at the head and
+    then -theta at the tail of each edge in order, atoms in sorted key
+    order, dropping weights within 1e-12 of the longest multiplicity."""
+    acc: dict = {}
+    for a, b, th in zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist()), T.Theta):
+        for p, s in ((b, 1.0), (a, -1.0)):
+            if p in acc:
+                acc[p] += s * th
+            else:
+                acc[p] = s * th
+    eps_w = 1e-12 * max((float(np.linalg.norm(th)) for th in T.Theta), default=0.0)
+    points = sorted(acc)
+    kept = [p for p in points if np.linalg.norm(acc[p]) > eps_w]
+    return Chain0.from_arrays(T.n, T.m, kept, [acc[p] for p in kept])
+
 
 class TestMass:
     def test_segment_mass(self):
@@ -218,11 +268,68 @@ class TestRestrict:
         (e,) = R.edges
         assert e.a == (0.0, 0.0) and e.b == (1.0, 0.0)
 
+    def test_matches_edge_loop_reference_bit_for_bit(self, rng):
+        lattice = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        for k in range(300):
+            n, m = 2 + k % 2, 1 + k % 3
+            T = signed_zero_chain(rng, n, m, edges=10)
+            T = canonicalize(T) if k % 2 else T
+            lo = rng.choice(lattice, n)
+            box = Box(tuple(lo), tuple(lo + rng.choice([0.0, 0.5, 1.5], n)))
+            for complement in (False, True):
+                assert bits(restrict(T, box, complement)) == bits(restrict_reference(T, box, complement))
+            g, c, y = tuple(rng.choice([-1.0, 0.0, 0.5, 2.0], n)), float(rng.choice([0.0, 0.25])), float(rng.choice(lattice))
+            assert bits(restrict_halfspace(T, g, c, y)) == bits(restrict_halfspace_reference(T, g, c, y))
+
     def test_restrict0(self):
         mu = Chain0(2, 1, (Atom((0.0, 0.0), (1.0,)), Atom((5.0, 5.0), (2.0,))))
         box = Box((-1.0, -1.0), (1.0, 1.0))
         assert restrict0(mu, box).atoms == (Atom((0.0, 0.0), (1.0,)),)
         assert restrict0(mu, box, complement=True).atoms == (Atom((5.0, 5.0), (2.0,)),)
+
+
+def restrict_reference(T: Chain1, box: Box, complement: bool = False) -> Chain1:
+    """Box restriction edge by edge, clipping the parameter range axis by axis."""
+    A, B, rows = [], [], []
+    for i, (a, b) in enumerate(zip(T.A, T.B)):
+        t0, t1, d = 0.0, 1.0, b - a
+        for lo, hi, ai, di in zip(box.lo, box.hi, a, d):
+            if di == 0.0:
+                if not lo <= ai <= hi:
+                    t0, t1 = 1.0, 0.0
+                continue
+            ta, tb = sorted(((lo - ai) / di, (hi - ai) / di))
+            t0, t1 = max(t0, ta), min(t1, tb)
+        p0 = a + t0 * d if t0 > 0.0 else a
+        p1 = a + t1 * d if t1 < 1.0 else b
+        if t0 >= t1:
+            pieces = [(a, b)] if complement else []
+        elif complement:
+            pieces = ([(a, p0)] if t0 > 0.0 else []) + ([(p1, b)] if t1 < 1.0 else [])
+        else:
+            pieces = [] if tuple(p0) == tuple(p1) else [(p0, p1)]
+        A += [p for p, _ in pieces]
+        B += [q for _, q in pieces]
+        rows += [i] * len(pieces)
+    return Chain1.from_arrays(T.n, T.m, A, B, T.Theta[rows], canonical=T.canonical)
+
+
+def restrict_halfspace_reference(T: Chain1, g, c: float, y: float) -> Chain1:
+    """Halfspace restriction edge by edge."""
+    A, B, rows = [], [], []
+    for i, (a, b) in enumerate(zip(T.A, T.B)):
+        fa, fb = float(np.dot(a, g)) + c, float(np.dot(b, g)) + c
+        if fa > y and fb > y:
+            continue
+        if fa > y or fb > y:
+            z = a + (y - fa) / (fb - fa) * (b - a)
+            a, b = (a, z) if fa <= y else (z, b)
+            if tuple(a) == tuple(b):
+                continue
+        A.append(a)
+        B.append(b)
+        rows.append(i)
+    return Chain1.from_arrays(T.n, T.m, A, B, T.Theta[rows], canonical=T.canonical)
 
 
 class TestPieceAndLift:

@@ -221,9 +221,20 @@ class TestCli:
                      "--samples", "500"]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert rec["axioms_ok"] and rec["rectifiability_flag"]
+        assert rec["homog_bound"] == 0.0 and rec["homog_bound_kind"] == "none"
         assert main(["validate-cost", "--cost", "sum_alpha:alpha=1", "--m", "2", "--samples", "50"]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert rec["axis_derivatives"] == [1.0, 1.0] and rec["rectifiability_flag"] is False
+
+    def test_validate_cost_samples_the_derivative_with_its_seed(self, capsys):
+        bounds = []
+        for seed in ("1", "2"):
+            assert main(["validate-cost", "--cost", "sum_alpha:alpha=1", "--m", "2",
+                         "--samples", "40", "--seed", seed]) == EXIT_OK
+            rec = json.loads(capsys.readouterr().out)
+            assert rec["homog_bound_kind"] == "sampled" and 1.0 <= rec["homog_bound"] <= 2.0**0.5
+            bounds.append(rec["homog_bound"])
+        assert bounds[0] != bounds[1]
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

@@ -16,11 +16,12 @@ from branchnet.chains import (
     is_piece,
     mass,
 )
+from branchnet.construct import bounding_cube
 from branchnet.costs import p_norm_alpha, sum_alpha
 from branchnet.energy import energy
 from branchnet.optimize import (
     OptimizerConfig,
-    _free_vertices,
+    _merge_candidates,
     check_multiplicity_bound,
     local_search,
     relocate_branch_points,
@@ -28,8 +29,143 @@ from branchnet.optimize import (
     straighten,
     verify_solution,
 )
-from conftest import COST_FAMILIES, compatible_pair, path_chain, random_chain
+from conftest import COST_FAMILIES, bits, compatible_pair, path_chain, random_chain, signed_zero_chain
+from test_chains import boundary_reference
 from test_costs import evaluate_reference
+
+
+# ---------------------------------------------------------------------------
+# references: the graphs keyed by endpoint tuples that vertex ids replaced
+
+def endpoint_tuples(T):
+    """(a, b) endpoint tuples of every edge, in order."""
+    return list(zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist())))
+
+
+def arcs_reference(ends, flows, tol):
+    """Directed arcs (u, v, edge_index, flow>0) from edge endpoints (a, b)
+    and one commodity's multiplicities, reversing edges with negative flow."""
+    arcs = []
+    for i, ((a, b), f) in enumerate(zip(ends, flows)):
+        if f > tol:
+            arcs.append((a, b, i, f))
+        elif f < -tol:
+            arcs.append((b, a, i, -f))
+    return arcs
+
+
+def find_directed_cycle_reference(arcs):
+    """One directed cycle as a list of arc indices, or None (iterative DFS)."""
+    adj: dict = {}
+    for k, (u, v, _, _) in enumerate(arcs):
+        adj.setdefault(u, []).append((v, k))
+        adj.setdefault(v, [])
+    color = {u: 0 for u in adj}  # 0 white, 1 on stack, 2 done
+    parent_arc: dict = {}
+    for start in adj:
+        if color[start] != 0:
+            continue
+        stack = [(start, iter(adj[start]))]
+        color[start] = 1
+        while stack:
+            u, it = stack[-1]
+            advanced = False
+            for v, k in it:
+                if color[v] == 0:
+                    color[v] = 1
+                    parent_arc[v] = k
+                    stack.append((v, iter(adj[v])))
+                    advanced = True
+                    break
+                if color[v] == 1:
+                    cycle = [k]
+                    w = u
+                    while w != v:
+                        ka = parent_arc[w]
+                        cycle.append(ka)
+                        w = arcs[ka][0]
+                    cycle.reverse()
+                    return cycle
+            if not advanced:
+                color[u] = 2
+                stack.pop()
+    return None
+
+
+def _flow_tol_reference(theta):
+    return 1e-14 * float(np.max(np.abs(theta), initial=0.0))
+
+
+def remove_cycles_reference(T):
+    """Cycle canceling on arcs keyed by endpoint tuples, searching every
+    commodity with the DFS until it finds no cycle."""
+    if not T.canonical:
+        T = canonicalize(T)
+    theta = np.array(T.Theta)
+    tol = _flow_tol_reference(theta)
+    ends = endpoint_tuples(T)
+    for j in range(T.m):
+        while True:
+            arcs = arcs_reference(ends, theta[:, j].tolist(), tol)
+            cycle = find_directed_cycle_reference(arcs)
+            if cycle is None:
+                break
+            c = min(arcs[k][3] for k in cycle)
+            for k in cycle:
+                _, _, ei, _ = arcs[k]
+                s = 1.0 if theta[ei, j] > 0 else -1.0
+                theta[ei, j] -= s * c
+                if abs(theta[ei, j]) <= tol:
+                    theta[ei, j] = 0.0
+    keep = np.array([np.linalg.norm(th) > tol for th in theta], dtype=bool).reshape(-1)
+    return Chain1.from_arrays(T.n, T.m, T.A[keep], T.B[keep], theta[keep], canonical=True)
+
+
+def straighten_reference(T):
+    """Straightening on an incidence map keyed by endpoint tuples, visiting
+    vertices in order of first appearance until nothing changes."""
+    if not T.canonical:
+        T = canonicalize(T)
+    edges = {i: (a, b, th) for i, ((a, b), th) in enumerate(zip(endpoint_tuples(T), T.Theta))}
+    next_id = len(edges)
+    incident: dict = {}
+    for i, (a, b, _) in edges.items():
+        incident.setdefault(a, set()).add(i)
+        incident.setdefault(b, set()).add(i)
+    changed = True
+    while changed:
+        changed = False
+        for v, ids in list(incident.items()):
+            if len(ids) != 2:
+                continue
+            i1, i2 = sorted(ids)
+            (a1, b1, th1), (a2, b2, th2) = edges[i1], edges[i2]
+            thru1 = th1 * (1.0 if b1 == v else -1.0)
+            thru2 = th2 * (1.0 if a2 == v else -1.0)
+            scale = max(1.0, float(np.max(np.abs(thru1))))
+            if np.max(np.abs(thru1 - thru2)) > 1e-12 * scale:
+                continue
+            x = a1 if b1 == v else b1
+            y = b2 if a2 == v else a2
+            if x == y:
+                continue
+            for i in (i1, i2):
+                a, b, _ = edges.pop(i)
+                incident[a].discard(i)
+                incident[b].discard(i)
+            edges[next_id] = (x, y, thru1)
+            incident.setdefault(x, set()).add(next_id)
+            incident.setdefault(y, set()).add(next_id)
+            next_id += 1
+            changed = True
+    kept = [edges[i] for i in sorted(edges)]
+    return canonicalize(Chain1.from_arrays(T.n, T.m, [a for a, _, _ in kept], [b for _, b, _ in kept],
+                                           [th for _, _, th in kept]))
+
+
+def free_vertices_reference(T):
+    """Endpoint tuples that carry no boundary atom."""
+    return {p for e in endpoint_tuples(T) for p in e} - set(map(tuple, boundary_reference(T).P.tolist()))
 
 
 def square_cycle(theta=(1.0,)):
@@ -70,6 +206,20 @@ class TestRemoveCycles:
         T = canonicalize(random_chain(rng, edges=8, grid=2) + square_cycle())
         once = remove_cycles(T)
         assert chains_close(remove_cycles(once), once, tol=1e-12)
+
+    def test_matches_tuple_keyed_reference_bit_for_bit(self, rng):
+        cancelled = 0
+        for k in range(80):
+            m = 1 + k % 3
+            if k % 2:
+                T = signed_zero_chain(rng, n=2 + k % 4 // 2, m=m, edges=12)
+            else:
+                T = random_chain(rng, edges=8, m=m, grid=2) + square_cycle(tuple(rng.normal(size=m)))
+            for X in (T, canonicalize(T)):
+                out = remove_cycles(X)
+                assert bits(out) == bits(remove_cycles_reference(X))
+            cancelled += not np.array_equal(out.Theta, canonicalize(T).Theta)
+        assert cancelled > 20
 
 
 class TestMultiplicityBound:
@@ -117,6 +267,30 @@ class TestStraighten:
         for _ in range(20):
             T = random_chain(rng, edges=8, m=2, grid=2)
             assert chain0_close(boundary(straighten(T)), boundary(T), tol=1e-9)
+
+    def test_two_edge_loop_not_collapsed(self):
+        # straightening the triangle's first corner leaves a chord and an edge
+        # between the same two vertices; collapsing that loop would make a
+        # degenerate edge, so it is kept and cancels on canonicalization
+        T = canonicalize(path_chain([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)], (1.0,)))
+        out = straighten(T)
+        assert out.edges == () and bits(out) == bits(straighten_reference(T))
+
+    def test_matches_tuple_keyed_reference_bit_for_bit(self, rng):
+        collapsed = 0
+        for k in range(80):
+            m = 1 + k % 3
+            if k % 2:
+                T = signed_zero_chain(rng, n=2 + k % 4 // 2, m=m, edges=12)
+            else:
+                theta = tuple(rng.normal(size=m))
+                T = random_chain(rng, edges=6, m=m, grid=2) + square_cycle(theta) + path_chain(
+                    [(5.0, 0.0), (6.0, 1.0), (7.0, 0.0), (8.0, 1.0)], theta)
+            for X in (T, canonicalize(T)):
+                out = straighten(X)
+                assert bits(out) == bits(straighten_reference(X))
+            collapsed += len(out.A) < len(canonicalize(T).A)
+        assert collapsed > 20
 
 
 class TestRelocate:
@@ -202,7 +376,7 @@ def _relocate_reference(T, cost, iters=200, tol=1e-12):
         return T
     diam = float(np.max(np.ptp(np.vstack([T.A, T.B]), axis=0))) or 1.0
     edges = [(e.a, e.b, e.theta) for e in T.edges]
-    for v in sorted(_free_vertices(T)):
+    for v in sorted(free_vertices_reference(T)):
         inc = [(i, 0) for i, (a, _, _) in enumerate(edges) if a == v]
         inc += [(i, 1) for i, (_, b, _) in enumerate(edges) if b == v]
         if not inc:
@@ -259,6 +433,7 @@ class TestRelocateMatchesReference:
             T = random_chain(rng, n=n, m=m, edges=8, grid=2) if k % 3 == 0 else _random_tree(rng, n, m, 6)
             out = relocate_branch_points(T, cost)
             assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
+            assert bits(out) == bits(_relocate_reference(T, cost))
             moved += out.edges != T.edges
         assert moved > 0
 
@@ -278,7 +453,8 @@ class TestRelocateMatchesReference:
         cost = sum_alpha(1, 0.5)
         out = relocate_branch_points(T, cost)
         assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
-        assert u not in out.vertices() and w in out.vertices() and len(out.edges) == 4
+        assert bits(out) == bits(_relocate_reference(T, cost))
+        assert u not in map(tuple, out.V.tolist()) and w in map(tuple, out.V.tolist()) and len(out.edges) == 4
 
     def test_coincident_anchors_take_the_damped_step(self):
         # as above, but w also carries a heavy through-flow pulling it up:
@@ -297,13 +473,27 @@ class TestRelocateMatchesReference:
         cost = sum_alpha(1, 1.0)
         out = relocate_branch_points(T, cost)
         assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
-        assert u not in out.vertices() and w not in out.vertices()
+        assert bits(out) == bits(_relocate_reference(T, cost))
+        assert u not in map(tuple, out.V.tolist()) and w not in map(tuple, out.V.tolist())
 
     def test_collinear_degree_two_chord(self):
         T = canonicalize(path_chain([(0.0, 0.0), (0.7, 0.31), (2.0, 0.0)], (1.0,)))
         cost = sum_alpha(1, 1.0)
         out = relocate_branch_points(T, cost)
         assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
+        assert bits(out) == bits(_relocate_reference(T, cost))
+
+    @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
+    def test_signed_zero_chains_bit_identical(self, family):
+        rng = np.random.default_rng(len(family))
+        moved = 0
+        for k in range(16):
+            m = 1 + k % 3
+            T = remove_cycles(signed_zero_chain(rng, n=2 + k % 2, m=m, edges=10))
+            out = relocate_branch_points(T, COST_FAMILIES[family](m))
+            assert bits(out) == bits(_relocate_reference(T, COST_FAMILIES[family](m)))
+            moved += bits(out) != bits(T)
+        assert moved > 0
 
 
 class TestLocalSearch:
@@ -386,12 +576,56 @@ class TestVerifySolution:
         rep = verify_solution(bad, mm, mp, cost)
         assert not all(rep.acyclic_per_component) and not rep.ok
 
+    def test_acyclicity_matches_tuple_keyed_dfs(self, rng):
+        cost = sum_alpha(2, 0.7)
+        verdicts = set()
+        for k in range(40):
+            T = canonicalize(signed_zero_chain(rng, n=2, m=2, edges=3 + k % 10))
+            mm, mp = Chain0(2, 2), Chain0(2, 2)
+            tol = _flow_tol_reference(T.Theta)
+            expected = tuple(find_directed_cycle_reference(arcs_reference(
+                endpoint_tuples(T), T.Theta[:, j].tolist(), tol)) is None for j in range(T.m))
+            assert verify_solution(T, mm, mp, cost).acyclic_per_component == expected
+            verdicts.add(expected)
+        assert len(verdicts) > 2
+
     def test_wrong_boundary_fails_residual(self):
         mm = Chain0(2, 1, (Atom((0.0, 0.0), (1.0,)),))
         mp = Chain0(2, 1, (Atom((1.0, 0.0), (1.0,)),))
         wrong = canonicalize(path_chain([(0.0, 0.0), (0.5, 0.8)], (1.0,)))
         rep = verify_solution(wrong, mm, mp, sum_alpha(1, 0.5))
         assert rep.boundary_residual > rep.eps_bnd and not rep.ok
+
+
+def merge_candidates_reference(T):
+    """(dist, i, k, dot) of every candidate pair, sorted as tuples."""
+    if len(T.A) < 2:
+        return []
+    A, B = T.A, T.B
+    diam = bounding_cube(np.vstack([A, B]))[1]
+    U = (B - A) / np.linalg.norm(B - A, axis=1)[:, None]
+    M = 0.5 * (A + B)
+    ii, jj = np.triu_indices(len(A), 1)
+    dots = np.sum(U[ii] * U[jj], axis=1)
+    dist = np.linalg.norm(M[ii] - M[jj], axis=1)
+    keep = (np.abs(dots) >= math.cos(math.radians(30.0))) & (dist <= 0.1 * diam)
+    return sorted((float(dist[k]), int(ii[k]), int(jj[k]), float(dots[k])) for k in np.nonzero(keep)[0])
+
+
+class TestMergeCandidates:
+    def test_order_matches_tuple_sort_with_ties(self, rng):
+        # unit-spaced short segments, half of them reversed, and one far edge
+        # to widen the diameter: many pairs share a midpoint distance exactly
+        A = np.array([(x, y) for x in range(4) for y in range(3)] + [(100.0, 0.0)], dtype=float)
+        B = A + [(0.5, 0.0)] * 13
+        A[::2], B[::2] = B[::2].copy(), A[::2].copy()
+        chains = [Chain1.from_arrays(2, 1, A, B, np.ones((13, 1))), Chain1(2, 1)]
+        chains += [random_chain(rng, edges=12, m=2, grid=2) for _ in range(20)]
+        for T in chains:
+            ref = merge_candidates_reference(T)
+            assert _merge_candidates(T).tolist() == [[i, k, int(dot > 0)] for _, i, k, dot in ref]
+        ref = merge_candidates_reference(chains[0])
+        assert len({d for d, *_ in ref}) < len(ref) and {dot > 0 for *_, dot in ref} == {False, True}
 
 
 class TestConfig:

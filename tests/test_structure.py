@@ -1,7 +1,7 @@
 """Structure of the package: every import at module level, no import cycle
 between branchnet modules, only ``chains`` touches the Edge/Atom views,
-only ``costs.evaluate_rows`` branches on the cost family, and every
-parameter default is set by some call."""
+graphs are read from vertex ids, only ``costs.evaluate_rows`` branches on
+the cost family, and every parameter default is set by some call."""
 
 import ast
 from pathlib import Path
@@ -74,6 +74,20 @@ def test_only_chains_builds_or_reads_edge_and_atom_views():
                     found.append(f"{stem}.py:{node.lineno} calls {name}")
             elif isinstance(node, ast.Attribute) and node.attr in ("edges", "atoms"):
                 found.append(f"{stem}.py:{node.lineno} reads .{node.attr}")
+    assert not found, found
+
+
+def test_graphs_are_vertex_indexed():
+    """Incidence comes from ``Chain1.V``/``ij``: no module asks for endpoint
+    tuples through ``.ends()`` or ``.vertices()``, and ``optimize`` builds
+    no dict keyed by them."""
+    found = []
+    for stem, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                if name in ("ends", "vertices") or (stem == "optimize" and name == "setdefault"):
+                    found.append(f"{stem}.py:{node.lineno} calls .{name}()")
     assert not found, found
 
 
