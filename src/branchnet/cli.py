@@ -60,6 +60,13 @@ def parse_cost(spec: str, m: int) -> costs.CostSpec:
     raise ValueError(f"unknown cost family '{family}' (use sum_alpha | component_sum | p_norm_alpha)")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _emit(record: dict) -> None:
     json.dump(record, sys.stdout, indent=1, default=float)
     sys.stdout.write("\n")
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cost", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_positive_int, default=10_000)
 
     p = add("cone", cmd_cone, "cone competitor over mu_plus - mu_minus")
     p.add_argument("mu_minus")

@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from branchnet.chains import (
     Chain0,
@@ -99,17 +97,12 @@ def _flow_tol(theta: np.ndarray) -> float:
 
 def _find_directed_cycle(k: int, uv: np.ndarray):
     """One directed cycle of the arcs uv (vertex id pairs on k vertices) as
-    arc indices, or None.  A cycle exists iff a strongly connected component
-    has more than one vertex; only then does an iterative DFS look for one,
-    from each vertex in order of first appearance, along its arcs in order."""
-    order = np.argsort(uv[:, 0], kind="stable")  # CSR by tail, built directly: cheaper than from (row, col)
-    indptr = np.zeros(k + 1, dtype=np.int32)
+    arc indices, or None: an iterative DFS from each vertex in order of first
+    appearance, along its arcs in order.  A loop arc (u, u) is a cycle."""
+    order = np.argsort(uv[:, 0], kind="stable")  # arcs grouped by tail
+    indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(uv[:, 0], minlength=k), out=indptr[1:])
-    heads = uv[order, 1].astype(np.int32)
-    graph = csr_matrix((np.ones(len(uv)), heads, indptr), shape=(k, k))
-    if connected_components(graph, connection="strong", return_labels=False) == k:
-        return None
-    ptr, heads, arcs, tails = indptr.tolist(), heads.tolist(), order.tolist(), uv[:, 0].tolist()
+    ptr, heads, arcs, tails = indptr.tolist(), uv[order, 1].tolist(), order.tolist(), uv[:, 0].tolist()
     color = [0] * k  # 0 white, 1 on stack, 2 done
     parent_arc = [0] * k
     for start in uv.ravel().tolist():

@@ -236,6 +236,15 @@ class TestCli:
             bounds.append(rec["homog_bound"])
         assert bounds[0] != bounds[1]
 
+    def test_validate_cost_rejects_samples_below_one(self, capsys):
+        for samples in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["validate-cost", "--cost", "sum_alpha:alpha=1", "--m", "2", "--samples", samples])
+            assert exc.value.code == 2
+            assert f"--samples: must be a positive integer, got {samples}" in capsys.readouterr().err
+        assert main(["validate-cost", "--cost", "sum_alpha:alpha=1", "--m", "2", "--samples", "1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["homog_bound_kind"] == "sampled"
+
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
 

@@ -221,6 +221,21 @@ class TestRemoveCycles:
             cancelled += not np.array_equal(out.Theta, canonicalize(T).Theta)
         assert cancelled > 20
 
+    def test_loop_edge_on_canonical_flagged_chain(self):
+        # a chain flagged canonical may hold an edge with equal ends (here once
+        # exactly, once as 0.0 against -0.0); such a loop is a cycle
+        for loop_end in ((1.0, 0.0), (-0.0, 0.0)):
+            A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+            B = np.array([[1.0, 0.0], [2.0, 0.0], loop_end])
+            A[2] = B[2] if loop_end[0] else A[2]
+            T = Chain1.from_arrays(2, 2, A, B, np.array([[1.0, 0.5], [1.0, 0.5], [0.0, 2.0]]), canonical=True)
+            tol = _flow_tol_reference(T.Theta)
+            assert [find_directed_cycle_reference(arcs_reference(
+                endpoint_tuples(T), T.Theta[:, j].tolist(), tol)) for j in range(2)] == [None, [2]]
+            out = remove_cycles(T)
+            assert bits(out) == bits(remove_cycles_reference(T))
+            assert len(out.A) == 2
+
 
 class TestMultiplicityBound:
     def test_single_path_equality(self):
@@ -588,6 +603,15 @@ class TestVerifySolution:
             assert verify_solution(T, mm, mp, cost).acyclic_per_component == expected
             verdicts.add(expected)
         assert len(verdicts) > 2
+
+    def test_loop_edge_fails_acyclicity(self):
+        A = np.array([[0.0, 0.0], [1.0, 1.0]])
+        T = Chain1.from_arrays(2, 2, A, np.array([[1.0, 0.0], [1.0, 1.0]]),
+                               np.array([[1.0, 0.0], [0.0, 1.0]]), canonical=True)
+        mm = Chain0.from_arrays(2, 2, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+        mp = Chain0.from_arrays(2, 2, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+        rep = verify_solution(T, mm, mp, sum_alpha(2, 0.7))
+        assert rep.acyclic_per_component == (True, False) and not rep.ok
 
     def test_wrong_boundary_fails_residual(self):
         mm = Chain0(2, 1, (Atom((0.0, 0.0), (1.0,)),))
