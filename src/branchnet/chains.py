@@ -6,9 +6,11 @@ three arrays: tails ``A`` and heads ``B`` (E x n) and multiplicities
 ``Theta`` (E x m).  A ``Chain0`` is a finite atomic vector-valued measure,
 stored as positions ``P`` (k x n) and weights ``W`` (k x m).  Canonical
 chains have non-overlapping edges (segments meet at most at endpoints),
-deterministic edge orientation and no zero multiplicities, so that
-equality, boundary, mass and energy are all well defined
-representation-independently.
+deterministic edge orientation and no negligible multiplicities (none
+within ``EPS_MULT_REL`` times the longest), so that equality, boundary,
+mass and energy are all well defined representation-independently.
+``canonicalize`` and ``canonicalize0`` sum coincident rows through one
+helper, ``_merge_rows``.
 
 All values are immutable after construction: ``from_arrays`` copies its
 input into read-only float64 arrays, checked once for shape and
@@ -214,15 +216,8 @@ class Chain1(_Stored):
 
     @cached_property
     def _graph(self) -> tuple[np.ndarray, np.ndarray]:
-        # np.unique(axis=0) at a third of its cost: a stable sort keeps equal endpoints in order
-        ends = np.stack([self.A, self.B], axis=1).reshape(-1, self.n)  # a0, b0, a1, b1, ...
-        order = np.lexsort(ends.T[::-1])
-        ends = ends[order]
-        first = np.ones(len(ends), dtype=bool)
-        first[1:] = np.any(ends[1:] != ends[:-1], axis=1)
-        ids = np.empty(len(ends), dtype=int)
-        ids[order] = np.cumsum(first) - 1
-        V, ij = ends[first], ids.reshape(-1, 2)
+        V, ids = _unique_rows(np.stack([self.A, self.B], axis=1).reshape(-1, self.n))  # a0, b0, a1, b1, ...
+        ij = ids.reshape(-1, 2)
         V.flags.writeable = ij.flags.writeable = False
         return V, ij
 
@@ -257,6 +252,22 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     differ in the last bit.
     """
     return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of X in lexicographic order, each row's index among them).
+
+    Rows equal as floats (0.0 and -0.0 too) are one, represented by their
+    first occurrence.  This is ``np.unique(axis=0, return_inverse=True)`` at
+    a third of its cost: a stable sort keeps equal rows in order.
+    """
+    order = np.lexsort(X.T[::-1])
+    X = X[order]
+    first = np.ones(len(X), dtype=bool)
+    first[1:] = np.any(X[1:] != X[:-1], axis=1)
+    ids = np.empty(len(X), dtype=int)
+    ids[order] = np.cumsum(first) - 1
+    return X[first], ids
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +322,24 @@ class _PointRegistry:
 # ---------------------------------------------------------------------------
 # canonicalization
 
-def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> list[list[float]]:
-    """Split parameters in (0,1) for each edge A[i] -> B[i] from pairwise
-    interactions.
+def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split points ``(edge, t)`` of the edges A[i] -> B[i] from pairwise
+    interactions, as flat arrays in no particular order, repeats included:
+    edge ``edge[k]`` splits at ``t[k]`` in (0, 1), more than eps from its ends.
 
     Handles collinear overlaps (projecting the partner's endpoints), proper
     transverse crossings, and T-junctions (an endpoint of one edge interior
-    to another).  Pairs are processed in vectorized blocks after a
+    to another).  Pairs are tested with array masks, in blocks, after a
     bounding-box rejection test.
     """
-    ne = len(A)
-    splits: list[list[float]] = [[] for _ in range(ne)]
-    if ne < 2:
-        return splits
-
     lo = np.minimum(A, B) - eps
     hi = np.maximum(A, B) + eps
     D = B - A
     L = np.linalg.norm(D, axis=1)
     U = D / L[:, None]
 
-    ii_all, jj_all = np.triu_indices(ne, 1)
+    edges, ts = [np.empty(0, dtype=int)], [np.empty(0)]  # candidates, the interior ones kept at the end
+    ii_all, jj_all = np.triu_indices(len(A), 1)
     block = 1 << 20
     for start in range(0, len(ii_all), block):
         ii = ii_all[start : start + block]
@@ -354,36 +362,27 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> list[list
             dn = denom[tv]
             s = (wu_i - cosa[tv] * wu_j) / dn
             t = (cosa[tv] * wu_i - wu_j) / dn
-            gap = np.linalg.norm(
-                A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1
-            )
+            gap = np.linalg.norm(A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1)
             Li, Lj = L[ii[tv]], L[jj[tv]]
             ti, tj = s / Li, t / Lj
-            near = (
-                (gap <= eps)
-                & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
-                & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj)
-            )
-            for k in np.nonzero(near)[0]:
-                i, j = int(ii[tv[k]]), int(jj[tv[k]])
-                if eps / L[i] < ti[k] < 1.0 - eps / L[i]:
-                    splits[i].append(float(ti[k]))
-                if eps / L[j] < tj[k] < 1.0 - eps / L[j]:
-                    splits[j].append(float(tj[k]))
+            near = ((gap <= eps) & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
+                    & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj))
+            edges += [ii[tv][near], jj[tv][near]]
+            ts += [ti[near], tj[near]]
 
-        # parallel pairs: collinear overlap iff the line offset vanishes
+        # parallel pairs: collinear overlap iff the line offset vanishes;
+        # each edge of such a pair is split where the other's endpoints project
         pl = np.nonzero(parallel)[0]
         if len(pl):
             perp = w[pl] - np.sum(w[pl] * ui[pl], axis=1)[:, None] * ui[pl]
-            coll = np.linalg.norm(perp, axis=1) <= eps
-            for k in np.nonzero(coll)[0]:
-                i, j = int(ii[pl[k]]), int(jj[pl[k]])
-                for edge, other in ((i, j), (j, i)):
-                    for endpoint in (A[other], B[other]):
-                        t = float(np.dot(endpoint - A[edge], U[edge])) / L[edge]
-                        if eps / L[edge] < t < 1.0 - eps / L[edge]:
-                            splits[edge].append(t)
-    return splits
+            coll = pl[np.linalg.norm(perp, axis=1) <= eps]
+            ci, cj = ii[coll], jj[coll]
+            e = np.concatenate([ci, ci, cj, cj])
+            edges.append(e)
+            ts.append(row_dots(np.concatenate([A[cj], B[cj], A[ci], B[ci]]) - A[e], U[e]) / L[e])
+    e, t = np.concatenate(edges), np.concatenate(ts)
+    inside = (eps / L[e] < t) & (t < 1.0 - eps / L[e])
+    return e[inside], t[inside]
 
 
 def canonicalize(T: Chain1) -> Chain1:
@@ -392,70 +391,69 @@ def canonicalize(T: Chain1) -> Chain1:
     Endpoints within ``EPS_GEOM`` are snapped together, edges are split at
     mutual intersections/overlap endpoints, coincident sub-segments are
     merged by summing multiplicities (sign-adjusted: flipping orientation
-    negates theta), and edges with negligible multiplicity are dropped.
+    negates theta), and negligible edges are dropped: those whose merged
+    multiplicity is no longer than ``EPS_MULT_REL`` times the longest input
+    multiplicity.  Edges come out with tail < head, in lexicographic order.
     Idempotent; preserves boundary and can only decrease mass.
     """
     reg = _PointRegistry(T.n, EPS_GEOM)
-    ends, rows = [], []
-    for i, (a, b) in enumerate(zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist()))):
+    lines, rows = [], []  # each kept edge as the list of its points, tail to head
+    for i, (a, b) in enumerate(zip(T.A.tolist(), T.B.tolist())):
         if a == b:
-            raise DegenerateEdgeError(f"degenerate edge at {a}")
+            raise DegenerateEdgeError(f"degenerate edge at {tuple(a)}")
         a, b = reg.snap(a), reg.snap(b)
         if a != b:  # a pair collapsed by snapping is below resolution: drop it
-            ends.append((a, b))
+            lines.append([a, b])
             rows.append(i)
     if not rows:
         return Chain1.from_arrays(T.n, T.m, (), (), (), canonical=True)
-    Theta = T.Theta[rows]
-    A = np.array([a for a, _ in ends])
-    B = np.array([b for _, b in ends])
-    splits = _segment_interactions(A, B, EPS_GEOM)
+    A, B = np.array(lines).swapaxes(0, 1)
 
-    # split every edge at its parameter list, snapping new interior points
-    pieces: list[tuple[tuple[float, ...], tuple[float, ...], int]] = []
-    for k, ((a, b), tlist) in enumerate(zip(ends, splits)):
-        if not tlist:
-            pieces.append((a, b, k))
-            continue
-        d = B[k] - A[k]
-        merged_cuts: list[float] = []
-        tol = EPS_GEOM / math.dist(a, b)
-        for t in sorted(set(tlist)):
-            if not merged_cuts or t - merged_cuts[-1] > tol:
-                merged_cuts.append(t)
-        pts = [a] + [reg.snap(A[k] + t * d) for t in merged_cuts] + [b]
-        pieces += [(p, q, k) for p, q in zip(pts, pts[1:]) if p != q]
+    # split every edge at its cuts, in order of (edge, t); cuts closer than
+    # EPS_GEOM to the last one kept are dropped, and new points are snapped
+    cuts, _ = _unique_rows(np.column_stack(_segment_interactions(A, B, EPS_GEOM)))
+    for k, cut in itertools.groupby(cuts.tolist(), lambda c: int(c[0])):
+        tol = EPS_GEOM / math.dist(*lines[k])
+        kept: list[float] = []
+        for _, t in cut:
+            if not kept or t - kept[-1] > tol:
+                kept.append(t)
+        lines[k][1:1] = [reg.snap(A[k] + t * (B[k] - A[k])) for t in kept]
 
-    # canonical orientation and merge of coincident segments
-    acc: dict[tuple[tuple[float, ...], tuple[float, ...]], np.ndarray] = {}
-    for a, b, k in pieces:
-        th = Theta[k]
-        if a > b:
-            a, b, th = b, a, -th
-        key = (a, b)
-        acc[key] = acc[key] + th if key in acc else th
+    # a piece joins consecutive points of a line, unless snapping made them equal
+    P = np.array([p for line in lines for p in line])
+    row = np.repeat(rows, [len(line) for line in lines])
+    i = np.flatnonzero((row[:-1] == row[1:]) & np.any(P[:-1] != P[1:], axis=1))
+    Pa, Pb, Theta = P[i], P[i + 1], T.Theta[row[i]]
 
-    keys = list(acc)
-    merged = np.array(list(acc.values())).reshape(len(keys), T.m)
-    keep = _significant(merged, Theta)
-    order = sorted((key, i) for i, key in enumerate(keys) if keep[i])
-    return Chain1.from_arrays(T.n, T.m, [a for (a, _), _ in order], [b for (_, b), _ in order],
-                              merged[[i for _, i in order]], canonical=True)
+    # orient each piece from its lexicographically smaller end, then merge
+    at = np.arange(len(i)), np.argmax(Pa != Pb, axis=1)
+    flip = (Pa[at] > Pb[at])[:, None]
+    keys = np.where(flip, np.hstack([Pb, Pa]), np.hstack([Pa, Pb]))
+    ends, Theta = _merge_rows(keys, np.where(flip, -Theta, Theta))
+    return Chain1.from_arrays(T.n, T.m, ends[:, : T.n], ends[:, T.n :], Theta, canonical=True)
 
 
 def canonicalize0(mu: Chain0) -> Chain0:
-    """Merge atoms within ``EPS_GEOM`` of each other and drop negligible weights."""
+    """Merge atoms within ``EPS_GEOM`` of each other, in lexicographic order,
+    and drop negligible ones: those whose merged weight is no longer than
+    ``EPS_MULT_REL`` times the longest input weight.  Idempotent."""
     if not len(mu.P):
         return mu
     reg = _PointRegistry(mu.n, EPS_GEOM)
-    acc: dict[tuple[float, ...], np.ndarray] = {}
-    for p, w in zip(mu.P.tolist(), mu.W):
-        p = reg.snap(p)
-        acc[p] = acc[p] + w if p in acc else w
-    points = sorted(acc)
-    W = np.array([acc[p] for p in points])
-    keep = _significant(W, mu.W)
-    return Chain0.from_arrays(mu.n, mu.m, np.array(points)[keep], W[keep])
+    P, W = _merge_rows(np.array([reg.snap(p) for p in mu.P.tolist()]), mu.W)
+    return Chain0.from_arrays(mu.n, mu.m, P, W)
+
+
+def _merge_rows(keys: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of keys in lexicographic order, the sum of W's rows
+    under each), for the significant sums only.  Each sum adds its rows in
+    order from -0.0, which keeps a first term bit for bit, signed zeros too."""
+    K, ids = _unique_rows(keys)
+    S = np.full((len(K), W.shape[1]), -0.0)
+    np.add.at(S, ids, W)
+    keep = _significant(S, W)
+    return K[keep], S[keep]
 
 
 def _significant(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:

@@ -114,14 +114,10 @@ def slice_chain(T: Chain1, g, y: float, offset: float = 0.0) -> Chain0:
         y = y + 2 * eps
         if np.any(np.abs(fa - y) <= eps) or np.any(np.abs(fb - y) <= eps):
             y = y - 4.1 * eps
-    P, W = [], []
-    for i in range(len(A)):
-        lo, hi = min(fa[i], fb[i]), max(fa[i], fb[i])
-        if not (lo < y < hi):
-            continue
-        t = (y - fa[i]) / (fb[i] - fa[i])
-        P.append(A[i] + t * (B[i] - A[i]))
-        W.append((1.0 if fb[i] > fa[i] else -1.0) * Th[i])
+    cross = (np.minimum(fa, fb) < y) & (y < np.maximum(fa, fb))
+    A, B, Th, fa, fb = A[cross], B[cross], Th[cross], fa[cross], fb[cross]
+    P = A + ((y - fa) / (fb - fa))[:, None] * (B - A)
+    W = np.where((fb > fa)[:, None], Th, -Th)
     return canonicalize0(Chain0.from_arrays(T.n, T.m, P, W))
 
 

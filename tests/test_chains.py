@@ -29,6 +29,7 @@ from branchnet.chains import (
     restrict0,
     restrict_halfspace,
     _PointRegistry,
+    _segment_interactions,
 )
 from conftest import bits, path_chain, random_chain, signed_zero_chain
 
@@ -192,6 +193,179 @@ class TestCanonicalize:
         for _ in range(20):
             raw = Chain1(2, 1, random_chain(rng, edges=8, grid=2).edges + random_chain(rng, edges=8, grid=2).edges)
             assert mass(canonicalize(raw)) <= mass(raw) + 1e-9
+
+
+def star_cone(rng, n, m, k) -> Chain1:
+    """k spokes between a hub and random points, both orientations; every
+    bounding box holds the hub, and a quarter of the spokes run along an
+    earlier one's ray, so that they overlap it."""
+    hub = rng.uniform(-1, 1, n)
+    P = rng.uniform(-1, 1, (k, n))
+    ray = rng.random(k) < 0.25
+    P[ray] = hub + rng.choice([0.5, 2.0], (int(ray.sum()), 1)) * (P[0] - hub)
+    out = rng.random(k) < 0.5
+    H = np.repeat(hub[None], k, axis=0)
+    return Chain1.from_arrays(n, m, np.where(out[:, None], H, P), np.where(out[:, None], P, H),
+                              rng.normal(size=(k, m)))
+
+
+def collinear_bundle(rng, n, m, k) -> Chain1:
+    """k overlapping segments on one line, in both orientations, at lattice
+    or random parameters, and two edges across the line."""
+    c, d = rng.uniform(-1, 1, n), rng.normal(size=n) if rng.random() < 0.5 else np.eye(n)[rng.integers(n)]
+    s = rng.choice(np.arange(-2.0, 2.25, 0.25), (k, 2)) if rng.random() < 0.5 else rng.uniform(-2, 2, (k, 2))
+    s = s[s[:, 0] != s[:, 1]]
+    A, B = c + s[:, :1] * d, c + s[:, 1:] * d
+    across = c + rng.uniform(-1, 1, (2, 1)) * d + rng.normal(size=(2, n))
+    A, B = np.vstack([A, across]), np.vstack([B, 2 * c - across])
+    return Chain1.from_arrays(n, m, A, B, rng.normal(size=(len(A), m)))
+
+
+def near_snap_radius(rng, n, k) -> np.ndarray:
+    """k points offset from one center by about EPS_GEOM on each axis."""
+    eps = EPS_GEOM
+    offsets = np.array([0.0, 0.5, 1.0, 1.0 - 1e-6, 1.0 + 1e-6, 1.5]) * eps
+    return rng.uniform(-1, 1, n) + rng.choice(offsets, (k, n)) * rng.choice([-1.0, 1.0], (k, n))
+
+
+def reference_chains(rng):
+    """Chains for the reference comparisons, n = 2..4 and m = 1..3."""
+    for k in range(60):
+        n, m = 2 + k % 3, 1 + k % 3
+        yield signed_zero_chain(rng, min(n, 3), m, edges=10)
+        yield star_cone(rng, n, m, 12)
+        yield collinear_bundle(rng, n, m, 8)
+        yield Chain1.from_arrays(n, m, rng.uniform(-1, 1, (8, n)), rng.uniform(-1, 1, (8, n)), rng.normal(size=(8, m)))
+        lattice = rng.integers(0, 3, (2, 8, n)) * 0.5
+        keep = np.any(lattice[0] != lattice[1], axis=1)
+        yield Chain1.from_arrays(n, m, lattice[0][keep], lattice[1][keep], rng.normal(size=(int(keep.sum()), m)))
+        A, B = near_snap_radius(rng, n, 6), rng.uniform(-1, 1, (6, n))
+        yield Chain1.from_arrays(n, m, A, B, rng.normal(size=(6, m)))
+
+
+class TestCanonicalizeReference:
+    def test_segment_interactions_match_pair_loop(self, rng):
+        for T in reference_chains(rng):
+            edge, t = _segment_interactions(T.A, T.B, EPS_GEOM)
+            want = [(i, u) for i, ts in enumerate(segment_interactions_reference(T.A, T.B, EPS_GEOM)) for u in ts]
+            assert sorted(zip(edge.tolist(), t.tolist())) == sorted(want)
+
+    def test_canonicalize_matches_tuple_keyed_reference_bit_for_bit(self, rng):
+        cuts = 0
+        for T in reference_chains(rng):
+            assert bits(canonicalize(T)) == bits(canonicalize_reference(T))
+            assert bits(canonicalize(-T)) == bits(canonicalize_reference(-T))
+            cuts += len(canonicalize(T).A) > len(T.A)
+        assert cuts > 50
+
+    def test_canonicalize0_matches_tuple_keyed_reference_bit_for_bit(self, rng):
+        for k in range(120):
+            n, m = 2 + k % 3, 1 + k % 3
+            P = near_snap_radius(rng, n, 10) if k % 2 else rng.choice([-0.0, 0.0, 0.5], (10, n))
+            W = rng.normal(size=(10, m))
+            W[rng.random((10, m)) < 0.2] = rng.choice([0.0, -0.0])
+            for mu in (Chain0.from_arrays(n, m, P, W), Chain0.from_arrays(n, m, P, -W)):
+                assert bits(canonicalize0(mu)) == bits(canonicalize0_reference(mu))
+        assert bits(canonicalize0(Chain0(2, 1))) == bits(canonicalize0_reference(Chain0(2, 1)))
+
+
+def segment_interactions_reference(A, B, eps):
+    """Split parameters in (0, 1) per edge, as lists: the closest points of
+    near transverse pairs and the projections of each collinear partner's
+    endpoints, appended pair by pair."""
+    ne = len(A)
+    splits = [[] for _ in range(ne)]
+    if ne < 2:
+        return splits
+    lo, hi = np.minimum(A, B) - eps, np.maximum(A, B) + eps
+    D = B - A
+    L = np.linalg.norm(D, axis=1)
+    U = D / L[:, None]
+    ii, jj = np.triu_indices(ne, 1)
+    overlap = np.all(lo[ii] <= hi[jj], axis=1) & np.all(lo[jj] <= hi[ii], axis=1)
+    ii, jj = ii[overlap], jj[overlap]
+    ui, uj = U[ii], U[jj]
+    w = A[jj] - A[ii]
+    cosa = np.sum(ui * uj, axis=1)
+    denom = 1.0 - cosa * cosa
+    parallel = np.abs(denom) < 1e-12
+    tv = np.nonzero(~parallel)[0]
+    if len(tv):
+        wu_i = np.sum(w[tv] * ui[tv], axis=1)
+        wu_j = np.sum(w[tv] * uj[tv], axis=1)
+        s = (wu_i - cosa[tv] * wu_j) / denom[tv]
+        t = (cosa[tv] * wu_i - wu_j) / denom[tv]
+        gap = np.linalg.norm(A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1)
+        Li, Lj = L[ii[tv]], L[jj[tv]]
+        ti, tj = s / Li, t / Lj
+        near = ((gap <= eps) & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
+                & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj))
+        for k in np.nonzero(near)[0]:
+            i, j = int(ii[tv[k]]), int(jj[tv[k]])
+            if eps / L[i] < ti[k] < 1.0 - eps / L[i]:
+                splits[i].append(float(ti[k]))
+            if eps / L[j] < tj[k] < 1.0 - eps / L[j]:
+                splits[j].append(float(tj[k]))
+    pl = np.nonzero(parallel)[0]
+    if len(pl):
+        perp = w[pl] - np.sum(w[pl] * ui[pl], axis=1)[:, None] * ui[pl]
+        for k in np.nonzero(np.linalg.norm(perp, axis=1) <= eps)[0]:
+            i, j = int(ii[pl[k]]), int(jj[pl[k]])
+            for edge, other in ((i, j), (j, i)):
+                for endpoint in (A[other], B[other]):
+                    t = float(np.dot(endpoint - A[edge], U[edge])) / L[edge]
+                    if eps / L[edge] < t < 1.0 - eps / L[edge]:
+                        splits[edge].append(t)
+    return splits
+
+
+def canonicalize_reference(T: Chain1) -> Chain1:
+    """Canonical form keyed by endpoint tuples in a dict: snap, split each
+    edge at its sorted distinct cuts (dropping those within EPS_GEOM of the
+    last kept one), orient each piece by tuple order, sum in piece order,
+    and drop sums within 1e-12 of the longest multiplicity."""
+    reg = _PointRegistry(T.n, EPS_GEOM)
+    ends, rows = [], []
+    for i, (a, b) in enumerate(zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist()))):
+        a, b = reg.snap(a), reg.snap(b)
+        if a != b:
+            ends.append((a, b))
+            rows.append(i)
+    if not rows:
+        return Chain1.from_arrays(T.n, T.m, (), (), (), canonical=True)
+    Theta = T.Theta[rows]
+    A, B = np.array([a for a, _ in ends]), np.array([b for _, b in ends])
+    pieces = []
+    for k, ((a, b), tlist) in enumerate(zip(ends, segment_interactions_reference(A, B, EPS_GEOM))):
+        cuts = []
+        for t in sorted(set(tlist)):
+            if not cuts or t - cuts[-1] > EPS_GEOM / math.dist(a, b):
+                cuts.append(t)
+        pts = [a] + [reg.snap(A[k] + t * (B[k] - A[k])) for t in cuts] + [b]
+        pieces += [(p, q, k) for p, q in zip(pts, pts[1:]) if p != q]
+    acc: dict = {}
+    for a, b, k in pieces:
+        th = Theta[k]
+        if a > b:
+            a, b, th = b, a, -th
+        acc[a, b] = acc[a, b] + th if (a, b) in acc else th
+    eps_w = 1e-12 * max(float(np.linalg.norm(th)) for th in Theta)
+    kept = [key for key in sorted(acc) if np.linalg.norm(acc[key]) > eps_w]
+    return Chain1.from_arrays(T.n, T.m, [a for a, _ in kept], [b for _, b in kept],
+                              np.array([acc[key] for key in kept]).reshape(-1, T.m), canonical=True)
+
+
+def canonicalize0_reference(mu: Chain0) -> Chain0:
+    """Atoms snapped and summed in a dict keyed by position tuples, in order,
+    sorted by key, dropping sums within 1e-12 of the longest weight."""
+    reg = _PointRegistry(mu.n, EPS_GEOM)
+    acc: dict = {}
+    for p, w in zip(mu.P.tolist(), mu.W):
+        p = reg.snap(p)
+        acc[p] = acc[p] + w if p in acc else w
+    eps_w = 1e-12 * max((float(np.linalg.norm(w)) for w in mu.W), default=0.0)
+    kept = [p for p in sorted(acc) if np.linalg.norm(acc[p]) > eps_w]
+    return Chain0.from_arrays(mu.n, mu.m, kept, [acc[p] for p in kept])
 
 
 class TestBoundaryDivergence:

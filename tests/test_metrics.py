@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from branchnet.metrics import (
 from branchnet import optimize
 from branchnet.construct import GridShiftError
 from branchnet.optimize import local_search, w_upper
-from conftest import compatible_pair, path_chain, random_chain, random_measure
+from conftest import bits, compatible_pair, path_chain, random_chain, random_measure, signed_zero_chain
 
 
 def dipole(d, w=1.0):
@@ -140,6 +141,59 @@ class TestSlice:
             lhs = slice_chain(restrict(T, box), g, y)
             rhs = restrict0(slice_chain(T, g, y), box)
             assert chain0_close(lhs, rhs, tol=1e-9)
+
+    def test_matches_edge_loop_reference_bit_for_bit(self, rng):
+        cases = [(Chain1(3, 2), [1.0, 0.0, 0.0], 0.0)]  # no edges
+        for k in range(240):
+            n, m = 2 + k % 3, 1 + k % 3
+            if k % 2:
+                T = signed_zero_chain(rng, n, m, edges=12)  # levels on the lattice hit vertices
+            else:
+                T = Chain1.from_arrays(n, m, rng.uniform(-1, 1, (12, n)), rng.uniform(-1, 1, (12, n)),
+                                       rng.normal(size=(12, m)))
+            g = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], n) if k % 4 == 1 else rng.normal(size=n)
+            y = float(rng.choice([-0.25, 0.0, 0.5, 0.75, 5.0]))  # 5.0: above every vertex, an empty slice
+            cases.append((T if k % 3 else canonicalize(T), g, y))
+        empty = hits = 0
+        for T, g, y in cases:
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                sl = slice_chain(T, g, y)
+            with warnings.catch_warnings(record=True) as want:
+                warnings.simplefilter("always")
+                ref = slice_chain_reference(T, g, y)
+            assert bits(sl) == bits(ref)
+            assert [str(w.message) for w in got] == [str(w.message) for w in want]
+            empty += not len(sl.P)
+            hits += len(got)
+        assert 10 < empty < len(cases) - 10 and 10 < hits < len(cases) - 10
+
+
+def slice_chain_reference(T: Chain1, g, y: float, offset: float = 0.0) -> Chain0:
+    """Slice edge by edge: an atom at each crossing, weight +theta where f
+    increases along the edge and -theta where it decreases."""
+    gv = np.asarray(g, dtype=float)
+    if not len(T.A):
+        return Chain0(T.n, T.m, ())
+    A, B, Th = T.A, T.B, T.Theta
+    fa = A @ gv + offset
+    fb = B @ gv + offset
+    frange = max(float(np.max(np.concatenate([fa, fb])) - np.min(np.concatenate([fa, fb]))), 1.0)
+    eps = 1e-9 * frange
+    if np.any(np.abs(fa - y) <= eps) or np.any(np.abs(fb - y) <= eps):
+        warnings.warn("slice level hits a vertex; perturbing y", stacklevel=2)
+        y = y + 2 * eps
+        if np.any(np.abs(fa - y) <= eps) or np.any(np.abs(fb - y) <= eps):
+            y = y - 4.1 * eps
+    P, W = [], []
+    for i in range(len(A)):
+        lo, hi = min(fa[i], fb[i]), max(fa[i], fb[i])
+        if not (lo < y < hi):
+            continue
+        t = (y - fa[i]) / (fb[i] - fa[i])
+        P.append(A[i] + t * (B[i] - A[i]))
+        W.append((1.0 if fb[i] > fa[i] else -1.0) * Th[i])
+    return canonicalize0(Chain0.from_arrays(T.n, T.m, P, W))
 
 
 class TestCoarea:

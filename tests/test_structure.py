@@ -1,7 +1,8 @@
 """Structure of the package: every import at module level, no import cycle
 between branchnet modules, only ``chains`` touches the Edge/Atom views,
-graphs are read from vertex ids, only ``costs.evaluate_rows`` branches on
-the cost family, and every parameter default is set by some call."""
+graphs are read from vertex ids, canonicalization merges rows through one
+array helper, only ``costs.evaluate_rows`` branches on the cost family, and
+every parameter default is set by some call."""
 
 import ast
 from pathlib import Path
@@ -89,6 +90,31 @@ def test_graphs_are_vertex_indexed():
                 if name in ("ends", "vertices") or (stem == "optimize" and name == "setdefault"):
                     found.append(f"{stem}.py:{node.lineno} calls .{name}()")
     assert not found, found
+
+
+def _scoped(tree, scope=""):
+    """(innermost enclosing function or class, node) for every node of tree."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (*FUNCTIONS, ast.ClassDef)) else scope
+        yield inner, node
+        yield from _scoped(node, inner)
+
+
+def test_canonicalization_merges_rows_through_one_helper():
+    """``canonicalize`` and ``canonicalize0`` build no dict and sort no
+    tuples: coincident rows are grouped by ``_unique_rows``, the only
+    place in ``chains`` that calls ``np.lexsort``."""
+    found = []
+    for scope, node in _scoped(MODULES["chains"]):
+        if isinstance(node, ast.Attribute) and node.attr == "lexsort" and scope != "_unique_rows":
+            found.append(f"{scope}:{node.lineno} calls lexsort")
+        if scope in ("canonicalize", "canonicalize0"):
+            name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+            if isinstance(node, (ast.Dict, ast.DictComp)) or name in ("dict", "sorted"):
+                found.append(f"{scope}:{node.lineno} builds a dict or sorts")
+    assert not found, found
+    assert any(isinstance(node, ast.Attribute) and node.attr == "lexsort" and scope == "_unique_rows"
+               for scope, node in _scoped(MODULES["chains"]))
 
 
 def _reads_family(node) -> bool:
