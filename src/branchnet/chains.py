@@ -391,9 +391,9 @@ def canonicalize(T: Chain1) -> Chain1:
     Endpoints within ``EPS_GEOM`` are snapped together, edges are split at
     mutual intersections/overlap endpoints, coincident sub-segments are
     merged by summing multiplicities (sign-adjusted: flipping orientation
-    negates theta), and negligible edges are dropped: those whose merged
-    multiplicity is no longer than ``EPS_MULT_REL`` times the longest input
-    multiplicity.  Edges come out with tail < head, in lexicographic order.
+    negates theta), and negligible edges are dropped: those no longer than
+    ``EPS_MULT_REL`` times the longest multiplicity, input or merged.
+    Edges come out sorted, each with tail < head.
     Idempotent; preserves boundary and can only decrease mass.
     """
     reg = _PointRegistry(T.n, EPS_GEOM)
@@ -437,7 +437,7 @@ def canonicalize(T: Chain1) -> Chain1:
 def canonicalize0(mu: Chain0) -> Chain0:
     """Merge atoms within ``EPS_GEOM`` of each other, in lexicographic order,
     and drop negligible ones: those whose merged weight is no longer than
-    ``EPS_MULT_REL`` times the longest input weight.  Idempotent."""
+    ``EPS_MULT_REL`` times the longest weight, input or merged.  Idempotent."""
     if not len(mu.P):
         return mu
     reg = _PointRegistry(mu.n, EPS_GEOM)
@@ -448,11 +448,12 @@ def canonicalize0(mu: Chain0) -> Chain0:
 def _merge_rows(keys: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows of keys in lexicographic order, the sum of W's rows
     under each), for the significant sums only.  Each sum adds its rows in
-    order from -0.0, which keeps a first term bit for bit, signed zeros too."""
+    order from -0.0, which keeps a first term bit for bit, signed zeros too.
+    Sums count as inputs of the threshold, so a second pass keeps every row."""
     K, ids = _unique_rows(keys)
     S = np.full((len(K), W.shape[1]), -0.0)
     np.add.at(S, ids, W)
-    keep = _significant(S, W)
+    keep = _significant(S, np.concatenate([W, S]))
     return K[keep], S[keep]
 
 

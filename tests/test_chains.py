@@ -183,6 +183,16 @@ class TestCanonicalize:
             again = canonicalize(T)
             assert again.edges == T.edges
 
+    def test_idempotent_when_a_merge_makes_the_longest_row(self):
+        """A row kept beside shorter inputs stays once their sum is the longest."""
+        mu = Chain0.from_arrays(2, 1, [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)], [(1.0,), (1.0,), (1.5e-12,)])
+        once = canonicalize0(mu)
+        assert bits(canonicalize0(once)) == bits(once) and len(once.P) == 1
+        T = Chain1.from_arrays(2, 1, [(0.0, 0.0), (0.0, 0.0), (5.0, 5.0)], [(1.0, 0.0), (1.0, 0.0), (6.0, 5.0)],
+                               [(1.0,), (1.0,), (1.5e-12,)])
+        once = canonicalize(T)
+        assert bits(canonicalize(once)) == bits(once) and len(once.A) == 1
+
     def test_boundary_preserved(self, rng):
         for _ in range(20):
             raw = Chain1(2, 2, random_chain(rng, edges=8, m=2, grid=2).edges)
@@ -323,7 +333,7 @@ def canonicalize_reference(T: Chain1) -> Chain1:
     """Canonical form keyed by endpoint tuples in a dict: snap, split each
     edge at its sorted distinct cuts (dropping those within EPS_GEOM of the
     last kept one), orient each piece by tuple order, sum in piece order,
-    and drop sums within 1e-12 of the longest multiplicity."""
+    and drop sums within 1e-12 of the longest multiplicity or sum."""
     reg = _PointRegistry(T.n, EPS_GEOM)
     ends, rows = [], []
     for i, (a, b) in enumerate(zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist()))):
@@ -349,7 +359,7 @@ def canonicalize_reference(T: Chain1) -> Chain1:
         if a > b:
             a, b, th = b, a, -th
         acc[a, b] = acc[a, b] + th if (a, b) in acc else th
-    eps_w = 1e-12 * max(float(np.linalg.norm(th)) for th in Theta)
+    eps_w = 1e-12 * max(float(np.linalg.norm(th)) for th in [*Theta, *acc.values()])
     kept = [key for key in sorted(acc) if np.linalg.norm(acc[key]) > eps_w]
     return Chain1.from_arrays(T.n, T.m, [a for a, _ in kept], [b for _, b in kept],
                               np.array([acc[key] for key in kept]).reshape(-1, T.m), canonical=True)
@@ -357,13 +367,13 @@ def canonicalize_reference(T: Chain1) -> Chain1:
 
 def canonicalize0_reference(mu: Chain0) -> Chain0:
     """Atoms snapped and summed in a dict keyed by position tuples, in order,
-    sorted by key, dropping sums within 1e-12 of the longest weight."""
+    sorted by key, dropping sums within 1e-12 of the longest weight or sum."""
     reg = _PointRegistry(mu.n, EPS_GEOM)
     acc: dict = {}
     for p, w in zip(mu.P.tolist(), mu.W):
         p = reg.snap(p)
         acc[p] = acc[p] + w if p in acc else w
-    eps_w = 1e-12 * max((float(np.linalg.norm(w)) for w in mu.W), default=0.0)
+    eps_w = 1e-12 * max((float(np.linalg.norm(w)) for w in [*mu.W, *acc.values()]), default=0.0)
     kept = [p for p in sorted(acc) if np.linalg.norm(acc[p]) > eps_w]
     return Chain0.from_arrays(mu.n, mu.m, kept, [acc[p] for p in kept])
 
@@ -567,6 +577,24 @@ def test_canonicalize_properties(edge_data):
     assert mass(T) <= mass(raw) + 1e-9  # merging only cancels
     for e in T.edges:
         assert e.a < e.b  # canonical orientation
+
+
+tiny = st.sampled_from([1.0, -1.0, 2.0, 1e-12, 1.5e-12, -3e-12])
+axis_edge_st = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3), st.booleans(), tiny, tiny)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(axis_edge_st, min_size=1, max_size=8))
+def test_canonicalize_idempotent_on_axis_lattice(edge_data):
+    """Axis-aligned lattice edges meet only at lattice points, so a second
+    pass changes nothing, whatever the weights' scales."""
+    A = np.array([(x, y) for x, y, _, _, _, _ in edge_data], dtype=float)
+    B = A + [(k, 0) if horizontal else (0, k) for _, _, k, horizontal, _, _ in edge_data]
+    Theta = np.array([th for *_, th0, th1 in edge_data for th in (th0, th1)]).reshape(-1, 2)
+    T = canonicalize(Chain1.from_arrays(2, 2, A, B, Theta))
+    assert bits(canonicalize(T)) == bits(T)
+    mu = canonicalize0(Chain0.from_arrays(2, 2, np.vstack([A, B]), np.vstack([Theta, -2 * Theta])))
+    assert bits(canonicalize0(mu)) == bits(mu)
 
 
 class _BruteForceRegistry:
