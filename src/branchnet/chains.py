@@ -9,8 +9,6 @@ chains have non-overlapping edges (segments meet at most at endpoints),
 deterministic edge orientation and no negligible multiplicities (none
 within ``EPS_MULT_REL`` times the longest), so that equality, boundary,
 mass and energy are all well defined representation-independently.
-``canonicalize`` and ``canonicalize0`` sum coincident rows through one
-helper, ``_merge_rows``.
 
 All values are immutable after construction: ``from_arrays`` copies its
 input into read-only float64 arrays, checked once for shape and
@@ -255,12 +253,10 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct rows of X in lexicographic order, each row's index among them).
-
-    Rows equal as floats (0.0 and -0.0 too) are one, represented by their
-    first occurrence.  This is ``np.unique(axis=0, return_inverse=True)`` at
-    a third of its cost: a stable sort keeps equal rows in order.
-    """
+    """(distinct rows of X in lexicographic order, each row's index among
+    them): ``np.unique(axis=0, return_inverse=True)`` at a third of its cost.
+    A stable sort keeps equal rows (0.0 and -0.0 too) in order, so each
+    distinct row is its first occurrence."""
     order = np.lexsort(X.T[::-1])
     X = X[order]
     first = np.ones(len(X), dtype=bool)
@@ -362,16 +358,20 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
             dn = denom[tv]
             s = (wu_i - cosa[tv] * wu_j) / dn
             t = (cosa[tv] * wu_i - wu_j) / dn
-            gap = np.linalg.norm(A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1)
+            gap = np.linalg.norm(
+                A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1
+            )
             Li, Lj = L[ii[tv]], L[jj[tv]]
             ti, tj = s / Li, t / Lj
-            near = ((gap <= eps) & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
-                    & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj))
+            near = (
+                (gap <= eps)
+                & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
+                & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj)
+            )
             edges += [ii[tv][near], jj[tv][near]]
             ts += [ti[near], tj[near]]
 
-        # parallel pairs: collinear overlap iff the line offset vanishes;
-        # each edge of such a pair is split where the other's endpoints project
+        # parallel pairs: collinear overlap iff the line offset vanishes
         pl = np.nonzero(parallel)[0]
         if len(pl):
             perp = w[pl] - np.sum(w[pl] * ui[pl], axis=1)[:, None] * ui[pl]
@@ -393,7 +393,6 @@ def canonicalize(T: Chain1) -> Chain1:
     merged by summing multiplicities (sign-adjusted: flipping orientation
     negates theta), and negligible edges are dropped: those no longer than
     ``EPS_MULT_REL`` times the longest multiplicity, input or merged.
-    Edges come out sorted, each with tail < head.
     Idempotent; preserves boundary and can only decrease mass.
     """
     reg = _PointRegistry(T.n, EPS_GEOM)

@@ -207,8 +207,8 @@ class TestCanonicalize:
 
 def star_cone(rng, n, m, k) -> Chain1:
     """k spokes between a hub and random points, both orientations; every
-    bounding box holds the hub, and a quarter of the spokes run along an
-    earlier one's ray, so that they overlap it."""
+    bounding box holds the hub, and about a quarter of the spokes run along
+    the first spoke's ray, so that they overlap one another."""
     hub = rng.uniform(-1, 1, n)
     P = rng.uniform(-1, 1, (k, n))
     ray = rng.random(k) < 0.25
