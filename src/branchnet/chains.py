@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,7 +139,9 @@ class Chain0(_Stored):
         return hash((self.n, self.m, self.atoms))
 
     def __repr__(self):
-        return f"Chain0(n={self.n!r}, m={self.m!r}, atoms={self.atoms!r})"
+        # the repr of ``self.atoms``, formatted from the rows without building the views
+        atoms = [f"Atom(position={tuple(p)!r}, weight={tuple(w)!r})" for p, w in zip(self.P.tolist(), self.W.tolist())]
+        return f"Chain0(n={self.n!r}, m={self.m!r}, atoms=({', '.join(atoms)}{',' * (len(atoms) == 1)}))"
 
     def __reduce__(self):  # pickle and copy go through from_arrays
         return Chain0.from_arrays, (self.n, self.m, self.P, self.W)
@@ -316,6 +318,37 @@ class _PointRegistry:
 
 
 # ---------------------------------------------------------------------------
+# broad phase
+
+_BLOCK = 1 << 20  # candidate pairs held at once
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair ``(i, j)``, i < j, whose closed boxes [lo, hi] overlap on
+    every axis, and no other pair, as chunks of two index arrays in no
+    particular order.
+
+    Sort and sweep: with the boxes sorted by ``lo[:, 0]``, the later boxes
+    that meet box p along the first axis are the run of those with
+    ``lo[:, 0] <= hi[p, 0]``.  The runs are expanded and box-tested on every
+    axis at most ``_BLOCK`` candidates at a time.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    run = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(len(order)) - 1
+    total = np.concatenate([[0], np.cumsum(run)])  # candidates before each sorted position
+    p = 0
+    while p < len(order):
+        q = max(int(np.searchsorted(total, total[p] + _BLOCK, side="right")) - 1, p + 1)
+        first = np.repeat(np.arange(p, q), run[p:q])
+        second = first + 1 + np.arange(len(first)) - np.repeat(total[p:q] - total[p], run[p:q])
+        i, j = order[first], order[second]
+        overlap = np.all(lo[i] <= hi[j], axis=1) & np.all(lo[j] <= hi[i], axis=1)
+        i, j = i[overlap], j[overlap]
+        yield np.minimum(i, j), np.maximum(i, j)
+        p = q
+
+
+# ---------------------------------------------------------------------------
 # canonicalization
 
 def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +358,8 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
 
     Handles collinear overlaps (projecting the partner's endpoints), proper
     transverse crossings, and T-junctions (an endpoint of one edge interior
-    to another).  Pairs are tested with array masks, in blocks, after a
-    bounding-box rejection test.
+    to another).  Only pairs whose boxes, widened by eps, overlap are tested
+    (``_box_pairs``), with array masks, one chunk of pairs at a time.
     """
     lo = np.minimum(A, B) - eps
     hi = np.maximum(A, B) + eps
@@ -335,13 +368,7 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
     U = D / L[:, None]
 
     edges, ts = [np.empty(0, dtype=int)], [np.empty(0)]  # candidates, the interior ones kept at the end
-    ii_all, jj_all = np.triu_indices(len(A), 1)
-    block = 1 << 20
-    for start in range(0, len(ii_all), block):
-        ii = ii_all[start : start + block]
-        jj = jj_all[start : start + block]
-        overlap = np.all(lo[ii] <= hi[jj], axis=1) & np.all(lo[jj] <= hi[ii], axis=1)
-        ii, jj = ii[overlap], jj[overlap]
+    for ii, jj in _box_pairs(lo, hi):
         if not len(ii):
             continue
         ui, uj = U[ii], U[jj]

@@ -28,6 +28,7 @@ from branchnet.chains import (
     is_compatible,
     mass,
     row_dots,
+    _box_pairs,
     _significant,
     _vertex_weights,
 )
@@ -346,10 +347,15 @@ def _merge_candidates(T: Chain1) -> np.ndarray:
     A, B = T.A, T.B
     U = (B - A) / np.linalg.norm(B - A, axis=1)[:, None]
     M = 0.5 * (A + B)
-    ii, jj = np.triu_indices(len(A), 1)
+    R = _MERGE_DIST_FRAC * diam
+    # midpoints within R are within R on every axis.  A rounded distance can
+    # fall a few ulps below the true one (while the squares do not underflow),
+    # which 1e-9 covers; M + reach rounds monotonically, so it never drops a pair
+    reach = R * (1 + 1e-9)
+    ii, jj = (np.concatenate(k) for k in zip(*_box_pairs(M, M + reach)))
     dots = np.sum(U[ii] * U[jj], axis=1)
     dist = np.linalg.norm(M[ii] - M[jj], axis=1)
-    keep = (np.abs(dots) >= _MERGE_COS) & (dist <= _MERGE_DIST_FRAC * diam)
+    keep = (np.abs(dots) >= _MERGE_COS) & (dist <= R)
     ii, jj = ii[keep], jj[keep]
     order = np.lexsort((jj, ii, dist[keep]))
     return np.column_stack([ii, jj, dots[keep] > 0])[order]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchnet import chains
 from branchnet.chains import (
     EPS_GEOM,
     Atom,
@@ -29,8 +30,12 @@ from branchnet.chains import (
     restrict0,
     restrict_halfspace,
     _PointRegistry,
+    _box_pairs,
     _segment_interactions,
+    _unique_rows,
+    row_dots,
 )
+from branchnet.construct import cascade, shifted_grid
 from conftest import bits, path_chain, random_chain, signed_zero_chain
 
 
@@ -76,6 +81,14 @@ class TestArrays:
             for Y in (pickle.loads(pickle.dumps(X)), copy.deepcopy(X), copy.copy(X)):
                 assert Y == X and repr(Y) == repr(X)
         assert not pickle.loads(pickle.dumps(T)).A.flags.writeable
+
+    def test_chain0_repr_is_the_atom_view_repr(self, rng):
+        for n in range(1, 5):
+            for k in (0, 1, 2, 7):
+                P = rng.choice([-1.5, -0.0, 0.0, 1e-300, 2.0 / 3.0], (k, n))
+                W = rng.choice([-0.0, 0.0, 1.0, -1e17], (k, 1 + n % 3))
+                mu = Chain0.from_arrays(n, W.shape[1], P, W)
+                assert repr(mu) == f"Chain0(n={n}, m={mu.m}, atoms={mu.atoms!r})"
 
     def test_vertex_ids_match_first_occurrence_keys(self, rng):
         # a dict keyed by endpoint tuples keeps the first of equal keys, and
@@ -257,7 +270,7 @@ class TestCanonicalizeReference:
     def test_segment_interactions_match_pair_loop(self, rng):
         for T in reference_chains(rng):
             edge, t = _segment_interactions(T.A, T.B, EPS_GEOM)
-            want = [(i, u) for i, ts in enumerate(segment_interactions_reference(T.A, T.B, EPS_GEOM)) for u in ts]
+            want = [(i, u) for i, ts in enumerate(segment_interactions_pair_loop(T.A, T.B, EPS_GEOM)) for u in ts]
             assert sorted(zip(edge.tolist(), t.tolist())) == sorted(want)
 
     def test_canonicalize_matches_tuple_keyed_reference_bit_for_bit(self, rng):
@@ -279,7 +292,7 @@ class TestCanonicalizeReference:
         assert bits(canonicalize0(Chain0(2, 1))) == bits(canonicalize0_reference(Chain0(2, 1)))
 
 
-def segment_interactions_reference(A, B, eps):
+def segment_interactions_pair_loop(A, B, eps):
     """Split parameters in (0, 1) per edge, as lists: the closest points of
     near transverse pairs and the projections of each collinear partner's
     endpoints, appended pair by pair."""
@@ -346,7 +359,7 @@ def canonicalize_reference(T: Chain1) -> Chain1:
     Theta = T.Theta[rows]
     A, B = np.array([a for a, _ in ends]), np.array([b for _, b in ends])
     pieces = []
-    for k, ((a, b), tlist) in enumerate(zip(ends, segment_interactions_reference(A, B, EPS_GEOM))):
+    for k, ((a, b), tlist) in enumerate(zip(ends, segment_interactions_pair_loop(A, B, EPS_GEOM))):
         cuts = []
         for t in sorted(set(tlist)):
             if not cuts or t - cuts[-1] > EPS_GEOM / math.dist(a, b):
@@ -376,6 +389,147 @@ def canonicalize0_reference(mu: Chain0) -> Chain0:
     eps_w = 1e-12 * max((float(np.linalg.norm(w)) for w in [*mu.W, *acc.values()]), default=0.0)
     kept = [p for p in sorted(acc) if np.linalg.norm(acc[p]) > eps_w]
     return Chain0.from_arrays(mu.n, mu.m, kept, [acc[p] for p in kept])
+
+
+def segment_interactions_reference(A, B, eps):
+    """``_segment_interactions`` over every pair from ``np.triu_indices``,
+    box-tested and then narrow-tested in blocks of 2^20 pairs."""
+    lo = np.minimum(A, B) - eps
+    hi = np.maximum(A, B) + eps
+    D = B - A
+    L = np.linalg.norm(D, axis=1)
+    U = D / L[:, None]
+
+    edges, ts = [np.empty(0, dtype=int)], [np.empty(0)]
+    ii_all, jj_all = np.triu_indices(len(A), 1)
+    block = 1 << 20
+    for start in range(0, len(ii_all), block):
+        ii = ii_all[start : start + block]
+        jj = jj_all[start : start + block]
+        overlap = np.all(lo[ii] <= hi[jj], axis=1) & np.all(lo[jj] <= hi[ii], axis=1)
+        ii, jj = ii[overlap], jj[overlap]
+        if not len(ii):
+            continue
+        ui, uj = U[ii], U[jj]
+        w = A[jj] - A[ii]
+        cosa = np.sum(ui * uj, axis=1)
+        denom = 1.0 - cosa * cosa
+        parallel = np.abs(denom) < 1e-12
+        tv = np.nonzero(~parallel)[0]
+        if len(tv):
+            wu_i = np.sum(w[tv] * ui[tv], axis=1)
+            wu_j = np.sum(w[tv] * uj[tv], axis=1)
+            dn = denom[tv]
+            s = (wu_i - cosa[tv] * wu_j) / dn
+            t = (cosa[tv] * wu_i - wu_j) / dn
+            gap = np.linalg.norm(A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1)
+            Li, Lj = L[ii[tv]], L[jj[tv]]
+            ti, tj = s / Li, t / Lj
+            near = ((gap <= eps) & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
+                    & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj))
+            edges += [ii[tv][near], jj[tv][near]]
+            ts += [ti[near], tj[near]]
+        pl = np.nonzero(parallel)[0]
+        if len(pl):
+            perp = w[pl] - np.sum(w[pl] * ui[pl], axis=1)[:, None] * ui[pl]
+            coll = pl[np.linalg.norm(perp, axis=1) <= eps]
+            ci, cj = ii[coll], jj[coll]
+            e = np.concatenate([ci, ci, cj, cj])
+            edges.append(e)
+            ts.append(row_dots(np.concatenate([A[cj], B[cj], A[ci], B[ci]]) - A[e], U[e]) / L[e])
+    e, t = np.concatenate(edges), np.concatenate(ts)
+    inside = (eps / L[e] < t) & (t < 1.0 - eps / L[e])
+    return e[inside], t[inside]
+
+
+def cascade_inputs(rng, count):
+    """The snapped edge arrays that ``cascade`` hands to ``_segment_interactions``
+    on unit-weight planar pairs of 16 and 48 atoms per side."""
+    seen = []
+
+    def record(A, B, eps):
+        seen.append((A.copy(), B.copy()))
+        return _segment_interactions(A, B, eps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "_segment_interactions", record)
+        for k in range(count):
+            atoms = (16, 48)[k % 2]
+            mm, mp = (Chain0.from_arrays(2, 2, rng.uniform(0, 1, (atoms, 2)), np.ones((atoms, 2))) for _ in "-+")
+            cascade(mm, mp, shifted_grid((0.5, 0.5), 1.0, [mm, mp], seed=k, k_max=8), K=3 + k % 3)
+    return seen
+
+
+def touching_boxes(n):
+    """Parallel, collinear and crossing edges near the origin whose
+    eps-widened boxes meet exactly: the gaps are 2*EPS_GEOM, and
+    2*EPS_GEOM - EPS_GEOM rounds to EPS_GEOM.  Edge 0 touches edges 1 and 4
+    across the second axis and edge 2 across the first."""
+    eps2 = 2 * EPS_GEOM
+    x, y = np.eye(n)[0], np.eye(n)[1]
+    A = [0 * x, eps2 * y, -(1 + eps2) * x, 0.5 * x - y, eps2 * (x + y)]
+    B = [x, x + eps2 * y, -eps2 * x, 0.5 * x + y, 2 * x + eps2 * y]
+    return np.array(A), np.array(B)
+
+
+def interaction_inputs(rng):
+    """(A, B) edge arrays for the broad-phase comparisons, n = 2..4."""
+    yield from cascade_inputs(rng, 6)
+    for k in range(30):
+        n, m = 2 + k % 3, 1
+        for T in (star_cone(rng, n, m, 40), collinear_bundle(rng, n, m, 12)):
+            yield T.A, T.B
+        lattice = rng.integers(0, 3, (2, 30, n)) * 0.5  # many equal lo[:, 0], and zero-extent axes
+        keep = np.any(lattice[0] != lattice[1], axis=1)
+        yield lattice[0][keep], lattice[1][keep]
+        yield touching_boxes(n)
+        for E in (0, 1, 2):
+            yield rng.uniform(-1, 1, (E, n)), rng.uniform(-1, 1, (E, n)) + 2.0
+
+
+class TestBroadPhase:
+    def test_segment_interactions_match_all_pairs_reference(self, rng):
+        cut = 0
+        for A, B in interaction_inputs(rng):
+            got = _unique_rows(np.column_stack(_segment_interactions(A, B, EPS_GEOM)))[0]
+            want = _unique_rows(np.column_stack(segment_interactions_reference(A, B, EPS_GEOM)))[0]
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            cut += len(got) > 0
+        assert cut > 60
+
+    def test_touching_boxes_are_candidates(self):
+        A, B = touching_boxes(2)
+        lo, hi = np.minimum(A, B) - EPS_GEOM, np.maximum(A, B) + EPS_GEOM
+        pairs = {(i, j) for ii, jj in _box_pairs(lo, hi) for i, j in zip(ii.tolist(), jj.tolist())}
+        assert {(0, 1), (0, 2), (0, 4)} <= pairs
+
+    def test_chunks_hold_at_most_a_block_of_candidates(self):
+        # equal boxes: every pair is a candidate and overlaps
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chains, "_BLOCK", 1000)
+            chunks = list(_box_pairs(np.zeros((400, 2)), np.ones((400, 2))))
+        assert max(len(i) for i, _ in chunks) <= 1000 and len(chunks) >= 80
+        pairs = np.concatenate([np.column_stack(c) for c in chunks])
+        assert np.all(pairs[:, 0] < pairs[:, 1]) and len(np.unique(pairs, axis=0)) == 400 * 399 // 2
+
+
+box_st = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 4), st.integers(0, 2)),
+                  max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_st, st.sampled_from([1, 2, 3, 1 << 20]))
+def test_box_pairs_match_brute_force(boxes, block):
+    """Small integer boxes, so lo values tie, boxes touch and axes have zero
+    extent; tiny blocks split the sweep into many chunks."""
+    lo = np.array([(x, y) for x, _, y, _ in boxes], dtype=float).reshape(-1, 2)
+    hi = lo + np.array([(w, h) for _, w, _, h in boxes], dtype=float).reshape(-1, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "_BLOCK", block)
+        got = [(i, j) for ii, jj in _box_pairs(lo, hi) for i, j in zip(ii.tolist(), jj.tolist())]
+    want = [(i, j) for i in range(len(lo)) for j in range(i + 1, len(lo))
+            if np.all(lo[i] <= hi[j]) and np.all(lo[j] <= hi[i])]
+    assert sorted(got) == want
 
 
 class TestBoundaryDivergence:

@@ -16,8 +16,8 @@ from branchnet.chains import (
     is_piece,
     mass,
 )
-from branchnet.construct import bounding_cube
-from branchnet.costs import p_norm_alpha, sum_alpha
+from branchnet.construct import bounding_cube, cascade, shifted_grid
+from branchnet.costs import BetaEnvelope, p_norm_alpha, sum_alpha
 from branchnet.energy import energy
 from branchnet.optimize import (
     OptimizerConfig,
@@ -545,6 +545,16 @@ class TestLocalSearch:
         with pytest.raises(ValueError):
             local_search(mm, mp, sum_alpha(1, 0.5))
 
+    def test_library_calls_write_nothing_to_stdout(self, rng, capsys):
+        """Benchmark and CLI results are the last line of standard output,
+        so the library's solver, constructor and verifier print nothing."""
+        mm, mp = compatible_pair(rng, atoms=5, m=2, span=0.4)
+        T, _ = local_search(mm, mp, sum_alpha(2, 0.7))
+        cascade(mm, mp, shifted_grid((0.0, 0.0), 1.0, [mm, mp], seed=0, k_max=8), 4,
+                cost=sum_alpha(2, 0.7), beta=BetaEnvelope.from_power(0.75))
+        verify_solution(T, mm, mp, sum_alpha(2, 0.7))
+        assert capsys.readouterr().out == ""
+
     def test_energy_trace_verified_report(self, rng):
         mm, mp = compatible_pair(rng, atoms=5, m=2)
         T, rep = local_search(mm, mp, sum_alpha(2, 0.7))
@@ -650,6 +660,44 @@ class TestMergeCandidates:
             assert _merge_candidates(T).tolist() == [[i, k, int(dot > 0)] for _, i, k, dot in ref]
         ref = merge_candidates_reference(chains[0])
         assert len({d for d, *_ in ref}) < len(ref) and {dot > 0 for *_, dot in ref} == {False, True}
+
+    def test_far_offset_and_many_edges_match_reference(self, rng):
+        """Coordinates near 1e8 round the midpoints and their distances
+        coarsely, and up to 500 short segments keep most pairs far apart."""
+        chains, found = [], 0
+        for E in (2, 30, 120, 500):
+            A = rng.uniform(0, 1, (E, 2))
+            B = A + 0.05 * rng.normal(size=(E, 2))
+            chains.append(Chain1.from_arrays(2, 1, A, B, np.ones((E, 1))))
+            lattice = rng.integers(0, 6, (E, 2)) * 0.1
+            chains.append(Chain1.from_arrays(2, 1, lattice, lattice + [0.05, 0.0], np.ones((E, 1))))
+        chains += [random_chain(rng, n=3, edges=10, m=2, grid=2) for _ in range(4)]
+        for T in chains:
+            for offset in (0.0, 1e8, -1e8):
+                S = Chain1.from_arrays(T.n, T.m, T.A + offset, T.B + offset, T.Theta)
+                ref = merge_candidates_reference(S)
+                assert _merge_candidates(S).tolist() == [[i, k, int(dot > 0)] for _, i, k, dot in ref]
+                found += len(ref)
+        assert found > 1000
+
+    @pytest.mark.parametrize("low, span", [(-0.2497060070067163, 10.0), (-0.6428562436512562, 7.3)])
+    def test_pair_beyond_the_rounded_reach_is_kept(self, low, span):
+        """Two short parallel edges whose midpoints are a rounded distance R
+        apart, R = 0.1 * diam, while the upper midpoint lies above low + R
+        as floats: only the broad phase's slack keeps that pair."""
+        h = np.array([0.25, 0.0])
+        A2, B2 = np.array([low, low + span]), np.array([low + 0.5, low + span])
+        diam = bounding_cube(np.vstack([[low, low] - h, [low, low] + h, A2, B2]))[1]
+        above, beyond = np.array([low, low + 0.1 * diam]), 0
+        for _ in range(3):
+            above[1] = np.nextafter(above[1], np.inf)
+            T = Chain1.from_arrays(2, 1, [[low, low] - h, above - h, A2], [[low, low] + h, above + h, B2],
+                                   np.ones((3, 1)))
+            ref = merge_candidates_reference(T)
+            assert _merge_candidates(T).tolist() == [[i, k, int(dot > 0)] for _, i, k, dot in ref]
+            M = 0.5 * (T.A + T.B)
+            beyond += bool(ref) and M[1, 1] > M[0, 1] + 0.1 * bounding_cube(np.vstack([T.A, T.B]))[1]
+        assert beyond
 
 
 class TestConfig:

@@ -1,8 +1,8 @@
 """Structure of the package: every import at module level, no import cycle
 between branchnet modules, only ``chains`` touches the Edge/Atom views,
 graphs are read from vertex ids, canonicalization merges rows through one
-array helper, only ``costs.evaluate_rows`` branches on the cost family, and
-every parameter default is set by some call."""
+array helper, no module enumerates all pairs, only ``costs.evaluate_rows``
+branches on the cost family, and every parameter default is set by some call."""
 
 import ast
 from pathlib import Path
@@ -115,6 +115,14 @@ def test_canonicalization_merges_rows_through_one_helper():
     assert not found, found
     assert any(isinstance(node, ast.Attribute) and node.attr == "lexsort" and scope == "_unique_rows"
                for scope, node in _scoped(MODULES["chains"]))
+
+
+def test_no_all_pairs_enumeration():
+    """Edge pairs come from the sort-and-sweep broad phase
+    (``chains._box_pairs``): no module enumerates every pair."""
+    found = [f"{stem}.py:{node.lineno}" for stem, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "triu_indices"]
+    assert not found, found
 
 
 def _reads_family(node) -> bool:
