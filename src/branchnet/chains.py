@@ -20,7 +20,6 @@ from which every incidence-based operation reads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -274,70 +273,75 @@ def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _PointRegistry:
     """Snaps nearby points to a single representative.
 
-    Uses a uniform hash grid with cell size 4*eps: a point within eps of
-    another lies in the same cell or, along each axis, in the neighbour
-    across a face it is within eps of.  A lookup probes only those cells,
-    in lexicographic order of their offsets, so registered points are
-    visited in the same relative order as a full 3^n probe would visit them.
+    ``snap`` takes rows in order.  A row goes to the nearest representative
+    registered before it with ``math.dist`` <= eps (of equally near ones,
+    the last in order of cell ``floor(x / 4 eps)``, then registration), or
+    becomes one.  Representatives persist across calls.  Rows are grouped
+    by ``_unique_rows``; only those of a group with a nearby group
+    (``_box_pairs``) are taken one by one, since a later copy of such a row
+    can go to a nearer representative registered in between.
     """
 
-    # a point within eps of a face lies within eps/h = 1/4 cell of it in
-    # c/h, since rounding c/h is monotone; the slack covers a distance that
-    # is <= eps only after rounding, which can move c/h one ulp past 1/4
-    _FACE = 0.25 + 1e-12
-    _ULP = 2.0**-51
-
     def __init__(self, n: int, eps: float):
-        self.n = n
         self.eps = eps
-        self.h = 4.0 * eps
-        self.cells: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
+        self.P = np.empty((0, n))  # representatives in registration order
 
-    def snap(self, p: Sequence[float]) -> tuple[float, ...]:
-        pt = tuple(float(c) for c in p)
-        base = []
-        probes = []
-        for c in pt:
-            u = c / self.h
-            k = math.floor(u)
-            f = u - k
-            reach = self._FACE + abs(u) * self._ULP
-            base.append(k)
-            probes.append((k - 1,) * (f <= reach) + (k,) + (k + 1,) * (f >= 1.0 - reach))
-        best = None
-        best_d = self.eps
-        for cell in itertools.product(*probes):
-            for q in self.cells.get(cell, ()):
-                d = math.dist(pt, q)
-                if d <= best_d:
-                    best, best_d = q, d
-        if best is not None:
-            return best
-        self.cells.setdefault(tuple(base), []).append(pt)
-        return pt
+    def snap(self, X: np.ndarray) -> np.ndarray:
+        """The (k, n) rows of X, each replaced by its representative."""
+        if not len(X):
+            return X
+        # replaying the representatives registers each of them again, unchanged
+        Q = np.concatenate([self.P, X])
+        U, ids = _unique_rows(Q)
+        # one-sided boxes: U + reach rounds monotonically, so no pair within eps is lost
+        hi = U + self.eps * (1 + 1e-9)
+        i, j = np.concatenate([np.empty((2, 0), dtype=int), *map(np.stack, _box_pairs(U, hi))], axis=1)
+        ends = np.concatenate([i, j])
+        order = np.argsort(ends, kind="stable")
+        partner, start = np.concatenate([j, i])[order], np.searchsorted(ends[order], np.arange(len(U) + 1))
+        near = start[1:] > start[:-1]
+        rep = np.where(near, -1, np.unique(ids, return_index=True)[1])  # a lone group's first row represents it
+        out = U[ids]
+        rows = Q.tolist()
+        for k in np.flatnonzero(near[ids]).tolist():
+            g = ids[k]
+            best = rep[g]
+            if best < 0:  # the nearest representative of a nearby group, or k itself
+                best, best_d = k, self.eps
+                found = rep[partner[start[g]:start[g + 1]]]
+                for _, c in sorted(([math.floor(x / (4 * self.eps)) for x in rows[c]], c) for c in found[found >= 0]):
+                    d = math.dist(rows[k], rows[c])
+                    if d <= best_d:
+                        best, best_d = c, d
+                rep[g] = k if best == k else -1
+            out[k] = Q[best]
+        self.P = Q[np.sort(rep[rep >= 0])]
+        return out[len(Q) - len(X):]
 
 
 # ---------------------------------------------------------------------------
 # broad phase
 
-_BLOCK = 1 << 20  # candidate pairs held at once
+_BLOCK = 1 << 16  # candidate pairs held at once
 
 
 def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every pair ``(i, j)``, i < j, whose closed boxes [lo, hi] overlap on
     every axis, and no other pair, as chunks of two index arrays in no
-    particular order.
+    particular order; no chunk when no two boxes meet along the sweep axis.
 
-    Sort and sweep: with the boxes sorted by ``lo[:, 0]``, the later boxes
-    that meet box p along the first axis are the run of those with
-    ``lo[:, 0] <= hi[p, 0]``.  The runs are expanded and box-tested on every
-    axis at most ``_BLOCK`` candidates at a time.
+    Sort and sweep: with the boxes sorted by ``lo[:, d]``, the later boxes
+    that meet box p along axis d are the run of those with
+    ``lo[:, d] <= hi[p, d]``.  d is the first axis whose runs hold the
+    fewest candidates.  The runs are expanded and box-tested on every axis
+    at most ``_BLOCK`` candidates at a time.
     """
-    order = np.argsort(lo[:, 0], kind="stable")
-    run = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(len(order)) - 1
+    orders = np.argsort(lo, axis=0, kind="stable").T
+    runs = [np.searchsorted(l[o], h[o], side="right") - np.arange(len(o)) - 1 for l, h, o in zip(lo.T, hi.T, orders)]
+    order, run = min(zip(orders, runs), key=lambda s: s[1].sum())
     total = np.concatenate([[0], np.cumsum(run)])  # candidates before each sorted position
     p = 0
-    while p < len(order):
+    while total[p] < total[-1]:
         q = max(int(np.searchsorted(total, total[p] + _BLOCK, side="right")) - 1, p + 1)
         first = np.repeat(np.arange(p, q), run[p:q])
         second = first + 1 + np.arange(len(first)) - np.repeat(total[p:q] - total[p], run[p:q])
@@ -369,8 +373,6 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
 
     edges, ts = [np.empty(0, dtype=int)], [np.empty(0)]  # candidates, the interior ones kept at the end
     for ii, jj in _box_pairs(lo, hi):
-        if not len(ii):
-            continue
         ui, uj = U[ii], U[jj]
         w = A[jj] - A[ii]
         cosa = np.sum(ui * uj, axis=1)
@@ -415,42 +417,42 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
 def canonicalize(T: Chain1) -> Chain1:
     """Return an equivalent canonical chain.
 
-    Endpoints within ``EPS_GEOM`` are snapped together, edges are split at
+    The endpoints a0, b0, a1, b1, ..., then the kept cut points in order of
+    (edge, t), each go to the nearest earlier representative within
+    ``EPS_GEOM`` or become one (``_PointRegistry``), edges are split at
     mutual intersections/overlap endpoints, coincident sub-segments are
     merged by summing multiplicities (sign-adjusted: flipping orientation
     negates theta), and negligible edges are dropped: those no longer than
     ``EPS_MULT_REL`` times the longest multiplicity, input or merged.
     Idempotent; preserves boundary and can only decrease mass.
     """
+    same = np.flatnonzero(np.all(T.A == T.B, axis=1))
+    if len(same):
+        raise DegenerateEdgeError(f"degenerate edge at {tuple(T.A[same[0]].tolist())}")
     reg = _PointRegistry(T.n, EPS_GEOM)
-    lines, rows = [], []  # each kept edge as the list of its points, tail to head
-    for i, (a, b) in enumerate(zip(T.A.tolist(), T.B.tolist())):
-        if a == b:
-            raise DegenerateEdgeError(f"degenerate edge at {tuple(a)}")
-        a, b = reg.snap(a), reg.snap(b)
-        if a != b:  # a pair collapsed by snapping is below resolution: drop it
-            lines.append([a, b])
-            rows.append(i)
-    if not rows:
-        return Chain1.from_arrays(T.n, T.m, (), (), (), canonical=True)
-    A, B = np.array(lines).swapaxes(0, 1)
+    A, B = reg.snap(np.concatenate([T.A, T.B], axis=1).reshape(-1, T.n)).reshape(-1, 2, T.n).swapaxes(0, 1)
+    rows = np.flatnonzero(np.any(A != B, axis=1))  # a pair collapsed by snapping is below resolution: drop it
+    A, B = A[rows], B[rows]
 
-    # split every edge at its cuts, in order of (edge, t); cuts closer than
-    # EPS_GEOM to the last one kept are dropped, and new points are snapped
+    # split every edge at its cuts, in order of (edge, t); a cut closer than
+    # EPS_GEOM to the last one kept on its edge is dropped
     cuts, _ = _unique_rows(np.column_stack(_segment_interactions(A, B, EPS_GEOM)))
-    for k, cut in itertools.groupby(cuts.tolist(), lambda c: int(c[0])):
-        tol = EPS_GEOM / math.dist(*lines[k])
-        kept: list[float] = []
-        for _, t in cut:
-            if not kept or t - kept[-1] > tol:
-                kept.append(t)
-        lines[k][1:1] = [reg.snap(A[k] + t * (B[k] - A[k])) for t in kept]
+    tol = [EPS_GEOM / math.dist(a, b) for a, b in zip(A.tolist(), B.tolist())]
+    keep, last = [], (-1.0, 0.0)
+    for k, (e, u) in enumerate(cuts.tolist()):
+        if e != last[0] or u - last[1] > tol[int(e)]:
+            keep.append(k)
+            last = e, u
+    edge, t = cuts[keep, 0].astype(int), cuts[keep, 1]
+    C = reg.snap(A[edge] + t[:, None] * (B[edge] - A[edge]))
 
-    # a piece joins consecutive points of a line, unless snapping made them equal
-    P = np.array([p for line in lines for p in line])
-    row = np.repeat(rows, [len(line) for line in lines])
-    i = np.flatnonzero((row[:-1] == row[1:]) & np.any(P[:-1] != P[1:], axis=1))
-    Pa, Pb, Theta = P[i], P[i + 1], T.Theta[row[i]]
+    # each line's points, tail, cuts, head; a piece joins consecutive points
+    # of a line, unless snapping made them equal
+    line = np.concatenate([np.arange(len(A)), edge, np.arange(len(A))])
+    order = np.argsort(line, kind="stable")
+    P, line = np.concatenate([A, C, B])[order], line[order]
+    i = np.flatnonzero((line[:-1] == line[1:]) & np.any(P[:-1] != P[1:], axis=1))
+    Pa, Pb, Theta = P[i], P[i + 1], T.Theta[rows[line[i]]]
 
     # orient each piece from its lexicographically smaller end, then merge
     at = np.arange(len(i)), np.argmax(Pa != Pb, axis=1)
@@ -461,13 +463,10 @@ def canonicalize(T: Chain1) -> Chain1:
 
 
 def canonicalize0(mu: Chain0) -> Chain0:
-    """Merge atoms within ``EPS_GEOM`` of each other, in lexicographic order,
-    and drop negligible ones: those whose merged weight is no longer than
+    """Snap the atoms in order (``_PointRegistry``), sum the weights at each
+    position, in lexicographic order, and drop sums no longer than
     ``EPS_MULT_REL`` times the longest weight, input or merged.  Idempotent."""
-    if not len(mu.P):
-        return mu
-    reg = _PointRegistry(mu.n, EPS_GEOM)
-    P, W = _merge_rows(np.array([reg.snap(p) for p in mu.P.tolist()]), mu.W)
+    P, W = _merge_rows(_PointRegistry(mu.n, EPS_GEOM).snap(mu.P), mu.W)
     return Chain0.from_arrays(mu.n, mu.m, P, W)
 
 

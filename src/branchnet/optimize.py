@@ -352,7 +352,7 @@ def _merge_candidates(T: Chain1) -> np.ndarray:
     # fall a few ulps below the true one (while the squares do not underflow),
     # which 1e-9 covers; M + reach rounds monotonically, so it never drops a pair
     reach = R * (1 + 1e-9)
-    ii, jj = (np.concatenate(k) for k in zip(*_box_pairs(M, M + reach)))
+    ii, jj = np.concatenate([np.empty((2, 0), dtype=int), *map(np.stack, _box_pairs(M, M + reach))], axis=1)
     dots = np.sum(U[ii] * U[jj], axis=1)
     dist = np.linalg.norm(M[ii] - M[jj], axis=1)
     keep = (np.abs(dots) >= _MERGE_COS) & (dist <= R)
@@ -372,11 +372,10 @@ def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, confi
     w = 0.5 * (b1 + b2)
     if np.array_equal(v, w):
         return T
-    new = [(p, q, th) for p, q, th in ((a1, v, th1), (a2, v, th2), (v, w, th1 + th2), (w, b1, th1), (w, b2, th2))
-           if not np.array_equal(p, q)]
-    rest = [idx for idx in range(len(T.A)) if idx not in (i, k)]
-    trial = Chain1.from_arrays(T.n, T.m, [*T.A[rest], *(p for p, _, _ in new)], [*T.B[rest], *(q for _, q, _ in new)],
-                               [*T.Theta[rest], *(th for _, _, th in new)])
+    P, Q, Th = np.array([a1, a2, v, w, w]), np.array([v, v, w, b1, b2]), np.array([th1, th2, th1 + th2, th1, th2])
+    keep = np.any(P != Q, axis=1)  # the new edges, less those of zero length
+    trial = Chain1.from_arrays(T.n, T.m, *(np.concatenate([np.delete(X, [i, k], axis=0), Y[keep]])
+                                           for X, Y in ((T.A, P), (T.B, Q), (T.Theta, Th))))
     return relocate_branch_points(canonicalize(trial), cost)
 
 
@@ -460,7 +459,7 @@ def verify_solution(
         T = canonicalize(T)
     target = mu_minus - mu_plus
     residual_chain = divergence(T) - target
-    residual = flat_bounds(canonicalize0(residual_chain)).upper
+    residual = flat_bounds(residual_chain).upper  # flat_bounds canonicalizes a 0-chain itself
     tol = _flow_tol(T.Theta)
     acyclic = [_find_directed_cycle(len(T.V), _arcs(T.ij, T.Theta[:, j], tol)[0]) is None for j in range(T.m)]
 

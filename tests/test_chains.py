@@ -347,7 +347,7 @@ def canonicalize_reference(T: Chain1) -> Chain1:
     edge at its sorted distinct cuts (dropping those within EPS_GEOM of the
     last kept one), orient each piece by tuple order, sum in piece order,
     and drop sums within 1e-12 of the longest multiplicity or sum."""
-    reg = _PointRegistry(T.n, EPS_GEOM)
+    reg = _BruteForceRegistry(EPS_GEOM)
     ends, rows = [], []
     for i, (a, b) in enumerate(zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist()))):
         a, b = reg.snap(a), reg.snap(b)
@@ -364,7 +364,7 @@ def canonicalize_reference(T: Chain1) -> Chain1:
         for t in sorted(set(tlist)):
             if not cuts or t - cuts[-1] > EPS_GEOM / math.dist(a, b):
                 cuts.append(t)
-        pts = [a] + [reg.snap(A[k] + t * (B[k] - A[k])) for t in cuts] + [b]
+        pts = [a] + [reg.snap(tuple((A[k] + t * (B[k] - A[k])).tolist())) for t in cuts] + [b]
         pieces += [(p, q, k) for p, q in zip(pts, pts[1:]) if p != q]
     acc: dict = {}
     for a, b, k in pieces:
@@ -381,9 +381,9 @@ def canonicalize_reference(T: Chain1) -> Chain1:
 def canonicalize0_reference(mu: Chain0) -> Chain0:
     """Atoms snapped and summed in a dict keyed by position tuples, in order,
     sorted by key, dropping sums within 1e-12 of the longest weight or sum."""
-    reg = _PointRegistry(mu.n, EPS_GEOM)
+    reg = _BruteForceRegistry(EPS_GEOM)
     acc: dict = {}
-    for p, w in zip(mu.P.tolist(), mu.W):
+    for p, w in zip(map(tuple, mu.P.tolist()), mu.W):
         p = reg.snap(p)
         acc[p] = acc[p] + w if p in acc else w
     eps_w = 1e-12 * max((float(np.linalg.norm(w)) for w in [*mu.W, *acc.values()]), default=0.0)
@@ -511,6 +511,17 @@ class TestBroadPhase:
         assert max(len(i) for i, _ in chunks) <= 1000 and len(chunks) >= 80
         pairs = np.concatenate([np.column_stack(c) for c in chunks])
         assert np.all(pairs[:, 0] < pairs[:, 1]) and len(np.unique(pairs, axis=0)) == 400 * 399 // 2
+
+    def test_sweep_takes_the_axis_with_the_fewest_candidates(self):
+        """A comb of stacked horizontal edges shares its first coordinates:
+        swept along the first axis, every pair would be a candidate."""
+        y = np.arange(400.0)
+        lo, hi = np.column_stack([np.zeros(400), y]), np.column_stack([np.ones(400), y + 0.5])
+        for lo, hi in ((lo, hi), (lo[:, ::-1], hi[:, ::-1])):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(chains, "_BLOCK", 1000)
+                chunks = list(_box_pairs(lo, hi))
+            assert chunks == []
 
 
 box_st = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 4), st.integers(0, 2)),
@@ -752,11 +763,9 @@ def test_canonicalize_idempotent_on_axis_lattice(edge_data):
 
 
 class _BruteForceRegistry:
-    """Reference snapping: scans every registered point.
-
-    Candidates are visited in (cell, insertion) order, the order in which a
-    grid probe meets them, so exact distance ties resolve the same way.
-    """
+    """Reference snapping, one point at a time: scans every registered point
+    in (cell, insertion) order and keeps the last of the nearest within eps,
+    or registers the point if there is none."""
 
     def __init__(self, eps: float):
         self.eps = eps
@@ -799,10 +808,63 @@ def near_face_clouds(draw):
     return [tuple(c + o for c, o in zip(center, off)) for off in cloud]
 
 
-@settings(max_examples=300, deadline=None)
-@given(near_face_clouds())
-def test_snap_matches_brute_force(points):
-    reg = _PointRegistry(len(points[0]), EPS_GEOM)
+@st.composite
+def clouds_with_copies(draw):
+    """Points in R^n (n = 1..3) drawn with repeats from a few values around
+    0 and 1, signed zeros among them, so that equal rows (0.0 and -0.0 too)
+    recur after nearby distinct rows."""
+    eps = EPS_GEOM
+    n = draw(st.integers(1, 3))
+    center = draw(st.sampled_from([0.0, 1.0]))
+    value = st.sampled_from([0.0, -0.0, 0.5 * eps, -0.5 * eps, 0.9 * eps, 1.05 * eps, eps, -eps, 1.5 * eps])
+    pool = draw(st.lists(st.tuples(*[value] * n), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=16))
+    return [tuple(center + c if center else c for c in pool[k]) for k in picks]
+
+
+def assert_snaps_like_brute_force(points, cut):
+    """``snap`` of the points in two batches, split at ``cut``, gives the
+    brute-force registry's answers bit for bit."""
+    n = len(points[0])
+    reg = _PointRegistry(n, EPS_GEOM)
     ref = _BruteForceRegistry(EPS_GEOM)
-    for p in points:
-        assert reg.snap(p) == ref.snap(p)
+    batches = (np.array(b, dtype=float).reshape(-1, n) for b in (points[:cut], points[cut:]))
+    got = np.concatenate([reg.snap(X) for X in batches])
+    want = np.array([ref.snap(p) for p in points], dtype=float)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_face_clouds(), st.integers(0, 16))
+def test_snap_matches_brute_force(points, cut):
+    assert_snaps_like_brute_force(points, cut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds_with_copies(), st.integers(0, 16))
+def test_snap_matches_brute_force_with_copies_and_signed_zeros(points, cut):
+    assert_snaps_like_brute_force(points, cut)
+
+
+def test_equally_near_representatives_tie_by_cell_then_registration():
+    """0 is 0.75e-9 from both representatives; -0.75e-9 lies in the lower
+    cell, so 0.75e-9, registered first, wins.  2.5u and 5.5u (u = 2^-31)
+    share a cell and are 1.5u from 4u, exactly; 2.5u registered last wins,
+    also when 4u comes in a later call."""
+    for rows, want in (([0.75e-9, -0.75e-9, 0.0], 0.75e-9), ([5.5 * 2**-31, 2.5 * 2**-31, 4 * 2**-31], 2.5 * 2**-31)):
+        for cut in range(4):
+            assert_snaps_like_brute_force([(x,) for x in rows], cut)
+        reg = _PointRegistry(1, EPS_GEOM)
+        reg.snap(np.array(rows[:2])[:, None])
+        assert reg.snap(np.array([[rows[2]]])).tolist() == [[want]]
+
+
+def test_a_later_copy_can_snap_to_a_nearer_representative():
+    """0 and 1.05e-9 register; the first 0.9e-9 sees only 0, its copy
+    sees 1.05e-9 too, which is nearer."""
+    rows = [(0.0,), (0.9e-9,), (1.05e-9,), (0.9e-9,)]
+    for cut in range(5):
+        assert_snaps_like_brute_force(rows, cut)
+    reg = _PointRegistry(1, EPS_GEOM)
+    assert reg.snap(np.array(rows)).ravel().tolist() == [0.0, 0.0, 1.05e-9, 1.05e-9]
+    assert reg.P.ravel().tolist() == [0.0, 1.05e-9]

@@ -1,8 +1,9 @@
 """Structure of the package: every import at module level, no import cycle
 between branchnet modules, only ``chains`` touches the Edge/Atom views,
 graphs are read from vertex ids, canonicalization merges rows through one
-array helper, no module enumerates all pairs, only ``costs.evaluate_rows``
-branches on the cost family, and every parameter default is set by some call."""
+array helper, no module enumerates all pairs, points are snapped in
+batches, only ``costs.evaluate_rows`` branches on the cost family, and
+every parameter default is set by some call."""
 
 import ast
 from pathlib import Path
@@ -122,6 +123,36 @@ def test_no_all_pairs_enumeration():
     (``chains._box_pairs``): no module enumerates every pair."""
     found = [f"{stem}.py:{node.lineno}" for stem, tree in MODULES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "triu_indices"]
+    assert not found, found
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _snap_calls(node, in_loop=False, scope=""):
+    """(scope, line, whether inside a loop or comprehension, argument) of
+    every ``.snap(...)`` call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (*FUNCTIONS, ast.ClassDef)) else scope
+        if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "snap":
+            yield inner, child.lineno, in_loop, child.args
+        yield from _snap_calls(child, in_loop or isinstance(child, LOOPS), inner)
+
+
+def test_points_are_snapped_in_batches():
+    """``chains`` snaps whole arrays: ``canonicalize`` makes two ``snap``
+    calls (endpoints, then cut points) and ``canonicalize0`` one, none of
+    them in a loop or comprehension or on a literal point, and no grid
+    probe (``itertools.product``) is left."""
+    calls = list(_snap_calls(MODULES["chains"]))
+    assert sorted(scope for scope, *_ in calls) == ["canonicalize", "canonicalize", "canonicalize0"], calls
+    found = [f"chains.py:{line} snaps in a loop" for _, line, in_loop, _ in calls if in_loop]
+    found += [f"chains.py:{line} snaps a literal point" for _, line, _, args in calls
+              if len(args) != 1 or isinstance(args[0], (ast.Tuple, ast.List, *LOOPS))]
+    found += [f"chains.py:{node.lineno} uses {node.attr}" for node in ast.walk(MODULES["chains"])
+              if isinstance(node, ast.Attribute) and node.attr == "product"]
+    found += [f"chains.py:{node.lineno} imports product" for node in ast.walk(MODULES["chains"])
+              if isinstance(node, ast.ImportFrom) and any(a.name == "product" for a in node.names)]
     assert not found, found
 
 
