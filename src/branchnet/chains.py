@@ -267,6 +267,15 @@ def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[first], ids
 
 
+def _sum_rows(ids: np.ndarray, W: np.ndarray, k: int) -> np.ndarray:
+    """(k, m) group sums: row g adds the rows W[i] with ids[i] == g, in row
+    order, starting from -0.0, which keeps a first term bit for bit, signed
+    zeros too.  The package's one group sum."""
+    S = np.full((k, W.shape[1]), -0.0)
+    np.add.at(S, ids, W)
+    return S
+
+
 # ---------------------------------------------------------------------------
 # point snapping
 
@@ -371,7 +380,7 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
     L = np.linalg.norm(D, axis=1)
     U = D / L[:, None]
 
-    edges, ts = [np.empty(0, dtype=int)], [np.empty(0)]  # candidates, the interior ones kept at the end
+    edges, ts = [np.empty(0, dtype=int)], [np.empty(0)]  # each chunk's interior split points
     for ii, jj in _box_pairs(lo, hi):
         ui, uj = U[ii], U[jj]
         w = A[jj] - A[ii]
@@ -381,37 +390,36 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
 
         # transverse pairs: closest points of the two supporting lines
         tv = np.nonzero(~parallel)[0]
-        if len(tv):
-            wu_i = np.sum(w[tv] * ui[tv], axis=1)
-            wu_j = np.sum(w[tv] * uj[tv], axis=1)
-            dn = denom[tv]
-            s = (wu_i - cosa[tv] * wu_j) / dn
-            t = (cosa[tv] * wu_i - wu_j) / dn
-            gap = np.linalg.norm(
-                A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1
-            )
-            Li, Lj = L[ii[tv]], L[jj[tv]]
-            ti, tj = s / Li, t / Lj
-            near = (
-                (gap <= eps)
-                & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
-                & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj)
-            )
-            edges += [ii[tv][near], jj[tv][near]]
-            ts += [ti[near], tj[near]]
+        wu_i = np.sum(w[tv] * ui[tv], axis=1)
+        wu_j = np.sum(w[tv] * uj[tv], axis=1)
+        dn = denom[tv]
+        s = (wu_i - cosa[tv] * wu_j) / dn
+        t = (cosa[tv] * wu_i - wu_j) / dn
+        gap = np.linalg.norm(
+            A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1
+        )
+        Li, Lj = L[ii[tv]], L[jj[tv]]
+        ti, tj = s / Li, t / Lj
+        near = (
+            (gap <= eps)
+            & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
+            & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj)
+        )
 
         # parallel pairs: collinear overlap iff the line offset vanishes
         pl = np.nonzero(parallel)[0]
-        if len(pl):
-            perp = w[pl] - np.sum(w[pl] * ui[pl], axis=1)[:, None] * ui[pl]
-            coll = pl[np.linalg.norm(perp, axis=1) <= eps]
-            ci, cj = ii[coll], jj[coll]
-            e = np.concatenate([ci, ci, cj, cj])
-            edges.append(e)
-            ts.append(row_dots(np.concatenate([A[cj], B[cj], A[ci], B[ci]]) - A[e], U[e]) / L[e])
-    e, t = np.concatenate(edges), np.concatenate(ts)
-    inside = (eps / L[e] < t) & (t < 1.0 - eps / L[e])
-    return e[inside], t[inside]
+        perp = w[pl] - np.sum(w[pl] * ui[pl], axis=1)[:, None] * ui[pl]
+        coll = pl[np.linalg.norm(perp, axis=1) <= eps]
+        ci, cj = ii[coll], jj[coll]
+        c = np.concatenate([ci, ci, cj, cj])
+        tc = row_dots(np.concatenate([A[cj], B[cj], A[ci], B[ci]]) - A[c], U[c]) / L[c]
+
+        # keep the interior candidates of this chunk only, so that no more than a chunk's are held
+        e, t = np.concatenate([ii[tv][near], jj[tv][near], c]), np.concatenate([ti[near], tj[near], tc])
+        inside = (eps / L[e] < t) & (t < 1.0 - eps / L[e])
+        edges.append(e[inside])
+        ts.append(t[inside])
+    return np.concatenate(edges), np.concatenate(ts)
 
 
 def canonicalize(T: Chain1) -> Chain1:
@@ -472,12 +480,10 @@ def canonicalize0(mu: Chain0) -> Chain0:
 
 def _merge_rows(keys: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows of keys in lexicographic order, the sum of W's rows
-    under each), for the significant sums only.  Each sum adds its rows in
-    order from -0.0, which keeps a first term bit for bit, signed zeros too.
-    Sums count as inputs of the threshold, so a second pass keeps every row."""
+    under each, by ``_sum_rows``), for the significant sums only.  Sums
+    count as inputs of the threshold, so a second pass keeps every row."""
     K, ids = _unique_rows(keys)
-    S = np.full((len(K), W.shape[1]), -0.0)
-    np.add.at(S, ids, W)
+    S = _sum_rows(ids, W, len(K))
     keep = _significant(S, np.concatenate([W, S]))
     return K[keep], S[keep]
 
@@ -493,11 +499,8 @@ def _significant(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 def _vertex_weights(T: Chain1) -> np.ndarray:
     """(k, m) net weight at each vertex ``T.V[k]``: the sum over edges, in
-    order, of +theta at the head and then -theta at the tail.  Sums start
-    from -0.0, which keeps the first term bit for bit, even a signed zero."""
-    W = np.full((len(T.V), T.m), -0.0)
-    np.add.at(W, T.ij[:, ::-1].ravel(), np.stack([T.Theta, -T.Theta], axis=1).reshape(-1, T.m))
-    return W
+    order, of +theta at the head and then -theta at the tail (``_sum_rows``)."""
+    return _sum_rows(T.ij[:, ::-1].ravel(), np.stack([T.Theta, -T.Theta], axis=1).reshape(-1, T.m), len(T.V))
 
 
 def boundary(T: Chain1) -> Chain0:

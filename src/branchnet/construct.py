@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branchnet.chains import Chain0, Chain1, canonicalize, canonicalize0, is_compatible, mass, row_dots
+from branchnet.chains import (Chain0, Chain1, _sum_rows, _unique_rows, canonicalize, canonicalize0, is_compatible,
+                              mass, row_dots)
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
 from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
@@ -146,7 +147,8 @@ def shifted_grid(Qprime_center, Qprime_edge: float, atom_measures: list[Chain0],
 
 def dyadic_approx(mu: Chain0, grid: DyadicGrid, k: int) -> Chain0:
     """Grid approximation at level k: one atom per occupied cell, placed at
-    the cell center with the cell's total weight."""
+    the cell center with the cell's total weight, summed in atom order
+    (``_sum_rows``)."""
     if k < 0 or k > grid.k_max:
         raise ValueError(f"level {k} outside [0, {grid.k_max}]")
     outside = ~grid.contains(mu.P)
@@ -155,22 +157,8 @@ def dyadic_approx(mu: Chain0, grid: DyadicGrid, k: int) -> Chain0:
         i = int(np.argmax(bad))
         where = "outside grid cube" if outside[i] else "on grid skeleton; re-run shifted_grid"
         raise ValueError(f"atom {tuple(mu.P[i].tolist())} {where}")
-    cells, _, W = _cell_sums(grid.cell_index(mu.P, k), mu.W)
-    return Chain0.from_arrays(mu.n, mu.m, grid.cell_center(cells, k), W)
-
-
-def _cell_sums(codes: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the rows of W by their cell codes (rows of ``codes``).
-
-    Returns the occupied cells in sorted order, each row's cell and each
-    cell's weight, one ``np.sum`` over that cell's rows in row order (a
-    ``reduceat``/``bincount`` sum would round differently).
-    """
-    cells, inverse = np.unique(codes, axis=0, return_inverse=True)
-    rows = np.argsort(inverse, kind="stable")
-    ends = np.searchsorted(inverse[rows], np.arange(len(cells) + 1))
-    sums = [np.sum(W[rows[a:b]], axis=0) for a, b in zip(ends[:-1], ends[1:])]
-    return cells, inverse, np.array(sums).reshape(len(cells), W.shape[1])
+    cells, ids = _unique_rows(grid.cell_index(mu.P, k))
+    return Chain0.from_arrays(mu.n, mu.m, grid.cell_center(cells, k), _sum_rows(ids, mu.W, len(cells)))
 
 
 @dataclass(frozen=True)
@@ -196,8 +184,8 @@ def cascade(
     point, carrying the point's weight, skipped when the point is its
     center or its weight is zero) and passes the cells, with their summed
     weights, up as the points of level k-1.  Level K+1 starts from the
-    atoms of nu = mu_plus - mu_minus, so parent weights are the exact
-    floating-point sums of their children's; the single level-0 cell left
+    atoms of nu = mu_plus - mu_minus, and each parent weight sums its
+    children's in their order (``_sum_rows``); the single level-0 cell left
     at the end is ``residual0``.  Edges are emitted coarse to fine, the
     atoms grouped by leaf cell.  Divergence of the result equals
     mu_minus - mu_plus.
@@ -208,8 +196,8 @@ def cascade(
     """
     if not is_compatible(mu_minus, mu_plus):
         raise ValueError("incompatible measures: per-component totals differ")
-    if K + 1 > grid.k_max:
-        raise ValueError(f"depth K={K} needs grid.k_max >= {K + 1}")
+    if K < 0 or K + 1 > grid.k_max:
+        raise ValueError(f"depth K={K} outside [0, {grid.k_max - 1}]")
     n, m = mu_minus.n, mu_minus.m
     nu = canonicalize0(mu_plus - mu_minus)
     if not len(nu.P):
@@ -217,17 +205,17 @@ def cascade(
         cert = EnergyCertificate(0.0, 0.0, "none")
         return CascadeResult(empty, cert, K, Chain0(n, m))
 
-    codes = grid.cell_index(nu.P, K + 1)
-    leaf_order = np.lexsort(codes.T[::-1])  # stable: atoms keep their order within a cell
-    P, W, codes = nu.P[leaf_order], nu.W[leaf_order], codes[leaf_order]
+    cells, ids = _unique_rows(grid.cell_index(nu.P, K + 1))
+    leaf_order = np.argsort(ids, kind="stable")  # stable: atoms keep their order within a cell
+    P, W, ids = nu.P[leaf_order], nu.W[leaf_order], ids[leaf_order]
     edges = []
     for k in range(K + 1, -1, -1):
-        cells, inverse, sums = _cell_sums(codes, W)
         centers = grid.cell_center(cells, k)
-        tails = centers[inverse]
+        tails = centers[ids]
         keep = np.any(tails != P, axis=1) & np.any(W != 0.0, axis=1)
         edges.append((tails[keep], P[keep], W[keep]))
-        P, W, codes = centers, sums, cells // 2
+        P, W = centers, _sum_rows(ids, W, len(cells))
+        cells, ids = _unique_rows(cells // 2)
     A, B, Theta = (np.concatenate(x) for x in zip(*reversed(edges)))
     chain = canonicalize(Chain1.from_arrays(n, m, A, B, Theta))
 

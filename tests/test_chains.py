@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +512,20 @@ class TestBroadPhase:
         assert max(len(i) for i, _ in chunks) <= 1000 and len(chunks) >= 80
         pairs = np.concatenate([np.column_stack(c) for c in chunks])
         assert np.all(pairs[:, 0] < pairs[:, 1]) and len(np.unique(pairs, axis=0)) == 400 * 399 // 2
+
+    def test_canonicalize_holds_one_chunk_of_split_candidates(self):
+        """Every box of a star cone holds the hub, so all pairs are
+        candidates; keeping each chunk's interior split points only holds
+        the 1 000-edge cone under 32 MiB (holding every candidate to the
+        end peaked at about 56 MiB)."""
+        T = star_cone(np.random.default_rng(0), 2, 1, 1000)
+        tracemalloc.start()
+        try:
+            canonicalize(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"canonicalize peaked at {peak / 2**20:.1f} MiB"
 
     def test_sweep_takes_the_axis_with_the_fewest_candidates(self):
         """A comb of stacked horizontal edges shares its first coordinates:

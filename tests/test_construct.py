@@ -148,24 +148,32 @@ class TestDyadicApprox:
         assert ap.P.shape == (0, 2) and ap.W.shape == (0, 3)
 
 
+def _row_order_sum(rows, m):
+    """The rows added one at a time, in order, starting from -0.0."""
+    s = np.full(m, -0.0)
+    for w in rows:
+        s = s + w
+    return s
+
+
 def _reference_cascade(nu, grid, K):
     """The per-point, dict-of-levels cascade assembly: leaf cells, then
-    parent sums level by level, then tree edges for levels 0..K in sorted
-    child order, then the leaf cones.  Returns the chain before
-    canonicalization and residual0."""
+    parent sums level by level, each in row order from -0.0, then tree
+    edges for levels 0..K in sorted child order, then the leaf cones.
+    Returns the chain before canonicalization and residual0."""
     key = lambda a: tuple(np.asarray(a).tolist())  # noqa: E731
     levels = [dict() for _ in range(K + 2)]
     leaf_atoms = {}
     for i, p in enumerate(nu.P):
         leaf_atoms.setdefault(key(grid.cell_index(p, K + 1)), []).append(i)
     for idx in sorted(leaf_atoms):
-        levels[K + 1][idx] = np.sum(nu.W[leaf_atoms[idx]], axis=0)
+        levels[K + 1][idx] = _row_order_sum(nu.W[leaf_atoms[idx]], nu.m)
     for k in range(K, -1, -1):
         acc = {}
         for idx, w in levels[k + 1].items():
             acc.setdefault(tuple(i // 2 for i in idx), []).append((idx, w))
         for parent in sorted(acc):
-            levels[k][parent] = np.sum(np.array([w for _, w in sorted(acc[parent], key=lambda t: t[0])]), axis=0)
+            levels[k][parent] = _row_order_sum([w for _, w in sorted(acc[parent], key=lambda t: t[0])], nu.m)
     A, B, Theta = [], [], []
     for k in range(K + 1):
         for idx in sorted(levels[k + 1]):
@@ -214,8 +222,9 @@ class TestCascade:
                 wm, wp = rng.uniform(0.1, 2.0, (2, atoms, m))
                 wp *= wm.sum(axis=0) / wp.sum(axis=0)
                 if layout == "clustered":
-                    # one leaf cell holds every source: numpy sums more than
-                    # 8 rows pairwise, so the grouping must match row for row
+                    # one leaf cell holds every source: a sum of more than 8
+                    # rows of one column, which np.sum would add pairwise,
+                    # must still run in row order
                     m, pm, wm, wp = 1, 0.3 + 1e-6 * pm, wm[:, :1], wp[:, :1]
             mm, mp = Chain0.from_arrays(n, m, pm, wm), Chain0.from_arrays(n, m, pp, wp)
             if layout != "lattice":
@@ -264,5 +273,12 @@ class TestCascade:
     def test_depth_beyond_grid_rejected(self, rng):
         mm, mp = compatible_pair(rng, atoms=4, span=0.4)
         grid = shifted_grid((0.0, 0.0), 1.0, [mm, mp], seed=0, k_max=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^depth K=5 outside \[0, 4\]$"):
             cascade(mm, mp, grid, 5)
+
+    @pytest.mark.parametrize("K", [-1, -2])
+    def test_negative_depth_rejected(self, rng, K):
+        mm, mp = compatible_pair(rng, atoms=4, span=0.4)
+        grid = shifted_grid((0.0, 0.0), 1.0, [mm, mp], seed=0, k_max=5)
+        with pytest.raises(ValueError, match=rf"^depth K={K} outside \[0, 4\]$"):
+            cascade(mm, mp, grid, K)

@@ -263,6 +263,13 @@ class TestCli:
         capsys.readouterr()
         assert main(["slice", str(out), "--gradient", "0,1", "--level", "0.5"]) == EXIT_OK
 
+    def test_cascade_rejects_negative_depth(self, instance, capsys):
+        pm, pp, _ = instance
+        assert main(["cascade", str(pm), str(pp), "--depth", "-2"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: depth K=-2 outside [0, 7]\n"
+
     def test_w_sweep_csv(self, instance, capsys):
         pm, _, _ = instance
         assert main(["w-sweep", str(pm), "--cost", "sum_alpha:alpha=0.9",
