@@ -515,9 +515,8 @@ class TestBroadPhase:
 
     def test_canonicalize_holds_one_chunk_of_split_candidates(self):
         """Every box of a star cone holds the hub, so all pairs are
-        candidates; keeping each chunk's interior split points only holds
-        the 1 000-edge cone under 32 MiB (holding every candidate to the
-        end peaked at about 56 MiB)."""
+        candidates: a 1 000-edge cone stays under 32 MiB only if no more
+        than one chunk's split candidates are held at a time."""
         T = star_cone(np.random.default_rng(0), 2, 1, 1000)
         tracemalloc.start()
         try:
