@@ -27,9 +27,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-EPS_GEOM = 1e-9  # snapping and splitting tolerance of canonicalization
+EPS_REL = 1e-9  # every length or weight tolerance is EPS_REL times the input's pow2_scale, unclamped
 EPS_MULT_REL = 1e-12
-EPS_COMPAT = 1e-9  # per-component total weights this close are equal
 
 
 class DegenerateEdgeError(ValueError):
@@ -153,15 +152,9 @@ class Chain0(_Stored):
     def __neg__(self) -> "Chain0":
         return Chain0.from_arrays(self.n, self.m, self.P, -self.W)
 
-    def scaled(self, s: float) -> "Chain0":
-        return Chain0.from_arrays(self.n, self.m, self.P, s * self.W)
-
     def total_weight(self) -> np.ndarray:
-        """Componentwise total weight (the augmentation of the measure)."""
-        out = np.zeros(self.m)
-        for w in self.W:  # atom by atom, in order
-            out += w
-        return out
+        """Componentwise total weight (the augmentation), summed in atom order (``_sum_rows``)."""
+        return _sum_rows(np.zeros(len(self.W), dtype=int), self.W, 1)[0]
 
 
 class Chain1(_Stored):
@@ -253,6 +246,13 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
 
 
+def pow2_scale(X: np.ndarray, extent: bool = False) -> float:
+    """S of weights X, the least power of two >= max |X|, or with ``extent`` L of (k, n) points X, the least
+    power of two >= their largest coordinate range; 1.0 for 0 or empty X.  Exact under 2^k scaling (frexp)."""
+    frac, exp = math.frexp(float(np.max(np.ptp(X, axis=0) if extent else np.abs(X))) if X.size else 0.0)
+    return math.ldexp(1.0, exp - (frac == 0.5)) if frac else 1.0
+
+
 def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows of X in lexicographic order, each row's index among
     them): ``np.unique(axis=0, return_inverse=True)`` at a third of its cost.
@@ -311,8 +311,8 @@ class _PointRegistry:
         near = start[1:] > start[:-1]
         rep = np.where(near, -1, np.unique(ids, return_index=True)[1])  # a lone group's first row represents it
         out = U[ids]
-        rows = Q.tolist()
-        for k in np.flatnonzero(near[ids]).tolist():
+        rows = {k: Q[k].tolist() for k in np.flatnonzero(near[ids]).tolist()}  # the rows the loop reads
+        for k in rows:
             g = ids[k]
             best = rep[g]
             if best < 0:  # the nearest representative of a nearby group, or k itself
@@ -427,25 +427,25 @@ def canonicalize(T: Chain1) -> Chain1:
 
     The endpoints a0, b0, a1, b1, ..., then the kept cut points in order of
     (edge, t), each go to the nearest earlier representative within
-    ``EPS_GEOM`` or become one (``_PointRegistry``), edges are split at
-    mutual intersections/overlap endpoints, coincident sub-segments are
-    merged by summing multiplicities (sign-adjusted: flipping orientation
-    negates theta), and negligible edges are dropped: those no longer than
-    ``EPS_MULT_REL`` times the longest multiplicity, input or merged.
-    Idempotent; preserves boundary and can only decrease mass.
+    ``EPS_REL`` L (L of the endpoints) or become one (``_PointRegistry``),
+    edges are split at mutual intersections/overlap endpoints, coincident
+    sub-segments are merged by summing multiplicities (sign-adjusted:
+    flipping orientation negates theta), and negligible edges are dropped:
+    those no longer than ``EPS_MULT_REL`` times the longest multiplicity,
+    input or merged.  Idempotent; preserves boundary and can only decrease mass.
     """
     same = np.flatnonzero(np.all(T.A == T.B, axis=1))
     if len(same):
         raise DegenerateEdgeError(f"degenerate edge at {tuple(T.A[same[0]].tolist())}")
-    reg = _PointRegistry(T.n, EPS_GEOM)
+    reg = _PointRegistry(T.n, EPS_REL * pow2_scale(np.concatenate([T.A, T.B]), extent=True))
     A, B = reg.snap(np.concatenate([T.A, T.B], axis=1).reshape(-1, T.n)).reshape(-1, 2, T.n).swapaxes(0, 1)
     rows = np.flatnonzero(np.any(A != B, axis=1))  # a pair collapsed by snapping is below resolution: drop it
     A, B = A[rows], B[rows]
 
     # split every edge at its cuts, in order of (edge, t); a cut closer than
-    # EPS_GEOM to the last one kept on its edge is dropped
-    cuts, _ = _unique_rows(np.column_stack(_segment_interactions(A, B, EPS_GEOM)))
-    tol = [EPS_GEOM / math.dist(a, b) for a, b in zip(A.tolist(), B.tolist())]
+    # the snap radius to the last one kept on its edge is dropped
+    cuts, _ = _unique_rows(np.column_stack(_segment_interactions(A, B, reg.eps)))
+    tol = [reg.eps / math.dist(a, b) for a, b in zip(A.tolist(), B.tolist())]
     keep, last = [], (-1.0, 0.0)
     for k, (e, u) in enumerate(cuts.tolist()):
         if e != last[0] or u - last[1] > tol[int(e)]:
@@ -471,10 +471,10 @@ def canonicalize(T: Chain1) -> Chain1:
 
 
 def canonicalize0(mu: Chain0) -> Chain0:
-    """Snap the atoms in order (``_PointRegistry``), sum the weights at each
-    position, in lexicographic order, and drop sums no longer than
-    ``EPS_MULT_REL`` times the longest weight, input or merged.  Idempotent."""
-    P, W = _merge_rows(_PointRegistry(mu.n, EPS_GEOM).snap(mu.P), mu.W)
+    """Snap the atoms in order within ``EPS_REL`` L (``_PointRegistry``), sum
+    the weights at each position, in lexicographic order, and drop sums no
+    longer than ``EPS_MULT_REL`` times the longest weight, input or merged."""
+    P, W = _merge_rows(_PointRegistry(mu.n, EPS_REL * pow2_scale(mu.P, extent=True)).snap(mu.P), mu.W)
     return Chain0.from_arrays(mu.n, mu.m, P, W)
 
 
@@ -640,10 +640,10 @@ def is_piece(Tp: Chain1, T: Chain1, eps: float = 1e-9) -> bool:
 
 
 def is_compatible(mu_minus: Chain0, mu_plus: Chain0) -> bool:
-    """Flux existence criterion: per-component totals agree within ``EPS_COMPAT``."""
+    """Flux existence criterion: per-component totals agree within ``EPS_REL`` S."""
     _check_dims(mu_minus, mu_plus)
     diff = mu_minus.total_weight() - mu_plus.total_weight()
-    return bool(np.all(np.abs(diff) <= EPS_COMPAT))
+    return bool(np.all(np.abs(diff) <= EPS_REL * pow2_scale(np.concatenate([mu_minus.W, mu_plus.W]))))
 
 
 # ---------------------------------------------------------------------------

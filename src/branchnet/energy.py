@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from branchnet.chains import Chain1, component_lift
+from branchnet.chains import Chain0, Chain1, component_lift
 from branchnet.costs import _RADII, CostSpec, derivative_profile, evaluate_rows, sampled_ratios
 
 
@@ -73,8 +73,10 @@ def mass_bound_constant(cost: CostSpec, boundary_mass: float, directions: int = 
 
 
 def digest_inputs(*parts) -> str:
-    """Stable digest of arbitrary inputs for certificate bookkeeping."""
+    """Stable digest of arbitrary inputs for certificate bookkeeping: a
+    measure by its shape and array bytes, anything else by its repr."""
     h = hashlib.sha256()
     for p in parts:
-        h.update(repr(p).encode())
+        h.update(repr((p.n, p.m, len(p.P))).encode() + p.P.tobytes() + p.W.tobytes() if isinstance(p, Chain0)
+                 else repr(p).encode())
     return h.hexdigest()[:16]

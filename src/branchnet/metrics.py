@@ -107,8 +107,7 @@ def slice_chain(T: Chain1, g, y: float, offset: float = 0.0) -> Chain0:
     A, B, Th = T.A, T.B, T.Theta
     fa = A @ gv + offset
     fb = B @ gv + offset
-    frange = max(float(np.max(np.concatenate([fa, fb])) - np.min(np.concatenate([fa, fb]))), 1.0)
-    eps = 1e-9 * frange
+    eps = 1e-9 * float(np.max(np.concatenate([fa, fb])) - np.min(np.concatenate([fa, fb])))
     if np.any(np.abs(fa - y) <= eps) or np.any(np.abs(fb - y) <= eps):
         warnings.warn("slice level hits a vertex; perturbing y", stacklevel=2)
         y = y + 2 * eps

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from branchnet.chains import (
+    EPS_REL,
     Chain0,
     Chain1,
     boundary,
@@ -27,6 +28,7 @@ from branchnet.chains import (
     divergence,
     is_compatible,
     mass,
+    pow2_scale,
     row_dots,
     _box_pairs,
     _significant,
@@ -68,7 +70,7 @@ class SolutionReport:
     mass_bound_ok: bool
     mass_bound_constant: float
     iterations: int
-    eps_bnd: float = 1e-8
+    eps_bnd: float = 1e-8  # bound on boundary_residual: the tolerance times the weight scale S
 
     @property
     def ok(self) -> bool:
@@ -178,15 +180,16 @@ class MultiplicityBoundReport:
 
 def check_multiplicity_bound(T: Chain1) -> MultiplicityBoundReport:
     """Verify |theta_j(e)| <= half the boundary mass of each component lift,
-    up to an absolute 1e-9 (valid for acyclic chains)."""
+    up to ``EPS_REL`` S, S of T's multiplicities (valid for acyclic chains)."""
     violations = []
     worst = 0.0
+    tol = EPS_REL * pow2_scale(T.Theta)
     for j in range(T.m):
         half = 0.5 * mass(boundary(component_lift(T, j)))
         for i, v in enumerate(np.abs(T.Theta[:, j]).tolist()):
-            if v > 1e-9:
+            if v > tol:
                 worst = max(worst, v / half if half > 0 else math.inf)
-                if v > half + 1e-9:
+                if v > half + tol:
                     violations.append((i, j))
     return MultiplicityBoundReport(not violations, worst, tuple(violations))
 
@@ -221,8 +224,7 @@ def straighten(T: Chain1) -> Chain1:
             (a1, b1, th1), (a2, b2, th2) = edges[i1], edges[i2]
             thru1 = th1 * (1.0 if b1 == v else -1.0)  # flow into v
             thru2 = th2 * (1.0 if a2 == v else -1.0)  # flow out of v
-            scale = max(1.0, float(np.max(np.abs(thru1))))
-            if np.max(np.abs(thru1 - thru2)) > 1e-12 * scale:
+            if np.max(np.abs(thru1 - thru2)) > 1e-12 * np.max(np.abs(thru1)):
                 continue
             x = a1 if b1 == v else b1
             y = b2 if a2 == v else a2
@@ -245,9 +247,8 @@ def straighten(T: Chain1) -> Chain1:
 # ---------------------------------------------------------------------------
 # Weiszfeld branch-point relocation
 
-def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, diam: float) -> np.ndarray:
-    """Weighted geometric median with damping at anchor coincidences."""
-    scale = max(diam, 1.0)
+def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """Weighted geometric median with damping at anchor coincidences, to tolerances relative to ``scale``."""
     near, stop = 1e-12 * scale, _WEISZFELD_TOL * scale
     v = v0.copy()
     for _ in range(_WEISZFELD_ITERS):
@@ -297,7 +298,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         T = canonicalize(T)
     if not len(T.A):
         return T
-    diam = bounding_cube(np.vstack([T.A, T.B]))[1]
+    L = pow2_scale(np.vstack([T.A, T.B]), extent=True)
     W = evaluate_rows(cost, T.Theta)
     pos, ends = np.array(T.V), T.ij.tolist()  # vertex positions and the [a, b] ids of each edge
     incidence: list[tuple[list[int], list[int]] | None] = [([], []) for _ in pos]
@@ -312,11 +313,11 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         weights = W[tails + heads]
         old = pos[v]
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
-        new = _weiszfeld(old, anchors, weights, diam)
+        new = _weiszfeld(old, anchors, weights, L)
         # snap to a coincident anchor so the degenerate edge can be dropped
         d = np.linalg.norm(anchors - new, axis=1)
         k = int(np.argmin(d))
-        if d[k] < 1e-9 * max(diam, 1.0):
+        if d[k] < EPS_REL * L:
             new = anchors[k]
         f_new = float(np.sum(weights * np.linalg.norm(anchors - new, axis=1)))
         if f_new > f_old * (1 + 1e-12):
@@ -453,26 +454,23 @@ def verify_solution(
     eps_bnd: float = 1e-8,
 ) -> SolutionReport:
     """Certify a produced network: boundary residual (flat upper bound of
-    divergence minus target), per-component acyclicity, and the
-    energy-controls-mass inequality."""
+    divergence minus target, positions in units of the target's L) at most
+    ``eps_bnd`` S, per-component acyclicity, and mass controlled by energy."""
     if not T.canonical:
         T = canonicalize(T)
     target = mu_minus - mu_plus
-    residual_chain = divergence(T) - target
-    residual = flat_bounds(residual_chain).upper  # flat_bounds canonicalizes a 0-chain itself
+    L, S = pow2_scale(target.P, extent=True), pow2_scale(target.W)
+    R = divergence(T) - target
+    residual = flat_bounds(Chain0.from_arrays(R.n, R.m, R.P / L, R.W)).upper  # flat_bounds canonicalizes it
     tol = _flow_tol(T.Theta)
-    acyclic = [_find_directed_cycle(len(T.V), _arcs(T.ij, T.Theta[:, j], tol)[0]) is None for j in range(T.m)]
+    acyclic = tuple(_find_directed_cycle(len(T.V), _arcs(T.ij, T.Theta[:, j], tol)[0]) is None for j in range(T.m))
 
     bm = mass(canonicalize0(target))
     E = energy(T, cost)
     M = mass(T)
-    if bm > 0:
-        cconst = mass_bound_constant(cost, bm)
-        mass_ok = bool(M <= cconst * E * (1 + 1e-9) + 1e-12)
-    else:
-        cconst = 0.0
-        mass_ok = bool(M <= 1e-12)
-    return SolutionReport(E, M, float(residual), tuple(bool(a) for a in acyclic), mass_ok, cconst, iterations, eps_bnd)
+    cconst = mass_bound_constant(cost, bm) if bm > 0 else 0.0
+    mass_ok = bool(M <= cconst * E * (1 + 1e-9) + 1e-12 * L * S)
+    return SolutionReport(E, M, float(residual), acyclic, mass_ok, cconst, iterations, eps_bnd * S)
 
 
 def w_upper(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from branchnet import chains
 from branchnet.chains import (
-    EPS_GEOM,
+    EPS_REL,
     Atom,
     Box,
     Chain0,
@@ -246,10 +246,20 @@ def collinear_bundle(rng, n, m, k) -> Chain1:
 
 
 def near_snap_radius(rng, n, k) -> np.ndarray:
-    """k points offset from one center by about EPS_GEOM on each axis."""
-    eps = EPS_GEOM
+    """k points offset from one center in [-1, 1]^n by about 2 EPS_REL on
+    each axis: the snap radius at L = 2, the length scale of points whose
+    coordinate extent lies in (1, 2]."""
+    eps = 2 * EPS_REL
     offsets = np.array([0.0, 0.5, 1.0, 1.0 - 1e-6, 1.0 + 1e-6, 1.5]) * eps
     return rng.uniform(-1, 1, n) + rng.choice(offsets, (k, n)) * rng.choice([-1.0, 1.0], (k, n))
+
+
+def near_snap_cloud(rng, n) -> np.ndarray:
+    """8 points from ``near_snap_radius`` and the corners -0.625 and 0.625 of
+    the cube, which make L = 2, the scale near_snap_radius assumes."""
+    P = np.vstack([near_snap_radius(rng, n, 8), np.full((2, n), 0.625) * [[-1.0], [1.0]]])
+    assert length_scale_reference(P.tolist()) == 2.0
+    return P
 
 
 def reference_chains(rng):
@@ -270,8 +280,8 @@ def reference_chains(rng):
 class TestCanonicalizeReference:
     def test_segment_interactions_match_pair_loop(self, rng):
         for T in reference_chains(rng):
-            edge, t = _segment_interactions(T.A, T.B, EPS_GEOM)
-            want = [(i, u) for i, ts in enumerate(segment_interactions_pair_loop(T.A, T.B, EPS_GEOM)) for u in ts]
+            edge, t = _segment_interactions(T.A, T.B, EPS_REL)
+            want = [(i, u) for i, ts in enumerate(segment_interactions_pair_loop(T.A, T.B, EPS_REL)) for u in ts]
             assert sorted(zip(edge.tolist(), t.tolist())) == sorted(want)
 
     def test_canonicalize_matches_tuple_keyed_reference_bit_for_bit(self, rng):
@@ -285,7 +295,7 @@ class TestCanonicalizeReference:
     def test_canonicalize0_matches_tuple_keyed_reference_bit_for_bit(self, rng):
         for k in range(120):
             n, m = 2 + k % 3, 1 + k % 3
-            P = near_snap_radius(rng, n, 10) if k % 2 else rng.choice([-0.0, 0.0, 0.5], (10, n))
+            P = near_snap_cloud(rng, n) if k % 2 else rng.choice([-0.0, 0.0, 0.5], (10, n))
             W = rng.normal(size=(10, m))
             W[rng.random((10, m)) < 0.2] = rng.choice([0.0, -0.0])
             for mu in (Chain0.from_arrays(n, m, P, W), Chain0.from_arrays(n, m, P, -W)):
@@ -343,12 +353,26 @@ def segment_interactions_pair_loop(A, B, eps):
     return splits
 
 
+def length_scale_reference(points) -> float:
+    """The least power of two at or above the largest coordinate range of
+    the points, 1.0 when that is 0, found by doubling and halving from 1."""
+    extent = max((max(c) - min(c) for c in zip(*points)), default=0.0)
+    L = 1.0
+    while L < extent:
+        L *= 2
+    while extent and L / 2 >= extent:
+        L /= 2
+    return L
+
+
 def canonicalize_reference(T: Chain1) -> Chain1:
-    """Canonical form keyed by endpoint tuples in a dict: snap, split each
-    edge at its sorted distinct cuts (dropping those within EPS_GEOM of the
-    last kept one), orient each piece by tuple order, sum in piece order,
-    and drop sums within 1e-12 of the longest multiplicity or sum."""
-    reg = _BruteForceRegistry(EPS_GEOM)
+    """Canonical form keyed by endpoint tuples in a dict: snap within
+    eps = EPS_REL L (L of the endpoints), split each edge at its sorted
+    distinct cuts (dropping those within eps of the last kept one), orient
+    each piece by tuple order, sum in piece order, and drop sums within
+    1e-12 of the longest multiplicity or sum."""
+    eps = EPS_REL * length_scale_reference(T.A.tolist() + T.B.tolist())
+    reg = _BruteForceRegistry(eps)
     ends, rows = [], []
     for i, (a, b) in enumerate(zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist()))):
         a, b = reg.snap(a), reg.snap(b)
@@ -360,10 +384,10 @@ def canonicalize_reference(T: Chain1) -> Chain1:
     Theta = T.Theta[rows]
     A, B = np.array([a for a, _ in ends]), np.array([b for _, b in ends])
     pieces = []
-    for k, ((a, b), tlist) in enumerate(zip(ends, segment_interactions_pair_loop(A, B, EPS_GEOM))):
+    for k, ((a, b), tlist) in enumerate(zip(ends, segment_interactions_pair_loop(A, B, eps))):
         cuts = []
         for t in sorted(set(tlist)):
-            if not cuts or t - cuts[-1] > EPS_GEOM / math.dist(a, b):
+            if not cuts or t - cuts[-1] > eps / math.dist(a, b):
                 cuts.append(t)
         pts = [a] + [reg.snap(tuple((A[k] + t * (B[k] - A[k])).tolist())) for t in cuts] + [b]
         pieces += [(p, q, k) for p, q in zip(pts, pts[1:]) if p != q]
@@ -380,9 +404,10 @@ def canonicalize_reference(T: Chain1) -> Chain1:
 
 
 def canonicalize0_reference(mu: Chain0) -> Chain0:
-    """Atoms snapped and summed in a dict keyed by position tuples, in order,
-    sorted by key, dropping sums within 1e-12 of the longest weight or sum."""
-    reg = _BruteForceRegistry(EPS_GEOM)
+    """Atoms snapped within EPS_REL L (L of the positions) and summed in a
+    dict keyed by position tuples, in order, sorted by key, dropping sums
+    within 1e-12 of the longest weight or sum."""
+    reg = _BruteForceRegistry(EPS_REL * length_scale_reference(mu.P.tolist()))
     acc: dict = {}
     for p, w in zip(map(tuple, mu.P.tolist()), mu.W):
         p = reg.snap(p)
@@ -463,10 +488,10 @@ def cascade_inputs(rng, count):
 
 def touching_boxes(n):
     """Parallel, collinear and crossing edges near the origin whose
-    eps-widened boxes meet exactly: the gaps are 2*EPS_GEOM, and
-    2*EPS_GEOM - EPS_GEOM rounds to EPS_GEOM.  Edge 0 touches edges 1 and 4
+    eps-widened boxes meet exactly: the gaps are 2*EPS_REL, and
+    2*EPS_REL - EPS_REL rounds to EPS_REL.  Edge 0 touches edges 1 and 4
     across the second axis and edge 2 across the first."""
-    eps2 = 2 * EPS_GEOM
+    eps2 = 2 * EPS_REL
     x, y = np.eye(n)[0], np.eye(n)[1]
     A = [0 * x, eps2 * y, -(1 + eps2) * x, 0.5 * x - y, eps2 * (x + y)]
     B = [x, x + eps2 * y, -eps2 * x, 0.5 * x + y, 2 * x + eps2 * y]
@@ -492,15 +517,15 @@ class TestBroadPhase:
     def test_segment_interactions_match_all_pairs_reference(self, rng):
         cut = 0
         for A, B in interaction_inputs(rng):
-            got = _unique_rows(np.column_stack(_segment_interactions(A, B, EPS_GEOM)))[0]
-            want = _unique_rows(np.column_stack(segment_interactions_reference(A, B, EPS_GEOM)))[0]
+            got = _unique_rows(np.column_stack(_segment_interactions(A, B, EPS_REL)))[0]
+            want = _unique_rows(np.column_stack(segment_interactions_reference(A, B, EPS_REL)))[0]
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
             cut += len(got) > 0
         assert cut > 60
 
     def test_touching_boxes_are_candidates(self):
         A, B = touching_boxes(2)
-        lo, hi = np.minimum(A, B) - EPS_GEOM, np.maximum(A, B) + EPS_GEOM
+        lo, hi = np.minimum(A, B) - EPS_REL, np.maximum(A, B) + EPS_REL
         pairs = {(i, j) for ii, jj in _box_pairs(lo, hi) for i, j in zip(ii.tolist(), jj.tolist())}
         assert {(0, 1), (0, 2), (0, 4)} <= pairs
 
@@ -804,7 +829,7 @@ def near_face_clouds(draw):
     """Points in R^n (n = 2..6) clustered around a point within 1e-12 of
     cell faces along some axes, with offsets up to 1.5 eps on each axis.
     At 1e7 the coordinates are spaced wider than eps."""
-    eps = EPS_GEOM
+    eps = EPS_REL
     h = 4.0 * eps
     n = draw(st.integers(2, 6))
     scale = draw(st.sampled_from([1.0, 1e3, 1e6, 1e7]))
@@ -827,7 +852,7 @@ def clouds_with_copies(draw):
     """Points in R^n (n = 1..3) drawn with repeats from a few values around
     0 and 1, signed zeros among them, so that equal rows (0.0 and -0.0 too)
     recur after nearby distinct rows."""
-    eps = EPS_GEOM
+    eps = EPS_REL
     n = draw(st.integers(1, 3))
     center = draw(st.sampled_from([0.0, 1.0]))
     value = st.sampled_from([0.0, -0.0, 0.5 * eps, -0.5 * eps, 0.9 * eps, 1.05 * eps, eps, -eps, 1.5 * eps])
@@ -840,8 +865,8 @@ def assert_snaps_like_brute_force(points, cut):
     """``snap`` of the points in two batches, split at ``cut``, gives the
     brute-force registry's answers bit for bit."""
     n = len(points[0])
-    reg = _PointRegistry(n, EPS_GEOM)
-    ref = _BruteForceRegistry(EPS_GEOM)
+    reg = _PointRegistry(n, EPS_REL)
+    ref = _BruteForceRegistry(EPS_REL)
     batches = (np.array(b, dtype=float).reshape(-1, n) for b in (points[:cut], points[cut:]))
     got = np.concatenate([reg.snap(X) for X in batches])
     want = np.array([ref.snap(p) for p in points], dtype=float)
@@ -868,7 +893,7 @@ def test_equally_near_representatives_tie_by_cell_then_registration():
     for rows, want in (([0.75e-9, -0.75e-9, 0.0], 0.75e-9), ([5.5 * 2**-31, 2.5 * 2**-31, 4 * 2**-31], 2.5 * 2**-31)):
         for cut in range(4):
             assert_snaps_like_brute_force([(x,) for x in rows], cut)
-        reg = _PointRegistry(1, EPS_GEOM)
+        reg = _PointRegistry(1, EPS_REL)
         reg.snap(np.array(rows[:2])[:, None])
         assert reg.snap(np.array([[rows[2]]])).tolist() == [[want]]
 
@@ -879,6 +904,6 @@ def test_a_later_copy_can_snap_to_a_nearer_representative():
     rows = [(0.0,), (0.9e-9,), (1.05e-9,), (0.9e-9,)]
     for cut in range(5):
         assert_snaps_like_brute_force(rows, cut)
-    reg = _PointRegistry(1, EPS_GEOM)
+    reg = _PointRegistry(1, EPS_REL)
     assert reg.snap(np.array(rows)).ravel().tolist() == [0.0, 0.0, 1.05e-9, 1.05e-9]
     assert reg.P.ravel().tolist() == [0.0, 1.05e-9]

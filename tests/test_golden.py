@@ -51,12 +51,12 @@ SEARCH_CASES = [
 ]
 
 SEARCH_GOLDEN = {
-    1: "b7125ba6e51be2cba3a39150edc9414ff58399faccffcce0e7a081a861b0f4a8",
-    2: "8807f94b97611e097c1236de4a934820b0554c8d65bf88be31f2db631cc9586d",
-    3: "b04d2f5972b6a8570aad2402de8207d883f328a57d1bdb843ba9014af97cf9a5",
-    4: "feac4146b25741573e74fd4ea55566240b354f3b2c86537cf54dbf1e2c1dc455",
-    5: "3499b84de9a47f2c4b0ef7df11494051fa04b16469816e0759d9da666b34dadc",
-    6: "dd19b08e834fb8921af4b8d5b09ad26ebb22cae9058110d7f8c044b07caa4340",
+    1: "fcdb9adb526a9778a5a61758e4b228228e7911931308fb1a7f7b92afb04b9558",
+    2: "b3821a7702d63b5a7d196ff27b97cc14282e127ec9e2317d168f4b1376e93985",
+    3: "089255d085b06614f2a467cf31c442fb8490736f2672f56d8c96ab9e2b914250",
+    4: "dffffaa6c92c67d919b6ec05130a3fbd39b096be21993d93be42e7ce19424118",
+    5: "4fb00317cbd03dd942bb354c06b8b420ec7d896816bdde23e6d5b2aa481ec126",
+    6: "5ed73152dd6f8a1256ce132e9aaaa8fe36cf59a759c23c84229a99c015cc683e",
 }
 
 
@@ -68,8 +68,8 @@ def test_local_search_golden(seed, m, family, init):
 
 
 CASCADE_GOLDEN = {
-    (2, 1): "bcea81d1f4d3477c8e4d90e44b9a7bafb9319eb62935fb20321159170607b68e",
-    (3, 2): "2f1e699757957eac4f00ea5c6aedffa3857fdd117490d1ad28b29c5fa3ed0ba6",
+    (2, 1): "80ddfa54923be1872a6dcbe044f79f71dd32825eabeb7984cf64d3443844f58b",
+    (3, 2): "7a9917a4de542f6f42eae9906922c6f6fc9e9132baafe7ca3c286d44d50bb92a",
 }
 
 

@@ -30,7 +30,7 @@ from branchnet.optimize import (
     verify_solution,
 )
 from conftest import COST_FAMILIES, bits, compatible_pair, path_chain, random_chain, signed_zero_chain
-from test_chains import boundary_reference
+from test_chains import boundary_reference, length_scale_reference
 from test_costs import evaluate_reference
 
 
@@ -142,8 +142,7 @@ def straighten_reference(T):
             (a1, b1, th1), (a2, b2, th2) = edges[i1], edges[i2]
             thru1 = th1 * (1.0 if b1 == v else -1.0)
             thru2 = th2 * (1.0 if a2 == v else -1.0)
-            scale = max(1.0, float(np.max(np.abs(thru1))))
-            if np.max(np.abs(thru1 - thru2)) > 1e-12 * scale:
+            if np.max(np.abs(thru1 - thru2)) > 1e-12 * np.max(np.abs(thru1)):  # relative, unclamped
                 continue
             x = a1 if b1 == v else b1
             y = b2 if a2 == v else a2
@@ -354,15 +353,16 @@ class TestRelocate:
             assert chain0_close(boundary(out), boundary(T), tol=1e-6)
 
 
-def _weiszfeld_reference(v0, anchors, weights, iters, tol, diam):
-    """The scalar-kernel Weiszfeld loop that _weiszfeld must match bit for bit."""
+def _weiszfeld_reference(v0, anchors, weights, iters, tol, scale):
+    """The scalar-kernel Weiszfeld loop that _weiszfeld must match bit for
+    bit, its tolerances relative to the length scale ``scale``."""
     v = v0.copy()
     for _ in range(iters):
         d = np.linalg.norm(anchors - v, axis=1)
-        hit = np.nonzero(d < 1e-12 * max(diam, 1.0))[0]
+        hit = np.nonzero(d < 1e-12 * scale)[0]
         if hit.size:
             k = int(hit[0])
-            away = np.nonzero(d >= 1e-12 * max(diam, 1.0))[0]
+            away = np.nonzero(d >= 1e-12 * scale)[0]
             if away.size == 0:
                 return anchors[k]
             dirs = anchors[away] - v
@@ -371,12 +371,12 @@ def _weiszfeld_reference(v0, anchors, weights, iters, tol, diam):
             slack = float(np.sum(weights[hit]))
             if np.linalg.norm(R) <= slack * (1 + 1e-12):
                 return anchors[k]
-            step = 1e-7 * max(diam, 1.0)
+            step = 1e-7 * scale
             v = v + 0.5 * step * R / np.linalg.norm(R)
             continue
         wd = weights / d
         v_new = (wd @ anchors) / np.sum(wd)
-        if np.linalg.norm(v_new - v) <= tol * max(diam, 1.0):
+        if np.linalg.norm(v_new - v) <= tol * scale:
             return v_new
         v = v_new
     return v
@@ -389,7 +389,7 @@ def _relocate_reference(T, cost, iters=200, tol=1e-12):
         T = canonicalize(T)
     if not T.edges:
         return T
-    diam = float(np.max(np.ptp(np.vstack([T.A, T.B]), axis=0))) or 1.0
+    L = length_scale_reference(T.A.tolist() + T.B.tolist())
     edges = [(e.a, e.b, e.theta) for e in T.edges]
     for v in sorted(free_vertices_reference(T)):
         inc = [(i, 0) for i, (a, _, _) in enumerate(edges) if a == v]
@@ -400,10 +400,10 @@ def _relocate_reference(T, cost, iters=200, tol=1e-12):
         weights = np.array([evaluate_reference(cost, edges[i][2]) for i, side in inc])
         old = np.array(v)
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
-        new = _weiszfeld_reference(old, anchors, weights, iters, tol, diam)
+        new = _weiszfeld_reference(old, anchors, weights, iters, tol, L)
         d = np.linalg.norm(anchors - new, axis=1)
         k = int(np.argmin(d))
-        if d[k] < 1e-9 * max(diam, 1.0):
+        if d[k] < 1e-9 * L:
             new = anchors[k]
         f_new = float(np.sum(weights * np.linalg.norm(anchors - new, axis=1)))
         if f_new > f_old * (1 + 1e-12):

@@ -1,0 +1,139 @@
+"""One scale rule: every length and weight tolerance is ``EPS_REL`` times a
+power-of-two scale read off the input (``chains.pow2_scale``).
+
+Multiplying every coordinate, or every weight, by 2^k is exact in floating
+point, and it scales L or S by exactly 2^k.  So canonicalization, the
+solver and the cascade return exactly 2^k times their unit-scale edge
+arrays and energies, and a check that passes or fails at one scale does so
+at every scale.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from branchnet import Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, local_search, shifted_grid, sum_alpha
+from branchnet.chains import canonicalize, canonicalize0, is_compatible, pow2_scale
+from branchnet.optimize import verify_solution
+from conftest import bits
+from test_chains import length_scale_reference, near_snap_cloud, reference_chains
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bnbench" / "workloads.py"
+SCALES = (-30, -10, 10, 30)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bnbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pow2_scale():
+    assert pow2_scale(np.zeros((0, 2)), extent=True) == pow2_scale(np.zeros((3, 2)), extent=True) == 1.0
+    assert pow2_scale(np.zeros((2, 2))) == 1.0
+    assert pow2_scale(np.array([[0.0, 3.0], [6.0, -0.5]]), extent=True) == 8.0  # coordinate ranges 6 and 3.5
+    assert pow2_scale(np.array([[-0.0, 1.0], [1.0, 0.69]]), extent=True) == 1.0
+    assert pow2_scale(np.array([[0.5, -2.0]])) == 2.0 and pow2_scale(np.array([[-2.0000000000000004]])) == 4.0
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        X = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-12, 12)
+        for extent in (False, True):
+            L = pow2_scale(X, extent)
+            size = float(np.max(np.ptp(X, axis=0) if extent else np.abs(X)))
+            assert L >= size > L / 2 and math.frexp(L)[0] == 0.5
+            assert L == (length_scale_reference(X.tolist()) if extent else length_scale_reference([[0.0], [size]]))
+            for k in SCALES:
+                assert pow2_scale(np.ldexp(X, k), extent) == math.ldexp(L, k)
+
+
+def test_bench_pools_have_unit_length_scale():
+    """The bench pools of seeds 1-3 span at most the unit square or cube,
+    so their tolerances, and the bench signatures, are those of L = 1."""
+    workloads = _workloads().WORKLOADS
+    for name in ("solve", "cascade", "certify"):
+        for seed in (1, 2, 3):
+            for spec in workloads[name].generate(seed):
+                P = np.vstack([spec["pm"], spec["pp"], *(spec[x] for x in ("A", "B") if x in spec)])
+                assert pow2_scale(P, extent=True) == 1.0, (name, seed)
+
+
+def test_solve_is_equivariant_under_coordinate_scaling():
+    """Every third instance of the seed-7 solve pool, coordinates times 2^k:
+    edge arrays and energy exactly 2^k times those at k = 0, the same
+    residual (measured in units of L) and the same verdict."""
+    solve = _workloads().WORKLOADS["solve"]
+    for spec in solve.generate(7)[::3]:
+        m, cost = spec["m"], sum_alpha(spec["m"], spec["alpha"])
+        runs = {}
+        for k in (0, *SCALES):
+            mm = Chain0.from_arrays(2, m, np.ldexp(spec["pm"], k), spec["wm"])
+            mp = Chain0.from_arrays(2, m, np.ldexp(spec["pp"], k), spec["wp"])
+            runs[k] = local_search(mm, mp, cost, OptimizerConfig(seed=0))
+        T0, rep0 = runs[0]
+        for k in SCALES:
+            T, rep = runs[k]
+            assert bits(T) == bits(Chain1.from_arrays(2, m, np.ldexp(T0.A, k), np.ldexp(T0.B, k), T0.Theta)), k
+            assert rep.energy == math.ldexp(rep0.energy, k), k
+            assert rep.boundary_residual == rep0.boundary_residual and rep.ok == rep0.ok, k
+            assert rep.iterations == rep0.iterations, k
+
+
+def test_canonicalize_is_equivariant_on_near_degenerate_inputs():
+    rng = np.random.default_rng(11)
+    for T in reference_chains(rng):
+        C = canonicalize(T)
+        for k in SCALES:
+            S = canonicalize(Chain1.from_arrays(T.n, T.m, np.ldexp(T.A, k), np.ldexp(T.B, k), T.Theta))
+            assert bits(S) == bits(Chain1.from_arrays(T.n, T.m, np.ldexp(C.A, k), np.ldexp(C.B, k), C.Theta,
+                                                      canonical=True))
+    for j in range(60):
+        n, m = 2 + j % 3, 1 + j % 3
+        mu = Chain0.from_arrays(n, m, near_snap_cloud(rng, n), rng.normal(size=(10, m)))
+        C = canonicalize0(mu)
+        for k in SCALES:
+            got = canonicalize0(Chain0.from_arrays(n, m, np.ldexp(mu.P, k), mu.W))
+            assert bits(got) == bits(Chain0.from_arrays(n, m, np.ldexp(C.P, k), C.W))
+
+
+def test_cascade_is_equivariant_on_a_scaled_grid():
+    rng = np.random.default_rng(5)
+    mm, mp = (Chain0.from_arrays(2, 2, rng.uniform(0, 1, (24, 2)), np.ones((24, 2))) for _ in "-+")
+    grid = shifted_grid((0.5, 0.5), 1.0, [mm, mp], seed=3, k_max=8)
+    cost = sum_alpha(2, 0.75)
+    base = cascade(mm, mp, grid, K=4, cost=cost)
+    for k in SCALES:
+        g = DyadicGrid(tuple(np.ldexp(grid.center, k)), math.ldexp(grid.edge, k), grid.k_max,
+                       tuple(np.ldexp(grid.shift, k)), grid.tries_used)
+        out = cascade(*(Chain0.from_arrays(2, 2, np.ldexp(mu.P, k), mu.W) for mu in (mm, mp)), g, K=4, cost=cost)
+        T0 = base.chain
+        assert bits(out.chain) == bits(Chain1.from_arrays(2, 2, np.ldexp(T0.A, k), np.ldexp(T0.B, k), T0.Theta,
+                                                          canonical=True))
+        assert out.certificate.energy == math.ldexp(base.certificate.energy, k)
+
+
+@pytest.mark.parametrize("k", [-30, 30])
+def test_verify_refuses_the_empty_network_at_every_scale(k):
+    """Two atoms a unit apart: the empty network leaves the whole target as
+    residual, whatever the unit of length or weight."""
+    P, W = np.array([[0.0, 0.0]]), np.array([[1.0]])
+    empty = Chain1(2, 1, canonical=True)
+    cost = sum_alpha(1, 0.75)
+    for p_scale, w_scale in ((k, 0), (0, k)):
+        mm = Chain0.from_arrays(2, 1, np.ldexp(P, p_scale), np.ldexp(W, w_scale))
+        mp = Chain0.from_arrays(2, 1, np.ldexp(P + [1.0, 0.0], p_scale), np.ldexp(W, w_scale))
+        rep = verify_solution(empty, mm, mp, cost)
+        assert not rep.ok and rep.boundary_residual > rep.eps_bnd, (p_scale, w_scale)
+
+
+def test_is_compatible_refuses_w_against_2w_at_every_weight_scale():
+    for k in range(-30, 31):
+        w = math.ldexp(1.0, k)
+        mm, mp = Chain0.from_arrays(1, 1, [[0.0]], [[w]]), Chain0.from_arrays(1, 1, [[1.0]], [[2 * w]])
+        assert not is_compatible(mm, mp) and not is_compatible(mp, mm), k
+        assert is_compatible(mm, Chain0.from_arrays(1, 1, [[1.0], [2.0]], [[0.5 * w], [0.5 * w]])), k
