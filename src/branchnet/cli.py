@@ -154,7 +154,7 @@ def cmd_optimize(args) -> int:
     if args.out:
         save_network(T, args.out)
     _maybe_svg(args, T, mu_minus, mu_plus)
-    _emit(_report_record(report))
+    _emit({**_report_record(report), "stop_reason": report.stop_reason})
     if not report.ok:
         raise InvariantFailure("solution report failed verification")
     return EXIT_OK

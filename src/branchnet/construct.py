@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from branchnet.chains import (Chain0, Chain1, _sum_rows, _unique_rows, canonicalize, canonicalize0, is_compatible,
-                              mass, row_dots)
+                              mass, pow2_scale, row_dots)
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
 from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
@@ -119,7 +119,9 @@ def shifted_grid(Qprime_center, Qprime_edge: float, atom_measures: list[Chain0],
                  seed: int = 0) -> DyadicGrid:
     """Coordinate cube containing Q' whose dyadic skeletons avoid all atoms.
 
-    Randomly shifts an enlarged cube, at most ``_GRID_TRIES`` times, until
+    The cube's edge is 2 e + 2 S(e) for Q' of edge e, S(e) the power of two
+    ``pow2_scale`` reads off e, so the grid follows the unit of length.
+    Randomly shifts that enlarged cube, at most ``_GRID_TRIES`` times, until
     every atom of every input measure keeps a distance of at least 1e-6
     level-k_max cell widths from the level-k_max skeleton (which contains
     all coarser skeletons).  Almost every shift works since the skeleton is
@@ -127,7 +129,7 @@ def shifted_grid(Qprime_center, Qprime_edge: float, atom_measures: list[Chain0],
     """
     c0 = np.asarray(Qprime_center, dtype=float)
     n = len(c0)
-    edge = 2.0 * float(Qprime_edge) + 2.0
+    edge = 2.0 * float(Qprime_edge) + 2.0 * pow2_scale(np.array([Qprime_edge], dtype=float))
     h_fine = edge / 2**k_max
     points = np.concatenate([np.empty((0, n)), *(mu.P for mu in atom_measures)])
 

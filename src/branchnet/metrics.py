@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from branchnet.chains import Chain0, Chain1, canonicalize, canonicalize0, component_lift, mass, row_dots
+from branchnet.chains import Chain0, Chain1, canonicalize, canonicalize0, component_lift, mass, pow2_scale, row_dots
 from branchnet.costs import CostSpec, evaluate_rows
 from branchnet.energy import energy
 
@@ -30,12 +30,13 @@ class FlatBounds:
     exact: bool = True  # False when the components are themselves brackets
 
     def __post_init__(self):
+        S = pow2_scale(np.array(self.per_component, dtype=float))  # the checks' slack is relative to it
         if self.per_component:
             lo = max(self.per_component)
             hi = math.fsum(self.per_component)
-            if not (lo <= self.lower + 1e-12 and self.upper <= hi + 1e-9 + 1e-9 * hi):
+            if not (lo <= self.lower + 1e-12 * S and self.upper <= hi + 1e-9 * S + 1e-9 * hi):
                 raise AssertionError("flat bracket ordering violated")
-        if self.lower > self.upper * (1 + 1e-12) + 1e-15:
+        if self.lower > self.upper * (1 + 1e-12) + 1e-15 * S:
             raise AssertionError("flat lower bound exceeds upper bound")
 
 

@@ -1,19 +1,19 @@
 """Energy-decreasing transformations and local-search solver.
 
 Moves: per-component cycle canceling (yields the acyclic part),
-degree-2 straightening, Weiszfeld branch-point relocation, and a
-subadditivity-driven merge move that reroutes two near-parallel edge
-bundles through a shared trunk.  Every accepted move is energy
-non-increasing; there is no global optimality guarantee.  ``w_upper``
-bounds the W transportation distance by the better of the cascade
-competitor and local search.
+degree-2 straightening, branch-point relocation to exact weighted
+Fermat-Torricelli points, and a subadditivity-driven merge move that
+reroutes two near-parallel edge bundles through a shared trunk.  Every
+accepted move is energy non-increasing; there is no global optimality
+guarantee.  ``w_upper`` bounds the W transportation distance by the
+better of the cascade competitor and local search.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,8 +40,9 @@ from branchnet.energy import energy, mass_bound_constant
 from branchnet.metrics import flat_bounds
 
 _FLOW_TOL_REL = 1e-14
-_WEISZFELD_ITERS = 200
-_WEISZFELD_TOL = 1e-12
+_NEWTON_ITERS = 100  # a cap that Newton's quadratic convergence does not reach
+_STEP_TOL = 1e-12  # relative to the length scale L
+_ROUNDING = 1 + 8 * np.finfo(float).eps  # sums of a few norms agree within this factor at a tie
 _MERGE_COS = math.cos(math.radians(30.0))  # bundles at most 30 degrees apart
 _MERGE_DIST_FRAC = 0.1  # midpoints at most this fraction of the diameter apart
 _MERGE_TRIES = 8  # best merge candidates tried per sweep
@@ -71,6 +72,7 @@ class SolutionReport:
     mass_bound_constant: float
     iterations: int
     eps_bnd: float = 1e-8  # bound on boundary_residual: the tolerance times the weight scale S
+    stop_reason: str | None = None  # local_search: "converged" or "max_iters"; None from verify_solution
 
     @property
     def ok(self) -> bool:
@@ -245,54 +247,103 @@ def straighten(T: Chain1) -> Chain1:
 
 
 # ---------------------------------------------------------------------------
-# Weiszfeld branch-point relocation
+# branch-point relocation: exact weighted Fermat-Torricelli points
 
-def _weiszfeld(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
-    """Weighted geometric median with damping at anchor coincidences, to tolerances relative to ``scale``."""
-    near, stop = 1e-12 * scale, _WEISZFELD_TOL * scale
-    v = v0.copy()
-    for _ in range(_WEISZFELD_ITERS):
-        diff = anchors - v
-        d = np.sqrt(np.add.reduce(diff * diff, axis=1))  # norm(axis=1), bit for bit
+def _norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, bit for bit those of ``np.linalg.norm``."""
+    return np.sqrt(np.add.reduce(X * X, axis=-1))
+
+
+def _fermat_point(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """Minimizer of f(v) = sum_i w_i |v - a_i|, the weighted geometric median
+    of the anchors, to tolerances relative to the length ``scale`` and to
+    sum w.
+
+    First Kuhn's test at every anchor: a_k is a minimizer when the pull of
+    the other anchors, R_k = sum_i w_i (a_i - a_k)/|a_i - a_k|, has
+    |R_k| <= w_k, where anchors within 1e-12 ``scale`` of a_k pool their
+    weights with it.  The first anchor that passes is returned exactly; this
+    covers collinear anchors, whose minimizer is always an anchor.
+    Otherwise the minimizer is the interior zero of the gradient
+    sum_i w_i u_i, u_i = (v - a_i)/|v - a_i|.  When some anchor is no worse
+    than the start (a start on an anchor among them), the search starts with
+    a damped step off the best anchor along its pull, so no iterate can
+    approach an anchor's kink.  Then Newton steps with the Hessian
+    sum_i (w_i/d_i)(I - u_i u_i^T), halved until f falls, or a Weiszfeld
+    step where that fails, until the gradient is at most 1e-12 sum w or the
+    step at most ``_STEP_TOL`` ``scale``."""
+    near, stop = 1e-12 * scale, _STEP_TOL * scale
+    D = anchors[None, :, :] - anchors[:, None, :]  # D[k, i] = a_i - a_k
+    dist = _norms(D)
+    on = dist < near
+    R = np.add.reduce(weights[:, None] * D / np.where(on, np.inf, dist)[:, :, None], axis=1)
+    pull = _norms(R)
+    passes = pull <= (on @ weights) * (1 + 1e-12)
+    if passes.any():
+        return anchors[int(np.argmax(passes))]
+
+    v, g_tol, eye = v0, 1e-12 * np.add.reduce(weights), np.eye(len(v0))
+    d = _norms(v - anchors)
+    f, f_at = weights @ d, dist @ weights
+    k = int(np.argmin(f_at))
+    if f_at[k] <= f or np.minimum.reduce(d) < near:
+        v = anchors[k] + 0.5e-7 * scale * R[k] / pull[k]
+        d = _norms(v - anchors)
+        f = weights @ d
+    for _ in range(_NEWTON_ITERS):
         if np.minimum.reduce(d) < near:
-            hit = np.nonzero(d < near)[0]
-            k = int(hit[0])
-            away = np.nonzero(d >= near)[0]
-            if away.size == 0:
-                return anchors[k]
-            dirs = anchors[away] - v
-            nrm = np.linalg.norm(dirs, axis=1)
-            R = np.sum(weights[away, None] * dirs / nrm[:, None], axis=0)
-            # coincident anchors contribute a full subgradient ball each
-            slack = float(np.sum(weights[hit]))
-            if np.linalg.norm(R) <= slack * (1 + 1e-12):
-                return anchors[k]  # subgradient optimality at the anchor
-            step = 1e-7 * scale
-            v = v + 0.5 * step * R / np.linalg.norm(R)
-            continue
+            return anchors[int(np.argmin(d))]  # as good as that anchor, to within 1e-12 scale
+        U = (v - anchors) / d[:, None]
+        g = weights @ U
+        if _norms(g) <= g_tol:
+            return v
         wd = weights / d
-        v_new = (wd @ anchors) / np.add.reduce(wd)
-        dv = v_new - v
-        if math.sqrt(dv.dot(dv)) <= stop:  # 1-D norm, bit for bit
-            return v_new
-        v = v_new
+        H = np.add.reduce(wd) * eye - (U.T * wd) @ U
+        try:
+            p = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:  # no Newton direction: take the Weiszfeld step
+            p = np.zeros_like(g)
+        t, size, trial = 1.0, _norms(p), None
+        if g @ p < 0:
+            if size <= stop:
+                return v
+            while trial is None and t * size > stop:  # backtrack until f falls
+                trial = v + t * p
+                d_t = _norms(trial - anchors)
+                f_t = weights @ d_t
+                # the full step may also stay within rounding of f, where Newton still converges
+                trial = trial if f_t < f or (t == 1.0 and f_t <= f * _ROUNDING) else None
+                t *= 0.5
+        if trial is None:
+            trial = (wd @ anchors) / np.add.reduce(wd)
+            d_t = _norms(trial - anchors)
+            f_t = weights @ d_t
+            if not f_t < f:
+                return v
+        moved = _norms(trial - v)
+        v, d, f = trial, d_t, f_t
+        if moved <= stop:
+            return v
     return v
 
 
 def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
-    """One sweep of Weiszfeld relocation over the free vertices.
+    """One sweep of branch-point relocation over the free vertices.
 
     A free vertex carries zero boundary weight; its optimal position for
-    fixed topology minimizes sum_e C(theta_e) |v - other(e)|.  Moves are
-    accepted only when the local objective does not increase, so the sweep
-    is energy non-increasing.  Vertices that land on a neighbor make the
-    connecting edge vanish.
+    fixed topology minimizes sum_e C(theta_e) |v - other(e)|, and
+    ``_fermat_point`` finds that minimizer exactly.  Moves are accepted
+    only when the local objective does not increase, so the sweep is energy
+    non-increasing.  Vertices that land on a neighbor make the connecting
+    edge vanish.
 
     The edge costs are evaluated once and the incidence (vertex id -> tail
     and head edge indices) is built once per call; the sweep is
     Gauss-Seidel over the free vertices in sorted order, and a moved
     vertex's edges join the incidence of a vertex it lands on, so a later
-    free vertex there sees them.
+    free vertex there sees them.  An edge with both ends on that vertex
+    has zero length wherever it goes, so it moves with it and does not
+    pull.
     """
     if not T.canonical:
         T = canonicalize(T)
@@ -309,17 +360,21 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     for v in np.flatnonzero(~_significant(_vertex_weights(T), T.Theta)).tolist():
         tails, heads = incidence[v]
         incidence[v] = None
-        anchors = pos[[ends[i][1] for i in tails] + [ends[i][0] for i in heads]]
-        weights = W[tails + heads]
+        loops = set(tails).intersection(heads)  # edges of a vertex that landed on v: they move with it
+        out, into = [i for i in tails if i not in loops], [i for i in heads if i not in loops]
+        if not out and not into:
+            continue
+        anchors = pos[[ends[i][1] for i in out] + [ends[i][0] for i in into]]
+        weights = W[out + into]
         old = pos[v]
-        f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
-        new = _weiszfeld(old, anchors, weights, L)
+        f_old = float(np.sum(weights * _norms(anchors - old)))
+        new = _fermat_point(old, anchors, weights, L)
         # snap to a coincident anchor so the degenerate edge can be dropped
-        d = np.linalg.norm(anchors - new, axis=1)
+        d = _norms(anchors - new)
         k = int(np.argmin(d))
         if d[k] < EPS_REL * L:
             new = anchors[k]
-        f_new = float(np.sum(weights * np.linalg.norm(anchors - new, axis=1)))
+        f_new = float(np.sum(weights * _norms(anchors - new)))
         if f_new > f_old * (1 + 1e-12):
             continue
         pos[v] = new
@@ -399,6 +454,7 @@ def local_search(
     8 merge candidates that lowers it by more than rel_tol relatively.  It
     stops when a full sweep gains less than rel_tol relatively or after
     max_iters sweeps, then removes cycles once more under the same rule.
+    The report's ``stop_reason`` says which: "converged" or "max_iters".
     """
     config = config or OptimizerConfig()
     if not is_compatible(mu_minus, mu_plus):
@@ -434,7 +490,10 @@ def local_search(
                 T, E = T2, E2
                 break
         if E_start - E < config.rel_tol * max(E_start, 1e-300):
+            stop_reason = "converged"
             break
+    else:
+        stop_reason = "max_iters"
     # a move after the last sweep's cycle removal can close a cycle
     T2 = remove_cycles(T)
     E2 = energy(T2, cost)
@@ -442,7 +501,7 @@ def local_search(
         T, E = T2, E2
 
     report = verify_solution(T, mu_minus, mu_plus, cost, iterations=iters)
-    return T, report
+    return T, replace(report, stop_reason=stop_reason)
 
 
 def verify_solution(

@@ -51,12 +51,12 @@ SEARCH_CASES = [
 ]
 
 SEARCH_GOLDEN = {
-    1: "fcdb9adb526a9778a5a61758e4b228228e7911931308fb1a7f7b92afb04b9558",
-    2: "b3821a7702d63b5a7d196ff27b97cc14282e127ec9e2317d168f4b1376e93985",
-    3: "089255d085b06614f2a467cf31c442fb8490736f2672f56d8c96ab9e2b914250",
-    4: "dffffaa6c92c67d919b6ec05130a3fbd39b096be21993d93be42e7ce19424118",
-    5: "4fb00317cbd03dd942bb354c06b8b420ec7d896816bdde23e6d5b2aa481ec126",
-    6: "5ed73152dd6f8a1256ce132e9aaaa8fe36cf59a759c23c84229a99c015cc683e",
+    1: "167cf08b38029f956f9e33190e2e5e026b00e93a5133a91964b59ad4a34949a5",
+    2: "81fe69d99d0df5085cb43a9b5b20badf56241958e2bb25f8ac40b6a913eaafac",
+    3: "5fd73b4d967c68a8101a3d7cb8769aa95c56cc8846d18734dcd2727c7edc4cdd",
+    4: "d700fd1f23463051bef12f7dbb0f485245645b7394ff647221af5c596ce9afda",
+    5: "f99a3b666ce4318b04c4a9d79ddfc5dbda4ba1c16e13a6cca7a009cb902a2a30",
+    6: "43bcbe93fd12be60458e6bac058e5621144ebd404632174ffb0113375abda4cd",
 }
 
 
@@ -68,8 +68,8 @@ def test_local_search_golden(seed, m, family, init):
 
 
 CASCADE_GOLDEN = {
-    (2, 1): "80ddfa54923be1872a6dcbe044f79f71dd32825eabeb7984cf64d3443844f58b",
-    (3, 2): "7a9917a4de542f6f42eae9906922c6f6fc9e9132baafe7ca3c286d44d50bb92a",
+    (2, 1): "a8534b19ab203592334d77c2557f2a6fcbef9f4a26c6289f84f86fb3e0a1e9e4",
+    (3, 2): "e92ce05dac46138ec65b82a85b7507b849a6976c56901bbb4fdc9e9c09600ef0",
 }
 
 

@@ -156,6 +156,7 @@ class TestCli:
         assert code == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert rec["ok"] and rec["energy"] == pytest.approx(3 * math.sqrt(2), rel=1e-6)
+        assert rec["stop_reason"] == "converged" and list(rec)[-1] == "stop_reason"
         assert out.exists() and (d / "net.svg").exists()
 
     def test_energy_and_verify(self, instance, capsys):
@@ -167,6 +168,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["verify", str(out), str(pm), str(pp),
                      "--cost", "sum_alpha:alpha=0.5"]) == EXIT_OK
+        assert "stop_reason" not in json.loads(capsys.readouterr().out)
 
     def test_verify_corrupted_network_fails(self, instance, capsys):
         pm, pp, d = instance

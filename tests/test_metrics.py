@@ -93,6 +93,18 @@ class TestFlatBounds:
         with pytest.raises(AssertionError):
             FlatBounds(5.0, 1.0, (1.0, 1.0))
 
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_ordering_is_checked_at_every_weight_scale(self, k):
+        """Each bracket breaks one ordering by half its weight scale 2^k;
+        the checks' slack is relative to that scale, so every one is refused."""
+        s = math.ldexp(1.0, k)
+        for lower, upper, per_component in ((0.5 * s, 2 * s, (s, s)),  # lower below a component
+                                            (s, 3 * s, (s, s)),  # upper above their sum
+                                            (2 * s, s, (s,))):  # lower above upper
+            with pytest.raises(AssertionError):
+                FlatBounds(lower, upper, per_component)
+        FlatBounds(s, 2 * s, (s, s))
+
 
 class TestSlice:
     def test_single_crossing(self):

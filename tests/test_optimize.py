@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchnet.chains import (
     Atom,
@@ -21,6 +23,7 @@ from branchnet.costs import BetaEnvelope, p_norm_alpha, sum_alpha
 from branchnet.energy import energy
 from branchnet.optimize import (
     OptimizerConfig,
+    _fermat_point,
     _merge_candidates,
     check_multiplicity_bound,
     local_search,
@@ -354,8 +357,9 @@ class TestRelocate:
 
 
 def _weiszfeld_reference(v0, anchors, weights, iters, tol, scale):
-    """The scalar-kernel Weiszfeld loop that _weiszfeld must match bit for
-    bit, its tolerances relative to the length scale ``scale``."""
+    """A Weiszfeld loop capped at ``iters`` steps, damped at anchor
+    coincidences: the point it returns is the bar every exact point must
+    meet.  Tolerances are relative to the length scale ``scale``."""
     v = v0.copy()
     for _ in range(iters):
         d = np.linalg.norm(anchors - v, axis=1)
@@ -382,9 +386,25 @@ def _weiszfeld_reference(v0, anchors, weights, iters, tol, scale):
     return v
 
 
-def _relocate_reference(T, cost, iters=200, tol=1e-12):
+def _objective(v, anchors, weights):
+    return float(np.sum(weights * np.linalg.norm(anchors - v, axis=1)))
+
+
+def _checked_fermat_point(v0, anchors, weights, scale):
+    """``_fermat_point``, asserting on the way that its objective is at most
+    the Weiszfeld reference's on the same input."""
+    new = _fermat_point(v0, anchors, weights, scale)
+    ref = _weiszfeld_reference(v0, anchors, weights, 200, 1e-12, scale)
+    assert _objective(new, anchors, weights) <= _objective(ref, anchors, weights) * (1 + 1e-12)
+    return new
+
+
+def _relocate_reference(T, cost, solve=_checked_fermat_point):
     """Relocation sweep with a full O(V*E) incidence scan per free vertex and
-    one scalar cost evaluation per incident edge."""
+    one scalar cost evaluation per incident edge, placing each vertex with
+    ``solve``.  An edge with both ends on the vertex (one that an earlier
+    vertex brought along when it landed there) moves with it and is no
+    anchor."""
     if not T.canonical:
         T = canonicalize(T)
     if not T.edges:
@@ -394,13 +414,14 @@ def _relocate_reference(T, cost, iters=200, tol=1e-12):
     for v in sorted(free_vertices_reference(T)):
         inc = [(i, 0) for i, (a, _, _) in enumerate(edges) if a == v]
         inc += [(i, 1) for i, (_, b, _) in enumerate(edges) if b == v]
-        if not inc:
+        pulls = [(i, side) for i, side in inc if edges[i][0] != edges[i][1]]
+        if not pulls:
             continue
-        anchors = np.array([edges[i][1 - side] for i, side in inc])
-        weights = np.array([evaluate_reference(cost, edges[i][2]) for i, side in inc])
+        anchors = np.array([edges[i][1 - side] for i, side in pulls])
+        weights = np.array([evaluate_reference(cost, edges[i][2]) for i, side in pulls])
         old = np.array(v)
         f_old = float(np.sum(weights * np.linalg.norm(anchors - old, axis=1)))
-        new = _weiszfeld_reference(old, anchors, weights, iters, tol, L)
+        new = solve(old, anchors, weights, L)
         d = np.linalg.norm(anchors - new, axis=1)
         k = int(np.argmin(d))
         if d[k] < 1e-9 * L:
@@ -437,6 +458,13 @@ def _random_tree(rng, n, m, leaves):
 
 
 class TestRelocateMatchesReference:
+    """Each sweep equals the tuple-keyed reference sweep bit for bit, and the
+    reference checks every point it places against the Weiszfeld loop on
+    the same input.  Whole sweeps are not compared with a Weiszfeld sweep:
+    the Gauss-Seidel order makes a sweep's energy depend on where each
+    earlier vertex went, so a vertex placed better can leave a later one
+    worse off."""
+
     @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3])
@@ -447,16 +475,17 @@ class TestRelocateMatchesReference:
         for k in range(12):
             T = random_chain(rng, n=n, m=m, edges=8, grid=2) if k % 3 == 0 else _random_tree(rng, n, m, 6)
             out = relocate_branch_points(T, cost)
-            assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
-            assert bits(out) == bits(_relocate_reference(T, cost))
+            ref = _relocate_reference(T, cost)
+            assert _edge_tuples(out) == _edge_tuples(ref) and bits(out) == bits(ref)
+            assert energy(out, cost) <= energy(T, cost) * (1 + 1e-12)
             moved += out.edges != T.edges
         assert moved > 0
 
     def test_vertex_lands_on_later_free_neighbour(self):
         # u is sorted before w and is pulled exactly onto w; the edge (u, w)
-        # degenerates and w must then see it on both sides, together with
-        # the edges u brought along.  Only with both coincident anchors does
-        # the slack outweigh the pull of the two edges to the right.
+        # degenerates and w must then see it on both sides, as an edge that
+        # moves with w, together with the edges u brought along.  Those four
+        # pull w to their unit-weight geometric median (x, 0.5).
         u, w = (0.0, 0.5), (1.0, 0.5)
         T = canonicalize(Chain1(2, 1, (
             Edge((1.0, -1.5), u, (1.0,)),
@@ -467,14 +496,18 @@ class TestRelocateMatchesReference:
         )))
         cost = sum_alpha(1, 0.5)
         out = relocate_branch_points(T, cost)
-        assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
-        assert bits(out) == bits(_relocate_reference(T, cost))
-        assert u not in map(tuple, out.V.tolist()) and w in map(tuple, out.V.tolist()) and len(out.edges) == 4
+        ref = _relocate_reference(T, cost)
+        assert _edge_tuples(out) == _edge_tuples(ref) and bits(out) == bits(ref)
+        assert u not in map(tuple, out.V.tolist()) and w not in map(tuple, out.V.tolist()) and len(out.edges) == 4
+        hub = out.V[np.argmax(np.bincount(out.ij.ravel()))]
+        ends = np.array([(1.0, -1.5), (1.0, 2.5), (3.0, 0.4), (3.0, 0.6)])
+        pulls = (ends - hub) / np.linalg.norm(ends - hub, axis=1)[:, None]
+        assert abs(hub[1] - 0.5) <= 1e-12 and np.linalg.norm(pulls.sum(axis=0)) <= 1e-12
 
     def test_coincident_anchors_take_the_damped_step(self):
-        # as above, but w also carries a heavy through-flow pulling it up:
-        # the two coincident anchors of the collapsed edge cannot hold w,
-        # so the hit branch moves it off them
+        # as above, but w also carries a heavy through-flow pulling it up,
+        # and a crossing vertex lands on w as well: no anchor holds w, so
+        # it starts next to its best anchor and moves off it along its pull
         u, w = (0.0, 0.5), (1.0, 0.5)
         T = canonicalize(Chain1(2, 1, (
             Edge((1.0, -1.5), u, (1.0,)),
@@ -487,16 +520,17 @@ class TestRelocateMatchesReference:
         )))
         cost = sum_alpha(1, 1.0)
         out = relocate_branch_points(T, cost)
-        assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
-        assert bits(out) == bits(_relocate_reference(T, cost))
+        ref = _relocate_reference(T, cost)
+        assert _edge_tuples(out) == _edge_tuples(ref) and bits(out) == bits(ref)
         assert u not in map(tuple, out.V.tolist()) and w not in map(tuple, out.V.tolist())
 
     def test_collinear_degree_two_chord(self):
         T = canonicalize(path_chain([(0.0, 0.0), (0.7, 0.31), (2.0, 0.0)], (1.0,)))
         cost = sum_alpha(1, 1.0)
         out = relocate_branch_points(T, cost)
-        assert _edge_tuples(out) == _edge_tuples(_relocate_reference(T, cost))
-        assert bits(out) == bits(_relocate_reference(T, cost))
+        ref = _relocate_reference(T, cost)
+        assert _edge_tuples(out) == _edge_tuples(ref) and bits(out) == bits(ref)
+        assert bits(out) == bits(canonicalize(path_chain([(0.0, 0.0), (2.0, 0.0)], (1.0,))))
 
     @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
     def test_signed_zero_chains_bit_identical(self, family):
@@ -509,6 +543,103 @@ class TestRelocateMatchesReference:
             assert bits(out) == bits(_relocate_reference(T, COST_FAMILIES[family](m)))
             moved += bits(out) != bits(T)
         assert moved > 0
+
+
+def kuhn_ratios(anchors, weights, scale):
+    """|R_k| / slack_k at each anchor a_k, by loops: R_k sums w_i times the
+    unit vector from a_k to every anchor farther than 1e-12 ``scale``, and
+    slack_k sums the weights of the others.  a_k is a minimizer iff <= 1."""
+    ratios = []
+    for a in anchors:
+        R, slack = np.zeros(len(a)), 0.0
+        for b, w in zip(anchors, weights):
+            d = math.dist(a, b)
+            if d < 1e-12 * scale:
+                slack += w
+            else:
+                R += w * (b - a) / d
+        ratios.append(float(np.linalg.norm(R)) / slack)
+    return ratios
+
+
+@st.composite
+def fermat_inputs(draw):
+    """(v0, anchors, weights, scale): n in {2, 3, 4}, 2-8 anchors, generic,
+    near-collinear (offsets 1e-15 to 1e-5 off a line), with exact copies, or
+    with one weight from 0.3 to 3 times the sum of the others; the start is
+    an anchor or a point of the box."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.sampled_from([2, 3, 4])), draw(st.integers(2, 8))
+    shape = draw(st.sampled_from(["generic", "near_collinear", "copies", "dominant"]))
+    anchors, weights = rng.uniform(0, 1, (k, n)), rng.uniform(0.1, 2.0, k)
+    if shape == "near_collinear":
+        direction = rng.normal(size=n)
+        anchors = 0.2 + 0.6 * np.outer(rng.uniform(0, 1, k), direction / np.linalg.norm(direction))
+        anchors += rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-15, -5)
+    elif shape == "copies":
+        c = int(rng.integers(1, k + 1))
+        anchors[rng.permutation(k)[:c]] = anchors[rng.integers(k, size=c)]
+    elif shape == "dominant":
+        i = int(rng.integers(k))
+        weights[i] = rng.uniform(0.3, 3.0) * (weights.sum() - weights[i])
+    start = draw(st.sampled_from(["anchor", "box"]))
+    v0 = anchors[rng.integers(k)].copy() if start == "anchor" else rng.uniform(0, 1, n)
+    return v0, anchors, weights, length_scale_reference(anchors.tolist())
+
+
+class TestFermatPoint:
+    @settings(max_examples=400, deadline=None)
+    @given(fermat_inputs())
+    def test_no_worse_than_weiszfeld_and_exact_at_anchors(self, case):
+        v0, anchors, weights, L = case
+        new = _fermat_point(v0, anchors, weights, L)
+        ref = _weiszfeld_reference(v0, anchors, weights, 200, 1e-12, L)
+        assert _objective(new, anchors, weights) <= _objective(ref, anchors, weights) * (1 + 1e-12)
+        ratios = kuhn_ratios(anchors, weights, L)
+        passing = [k for k, r in enumerate(ratios) if r <= 1 + 1e-12]
+        if passing and ratios[passing[0]] < 1 - 1e-9 and all(r > 1 + 1e-9 for r in ratios[:passing[0]]):
+            assert new.tobytes() == anchors[passing[0]].tobytes()
+        elif min(ratios) > 1 + 1e-6:  # an interior minimizer: the gradient vanishes there
+            u = (new - anchors) / np.linalg.norm(new - anchors, axis=1)[:, None]
+            assert np.linalg.norm(weights @ u) <= 1e-9 * weights.sum()
+
+    def test_start_on_a_failing_anchor_moves_off_it(self):
+        anchors = np.array([(0.0, 0.0), (4.0, 0.0), (1.0, 3.0)])
+        weights = np.array([1.0, 1.0, 1.0])
+        for v0 in anchors:
+            new = _fermat_point(v0.copy(), anchors, weights, 4.0)
+            assert np.min(np.linalg.norm(anchors - new, axis=1)) > 0.1
+            u = (new - anchors) / np.linalg.norm(new - anchors, axis=1)[:, None]
+            assert np.linalg.norm(u.sum(axis=0)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [-30, 0, 30])
+    def test_equal_weights_on_an_equilateral_triangle_meet_at_120_degrees(self, k):
+        """The centroid, where every pair of unit pulls meets at 120 degrees:
+        cos = (w_k^2 - w_i^2 - w_j^2) / (2 w_i w_j) = -1/2."""
+        anchors = np.ldexp(np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2)]), k)
+        rng = np.random.default_rng(k + 30)
+        for v0 in np.ldexp(rng.uniform(-1, 2, (20, 2)), k):
+            new = _fermat_point(v0, anchors, np.full(3, 0.7), math.ldexp(1.0, k))
+            assert np.linalg.norm(new - anchors.mean(axis=0)) <= math.ldexp(1e-12, k)
+            u = (anchors - new) / np.linalg.norm(anchors - new, axis=1)[:, None]
+            for i, j in ((0, 1), (1, 2), (0, 2)):
+                assert u[i] @ u[j] == pytest.approx(-0.5, abs=1e-12)
+
+    def test_weighted_angles_follow_the_cosine_rule(self):
+        """Weights that form a triangle, none of whose anchors passes Kuhn's
+        test: the pulls meet at the angles of the weight triangle."""
+        rng = np.random.default_rng(3)
+        checked = 0
+        for _ in range(200):
+            anchors, w = rng.uniform(0, 1, (3, 2)), rng.uniform(0.5, 1.5, 3)
+            if min(kuhn_ratios(anchors, w, 1.0)) > 1 + 1e-6:
+                new = _fermat_point(rng.uniform(0, 1, 2), anchors, w, 1.0)
+                u = (anchors - new) / np.linalg.norm(anchors - new, axis=1)[:, None]
+                for i, j, m in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
+                    assert u[i] @ u[j] == pytest.approx((w[m] ** 2 - w[i] ** 2 - w[j] ** 2) / (2 * w[i] * w[j]),
+                                                        abs=1e-9)
+                checked += 1
+        assert checked > 50
 
 
 class TestLocalSearch:
@@ -577,16 +708,25 @@ class TestLocalSearch:
         assert rep.ok
 
     def test_stopping_at_max_iters_leaves_no_cycle(self):
-        # a move accepted after the sixth sweep's cycle removal closes a cycle
-        rng = np.random.default_rng(1010)
+        # a move accepted after the fourth sweep's cycle removal closes a
+        # cycle in both components; the final cycle removal cancels it
+        rng = np.random.default_rng(1066)
         wm, wp = rng.uniform(0.2, 2, (5, 2)), rng.uniform(0.2, 2, (6, 2))
         pm, pp = rng.uniform(0, 1, (5, 2)), rng.uniform(0, 1, (6, 2))
         wp *= wm.sum(axis=0) / wp.sum(axis=0)
         mm, mp = Chain0.from_arrays(2, 2, pm, wm), Chain0.from_arrays(2, 2, pp, wp)
-        T, rep = local_search(mm, mp, p_norm_alpha(2, 2.0, 0.7), OptimizerConfig(max_iters=6))
-        assert rep.iterations == 6
+        T, rep = local_search(mm, mp, p_norm_alpha(2, 2.0, 0.7), OptimizerConfig(max_iters=4))
+        assert rep.iterations == 4 and rep.stop_reason == "max_iters"
         assert rep.acyclic_per_component == (True, True) and rep.ok
         assert remove_cycles(T) == T
+        _, rep = local_search(mm, mp, p_norm_alpha(2, 2.0, 0.7))
+        assert rep.iterations < 50 and rep.stop_reason == "converged"
+
+    def test_verify_solution_reports_no_stop_reason(self, rng):
+        mm, mp = compatible_pair(rng, atoms=4, m=1)
+        T, rep = local_search(mm, mp, sum_alpha(1, 0.7))
+        assert rep.stop_reason == "converged"
+        assert verify_solution(T, mm, mp, sum_alpha(1, 0.7)).stop_reason is None
 
 
 class TestVerifySolution:

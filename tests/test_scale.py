@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchnet import Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, local_search, shifted_grid, sum_alpha
+from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, local_search, shifted_grid, sum_alpha,
+                       w_upper)
 from branchnet.chains import canonicalize, canonicalize0, is_compatible, pow2_scale
 from branchnet.optimize import verify_solution
 from conftest import bits
@@ -82,6 +83,29 @@ def test_solve_is_equivariant_under_coordinate_scaling():
             assert rep.energy == math.ldexp(rep0.energy, k), k
             assert rep.boundary_residual == rep0.boundary_residual and rep.ok == rep0.ok, k
             assert rep.iterations == rep0.iterations, k
+
+
+def _scaled_pair(spec, k):
+    m = spec["m"]
+    return (Chain0.from_arrays(2, m, np.ldexp(spec["pm"], k), spec["wm"]),
+            Chain0.from_arrays(2, m, np.ldexp(spec["pp"], k), spec["wp"]))
+
+
+def test_cascade_start_and_w_upper_are_equivariant_under_coordinate_scaling():
+    """The grid that ``shifted_grid`` lays around the measures follows the
+    unit of length, so a search from the cascade and ``w_upper`` scale by
+    exactly 2^k, the search's verdict and sweep count unchanged."""
+    solve = _workloads().WORKLOADS["solve"]
+    for spec in solve.generate(7)[::9]:
+        cost, config = sum_alpha(spec["m"], spec["alpha"]), OptimizerConfig(init="cascade")
+        T0, rep0 = local_search(*_scaled_pair(spec, 0), cost, config)
+        W0 = w_upper(*_scaled_pair(spec, 0), cost)
+        for k in (-10, 10):
+            T, rep = local_search(*_scaled_pair(spec, k), cost, config)
+            assert bits(T) == bits(Chain1.from_arrays(2, spec["m"], np.ldexp(T0.A, k), np.ldexp(T0.B, k), T0.Theta)), k
+            assert rep.energy == math.ldexp(rep0.energy, k) and rep.ok == rep0.ok, k
+            assert rep.iterations == rep0.iterations and rep.stop_reason == rep0.stop_reason, k
+            assert w_upper(*_scaled_pair(spec, k), cost) == math.ldexp(W0, k), k
 
 
 def test_canonicalize_is_equivariant_on_near_degenerate_inputs():
