@@ -43,35 +43,34 @@ class FlatBounds:
 def flat_norm_0chain_component(nu: Chain0, j: int) -> float:
     """Exact flat norm of one real component of an atomic 0-chain.
 
-    Solves min_S mass(S) + mass(nu_j - boundary S) as a transportation
-    linear program: ship flow from positive to negative atoms at cost
-    |p - q| per unit, or pay cost 1 per unit of untransported residual on
-    either side.
+    min_S mass(S) + mass(nu_j - boundary S) is a transport LP: ship weight
+    from positive atom i to negative atom k at cost d_ik, or pay 1 per unit
+    left on either side.  This solves its Kantorovich-Rubinstein dual over
+    the atoms' potentials y >= 0 (the test function, |f| <= 1, Lip f <= 1,
+    is 1 - y on positive and y - 1 on negative atoms): minimise sum |w_i| y_i
+    subject to y_i + y_k >= 2 - d_ik; the flat norm is P + N minus that
+    minimum.  A pair with d_ik >= 2 is dropped exactly, as y >= 0 implies
+    its row.  The objective is |w| / S, S = pow2_scale(w), so the LP's input
+    is the same at every weight scale 2^k and the value scales by exactly 2^k.
     """
     X, w = nu.P, nu.W[:, j]
     pos, neg = w > 0, w < 0
-    P = math.fsum(w[pos])
-    N = math.fsum(-w[neg])
-    if not pos.any() or not neg.any():
-        return P + N
-
-    # Objective over flows only: shipping a unit saves the two residual
-    # units it would otherwise cost, so cost coefficient is d - 2.
+    P, N = math.fsum(w[pos]), math.fsum(-w[neg])
     npos, nneg = int(pos.sum()), int(neg.sum())
     diff = (X[pos][:, None, :] - X[neg][None, :, :]).reshape(-1, nu.n)
     D = np.sqrt(row_dots(diff, diff)).reshape(npos, nneg)
-    c = (D - 2.0).ravel()
-    # flow (i, k) is variable i*nneg + k; it enters row i and row npos + k
-    i_of = np.repeat(np.arange(npos), nneg)
-    k_of = np.tile(np.arange(nneg), npos)
-    rows = np.column_stack([i_of, npos + k_of]).ravel()
-    cols = np.repeat(np.arange(npos * nneg), 2)
-    A_ub = coo_matrix((np.ones(2 * npos * nneg), (rows, cols)), shape=(npos + nneg, npos * nneg))
-    b_ub = np.concatenate([w[pos], -w[neg]])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    if not res.success:  # residual-only solution is always feasible
+    i, k = np.nonzero(D < 2.0)
+    if not len(i):  # one-sided, or every pair at d >= 2: nothing is shipped
+        return P + N
+    # row r is -(y_i + y_k) <= d_ik - 2, with y_i in column i and y_k in column npos + k
+    A_ub = coo_matrix((-np.ones(2 * len(i)), (np.repeat(np.arange(len(i)), 2), np.column_stack([i, npos + k]).ravel())),
+                      shape=(len(i), npos + nneg))
+    S = pow2_scale(w)
+    res = linprog(np.abs(np.concatenate([w[pos], w[neg]])) / S, A_ub=A_ub, b_ub=D[i, k] - 2.0, bounds=(0, None),
+                  options={"presolve": False, "simplex_dual_edge_weight_strategy": "dantzig"})
+    if not res.success:  # y = 1 is feasible and the objective is positive, so this is a solver failure
         raise RuntimeError(f"flat-norm LP failed: {res.message}")
-    return float(res.fun + P + N)
+    return P + N - S * float(res.fun)
 
 
 def flat_bounds(X: Chain0 | Chain1) -> FlatBounds:

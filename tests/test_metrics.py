@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from branchnet.chains import (
     Atom,
@@ -30,7 +33,7 @@ from branchnet.metrics import (
     ig_identity_mc,
     slice_chain,
 )
-from branchnet import optimize
+from branchnet import metrics, optimize
 from branchnet.construct import GridShiftError
 from branchnet.optimize import local_search, w_upper
 from conftest import bits, compatible_pair, path_chain, random_chain, random_measure, signed_zero_chain
@@ -59,6 +62,78 @@ class TestFlatNorm0Chain:
         # positive 2 at origin, negative 1 nearby: ship 1 cheaply, residual 1
         nu = Chain0(2, 1, (Atom((0.0, 0.0), (2.0,)), Atom((0.1, 0.0), (-1.0,))))
         assert flat_norm_0chain_component(nu, 0) == pytest.approx(0.1 + 1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("a, b, d", [(3.0, 1.0, 0.5), (1.0, 2.5, 1.3), (0.7, 0.2, 3.0)])
+    def test_unequal_dipole_matches_closed_form(self, a, b, d):
+        # ship the smaller side if that is cheaper than paying for it twice; the excess pays 1 per unit
+        nu = Chain0(2, 1, (Atom((0.0, 0.0), (a,)), Atom((d, 0.0), (-b,))))
+        assert abs(flat_norm_0chain_component(nu, 0) - (min(a, b) * min(d, 2.0) + abs(a - b))) <= 1e-14 * (a + b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.floats(0.5, 4.0), st.integers(0, 8), st.integers(0, 8),
+           st.sampled_from([-8, 0, 8]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_primal_reference(self, n, m, side, npos, nneg, k, coincident, seed):
+        """Random measures in a cube of side 0.5-4, so that some pairs are
+        at d >= 2 and some measures have no pair closer.  P != N in general,
+        and about one component in four is made one-sided."""
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(0.0, side, (npos + nneg, n))
+        W = np.ldexp(rng.uniform(0.1, 3.0, (npos + nneg, m)), k)
+        W[npos:] *= -1.0
+        W *= rng.choice([-1.0, 1.0], m)  # either side may be the larger
+        one_sided = rng.uniform(size=m) < 0.25
+        W[:, one_sided] = np.abs(W[:, one_sided])
+        if coincident and npos and nneg:
+            P[npos] = P[0]  # a positive and a negative atom at distance 0
+        nu = Chain0.from_arrays(n, m, P, W)
+        for j in range(m):
+            total = float(np.abs(W[:, j]).sum())
+            assert abs(flat_norm_0chain_component(nu, j) - flat_norm_reference(nu, j)) <= 1e-9 * total
+
+    def test_lp_has_a_column_per_atom_and_a_row_per_close_pair(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "linprog", lambda *args, **kw: calls.append((args, kw)) or linprog(*args, **kw))
+        for n, npos, nneg, side in ((2, 5, 4, 3.0), (3, 7, 3, 2.5), (1, 4, 6, 6.0)):
+            P = rng.uniform(0.0, side, (npos + nneg, n))
+            nu = Chain0.from_arrays(n, 1, P, np.r_[rng.uniform(0.5, 2.0, npos), -rng.uniform(0.5, 2.0, nneg)][:, None])
+            D = np.linalg.norm(P[:npos, None, :] - P[None, npos:, :], axis=2)
+            close = {(i, npos + kk) for i, kk in zip(*np.nonzero(D < 2.0))}
+            assert 0 < len(close) < npos * nneg
+            calls.clear()
+            flat_norm_0chain_component(nu, 0)
+            ((c,), kw), = calls
+            A = kw["A_ub"].tocsr()
+            assert len(c) == A.shape[1] == npos + nneg != npos * nneg
+            assert A.shape[0] == len(kw["b_ub"]) == len(close)
+            assert {tuple(sorted(A[r].indices)) for r in range(A.shape[0])} == close
+
+    def test_far_pairs_need_no_lp(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("linprog called with no pair at d < 2")
+
+        monkeypatch.setattr(metrics, "linprog", refuse)
+        nu = Chain0.from_arrays(2, 2, [[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [5.0, 5.0]],
+                                [[1.5, 0.0], [-0.5, 1.0], [-2.0, -1.0], [0.25, 0.0]])
+        assert flat_norm_0chain_component(nu, 0) == 1.5 + 0.25 + 0.5 + 2.0
+        assert flat_norm_0chain_component(nu, 1) == 2.0
+
+
+def flat_norm_reference(nu: Chain0, j: int) -> float:
+    """The primal transport LP, one flow variable per (positive, negative)
+    pair: shipping a unit at cost d saves the two residual units it would
+    otherwise leave, so each flow costs d - 2 on top of P + N."""
+    w = nu.W[:, j]
+    src, dst = nu.P[w > 0], nu.P[w < 0]
+    supply, demand = w[w > 0], -w[w < 0]
+    total = math.fsum(supply) + math.fsum(demand)
+    if not len(supply) or not len(demand):
+        return total
+    d = np.linalg.norm(src[:, None, :] - dst[None, :, :], axis=2)
+    A = np.vstack([np.kron(np.eye(len(src)), np.ones(len(dst))), np.kron(np.ones(len(src)), np.eye(len(dst)))])
+    res = linprog((d - 2.0).ravel(), A_ub=A, b_ub=np.concatenate([supply, demand]), bounds=(0, None),
+                  method="highs")
+    assert res.success, res.message
+    return total + res.fun
 
 
 class TestFlatBounds:

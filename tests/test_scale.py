@@ -19,6 +19,7 @@ import pytest
 from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, local_search, shifted_grid, sum_alpha,
                        w_upper)
 from branchnet.chains import canonicalize, canonicalize0, is_compatible, pow2_scale
+from branchnet.metrics import flat_norm_0chain_component
 from branchnet.optimize import verify_solution
 from conftest import bits
 from test_chains import length_scale_reference, near_snap_cloud, reference_chains
@@ -161,3 +162,41 @@ def test_is_compatible_refuses_w_against_2w_at_every_weight_scale():
         mm, mp = Chain0.from_arrays(1, 1, [[0.0]], [[w]]), Chain0.from_arrays(1, 1, [[1.0]], [[2 * w]])
         assert not is_compatible(mm, mp) and not is_compatible(mp, mm), k
         assert is_compatible(mm, Chain0.from_arrays(1, 1, [[1.0], [2.0]], [[0.5 * w], [0.5 * w]])), k
+
+
+@pytest.mark.parametrize("n, atoms", [(3, 48), (2, 6)])
+def test_flat_norm_is_homogeneous_in_the_weights(n, atoms):
+    """The flat LP's objective is the weights over their pow2_scale, so its
+    input is the same at every weight scale and its value scales by 2^k."""
+    rng = np.random.default_rng(atoms)
+    W = np.vstack([rng.uniform(0.2, 2.0, (atoms, 2)), -rng.uniform(0.2, 2.0, (atoms, 2))])
+    nu = Chain0.from_arrays(n, 2, rng.uniform(0, 1, (2 * atoms, n)), W)
+    base = [flat_norm_0chain_component(nu, j) for j in range(2)]
+    for k in SCALES:
+        scaled = Chain0.from_arrays(n, 2, nu.P, np.ldexp(W, k))
+        assert [flat_norm_0chain_component(scaled, j) for j in range(2)] == [math.ldexp(v, k) for v in base], k
+
+
+def test_verify_residual_is_homogeneous_in_the_weights():
+    """A cone network with one multiplicity off by 1e-3 and every edge
+    ending a little off its atom leaves a residual of 24 dipoles, which
+    scales with the weights by exactly 2^k."""
+    rng = np.random.default_rng(3)
+    wm, wp = rng.uniform(0.2, 2.0, (12, 2)), rng.uniform(0.2, 2.0, (12, 2))
+    wp *= wm.sum(axis=0) / wp.sum(axis=0)
+    pm, pp = rng.uniform(0, 1, (12, 3)), rng.uniform(0, 1, (12, 3))
+    hub = np.full((24, 3), 0.5)
+    Th = np.vstack([-wm, wp])
+    Th[5, 1] *= 1.001
+    ends = np.vstack([pm, pp]) + rng.uniform(-0.05, 0.05, (24, 3))
+    cost = sum_alpha(2, 0.75)
+
+    def residual(k):
+        T = Chain1.from_arrays(3, 2, hub, ends, np.ldexp(Th, k))
+        mm, mp = Chain0.from_arrays(3, 2, pm, np.ldexp(wm, k)), Chain0.from_arrays(3, 2, pp, np.ldexp(wp, k))
+        return verify_solution(T, mm, mp, cost).boundary_residual
+
+    base = residual(0)
+    assert base > 0
+    for k in SCALES:
+        assert residual(k) == math.ldexp(base, k), k
