@@ -453,21 +453,27 @@ def canonicalize(T: Chain1) -> Chain1:
             last = e, u
     edge, t = cuts[keep, 0].astype(int), cuts[keep, 1]
     C = reg.snap(A[edge] + t[:, None] * (B[edge] - A[edge]))
+    return _split_merge(A, B, T.Theta[rows], edge, C)
 
-    # each line's points, tail, cuts, head; a piece joins consecutive points
-    # of a line, unless snapping made them equal
+
+def _split_merge(A: np.ndarray, B: np.ndarray, Theta: np.ndarray, edge: np.ndarray, C: np.ndarray) -> Chain1:
+    """The canonical chain of the edges A[i] -> B[i] carrying Theta[i], each
+    split at its points C[k] (edge[k] == i), given in order of (edge, t).
+    Each line's points are its tail, cuts and head; a piece joins consecutive
+    points of a line, unless they are equal.  Each piece is oriented from its
+    lexicographically smaller end and coincident pieces are merged in order
+    (``_merge_rows``)."""
+    n, m = A.shape[1], Theta.shape[1]
     line = np.concatenate([np.arange(len(A)), edge, np.arange(len(A))])
     order = np.argsort(line, kind="stable")
     P, line = np.concatenate([A, C, B])[order], line[order]
     i = np.flatnonzero((line[:-1] == line[1:]) & np.any(P[:-1] != P[1:], axis=1))
-    Pa, Pb, Theta = P[i], P[i + 1], T.Theta[rows[line[i]]]
-
-    # orient each piece from its lexicographically smaller end, then merge
+    Pa, Pb, Theta = P[i], P[i + 1], Theta[line[i]]
     at = np.arange(len(i)), np.argmax(Pa != Pb, axis=1)
     flip = (Pa[at] > Pb[at])[:, None]
     keys = np.where(flip, np.hstack([Pb, Pa]), np.hstack([Pa, Pb]))
     ends, Theta = _merge_rows(keys, np.where(flip, -Theta, Theta))
-    return Chain1.from_arrays(T.n, T.m, ends[:, : T.n], ends[:, T.n :], Theta, canonical=True)
+    return Chain1.from_arrays(n, m, ends[:, :n], ends[:, n:], Theta, canonical=True)
 
 
 def canonicalize0(mu: Chain0) -> Chain0:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branchnet.chains import (Chain0, Chain1, _sum_rows, _unique_rows, canonicalize, canonicalize0, is_compatible,
-                              mass, pow2_scale, row_dots)
+from branchnet.chains import (EPS_REL, Chain0, Chain1, _box_pairs, _split_merge, _sum_rows, _unique_rows, canonicalize,
+                              canonicalize0, is_compatible, mass, pow2_scale, row_dots)
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
 from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
@@ -49,11 +49,12 @@ def barycenter(nu: Chain0) -> tuple[float, ...]:
 
 def bounding_cube(P: np.ndarray) -> tuple[tuple[float, ...], float]:
     """(center, edge) of the smallest coordinate cube holding the (k, n) points P;
-    edge 1 when all points coincide, the unit cube at the origin if k = 0."""
+    edge ``pow2_scale(P)`` when all points coincide (1 at the origin), the unit
+    cube at the origin if k = 0."""
     if not len(P):
         return (0.0,) * P.shape[1], 1.0
     lo, hi = P.min(axis=0), P.max(axis=0)
-    return tuple(0.5 * (lo + hi)), float(np.max(hi - lo)) or 1.0
+    return tuple(0.5 * (lo + hi)), float(np.max(hi - lo)) or pow2_scale(P)
 
 
 @dataclass(frozen=True)
@@ -179,18 +180,20 @@ def cascade(
     cost=None,
     beta: BetaEnvelope | None = None,
 ) -> CascadeResult:
-    """Hierarchical dyadic flux between mu_minus and mu_plus.
+    """Hierarchical dyadic flux between mu_minus and mu_plus, in canonical form.
 
-    One loop over the levels k = K+1, K, ..., 0 of the grid: level k
-    connects its points to the centers of their level-k cells (one edge per
-    point, carrying the point's weight, skipped when the point is its
-    center or its weight is zero) and passes the cells, with their summed
-    weights, up as the points of level k-1.  Level K+1 starts from the
-    atoms of nu = mu_plus - mu_minus, and each parent weight sums its
-    children's in their order (``_sum_rows``); the single level-0 cell left
-    at the end is ``residual0``.  Edges are emitted coarse to fine, the
-    atoms grouped by leaf cell.  Divergence of the result equals
-    mu_minus - mu_plus.
+    The edges are those of ``_cascade_edges``, and the chain is what
+    ``canonicalize`` makes of them, built on the lattice of half leaf
+    widths (``_lattice_chain``).  A cell's parent center is a corner of the
+    cell, so the cell's edge runs along a main diagonal of it, and any other
+    edge meeting it inside the cell belongs to a descendant: collinear with
+    it, or meeting it at that descendant's center.  So each diagonal edge is
+    split exactly at the chain's centers strictly inside it.  Atom edges meet
+    other edges only at their leaf's center, and are not split, unless an
+    atom sits at one of a few special positions; then the edges go through
+    ``canonicalize`` instead.  Divergence of the result equals
+    mu_minus - mu_plus, and the single level-0 cell left at the end is
+    ``residual0``.
 
     When ``beta`` is supplied (and ``cost`` for the energy evaluation), the
     certificate carries the dyadic-series bound
@@ -207,19 +210,10 @@ def cascade(
         cert = EnergyCertificate(0.0, 0.0, "none")
         return CascadeResult(empty, cert, K, Chain0(n, m))
 
-    cells, ids = _unique_rows(grid.cell_index(nu.P, K + 1))
-    leaf_order = np.argsort(ids, kind="stable")  # stable: atoms keep their order within a cell
-    P, W, ids = nu.P[leaf_order], nu.W[leaf_order], ids[leaf_order]
-    edges = []
-    for k in range(K + 1, -1, -1):
-        centers = grid.cell_center(cells, k)
-        tails = centers[ids]
-        keep = np.any(tails != P, axis=1) & np.any(W != 0.0, axis=1)
-        edges.append((tails[keep], P[keep], W[keep]))
-        P, W = centers, _sum_rows(ids, W, len(cells))
-        cells, ids = _unique_rows(cells // 2)
-    A, B, Theta = (np.concatenate(x) for x in zip(*reversed(edges)))
-    chain = canonicalize(Chain1.from_arrays(n, m, A, B, Theta))
+    (A, B, Theta), levels, atoms, (P, W) = _cascade_edges(nu, grid, K)
+    chain = _lattice_chain(grid, K, levels, atoms, A, B, Theta)
+    if chain is None:
+        chain = canonicalize(Chain1.from_arrays(n, m, A, B, Theta))
 
     ener = 0.0
     bound = math.inf
@@ -235,6 +229,131 @@ def cascade(
         kind = "cascade"
     cert = EnergyCertificate(ener, bound, kind, digest_inputs(mu_minus, mu_plus, K, grid.center, grid.edge))
     return CascadeResult(chain, cert, K, canonicalize0(Chain0.from_arrays(n, m, P, W)))
+
+
+def _cascade_edges(nu: Chain0, grid: DyadicGrid, K: int):
+    """The cascade's edges in emission order, before canonicalization.
+
+    One loop over the levels k = K+1, K, ..., 0 of the grid: level k
+    connects its points to the centers of their level-k cells (one edge per
+    point, carrying the point's weight, skipped when the point is its
+    center or its weight is zero) and passes the cells, with their summed
+    weights, up as the points of level k-1.  Level K+1 starts from the
+    atoms of nu, and each parent weight sums its children's in their order
+    (``_sum_rows``).  Edges are emitted coarse to fine, the atoms grouped by
+    leaf cell.
+
+    Returns the edge arrays (A, B, Theta); per level k = 0, ..., K+1 its
+    cells, their centers, the cell of each point it connects and whether
+    that point got an edge; the atoms in leaf order; and the single level-0
+    point with its weight.
+    """
+    cells, ids = _unique_rows(grid.cell_index(nu.P, K + 1))
+    leaf_order = np.argsort(ids, kind="stable")  # stable: atoms keep their order within a cell
+    P, W, ids = nu.P[leaf_order], nu.W[leaf_order], ids[leaf_order]
+    atoms, edges, levels = P, [], []
+    for k in range(K + 1, -1, -1):
+        centers = grid.cell_center(cells, k)
+        tails = centers[ids]
+        keep = np.any(tails != P, axis=1) & np.any(W != 0.0, axis=1)
+        edges.append((tails[keep], P[keep], W[keep]))
+        levels.append((cells, centers, ids, keep))
+        P, W = centers, _sum_rows(ids, W, len(cells))
+        cells, ids = _unique_rows(cells // 2)
+    return tuple(np.concatenate(x) for x in zip(*reversed(edges))), levels[::-1], atoms, (P, W)
+
+
+_NEAR = 4  # "a few eps": the snap radius, the reach of an interaction and the interior margin, with one to spare
+_PARALLEL = 2e-12  # twice the 1 - cos^2 < 1e-12 parallel test of _segment_interactions
+_ROUND = 2.0**-53  # unit roundoff
+
+
+def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Theta) -> Chain1 | None:
+    """``canonicalize`` of the cascade edges (A, B, Theta), byte for byte,
+    built from the lattice; None where an atom's position could make the two
+    differ.  ``levels`` and ``atoms`` are those of ``_cascade_edges``.
+
+    For eps = ``EPS_REL`` L of the endpoints, the snap radius of
+    ``canonicalize``, it returns None when
+    - an atom lies within ``_NEAR`` eps of the level-(K+1) skeleton, of its
+      leaf's center or of another atom: it could snap, or reach an edge of
+      another cell.  Every atom lies within h/2 of the skeleton, h the leaf
+      width, so otherwise h/2 > ``_NEAR`` eps; in units of h/2 lattice points
+      are 1 apart, and a lattice point off a diagonal line, or two skew
+      diagonal lines, 1/sqrt(2), so no centers snap or meet off the lattice;
+    - two atom edges of one leaf point within sqrt(``_PARALLEL``) of each
+      other on every axis, as every pair with 1 - cos^2 < ``_PARALLEL``
+      does: the parallel test would project one atom onto the other's edge;
+    - an atom edge has 1 - cos^2 < ``_PARALLEL`` with its leaf's diagonal
+      through the parent's center, the only main diagonal along which other
+      edges enter the leaf, or 1 - cos^2 so small that rounding could move
+      the computed crossing of the two lines eps/2 off the leaf's center
+      by either of two causes: the closest-point solve of
+      ``_segment_interactions`` moves it up to (4n + 2) u alpha / (1 - cos^2),
+      for u the unit roundoff and alpha the longest diagonal edge through
+      the center, and rounding puts the center up to 2 sqrt(n) u C off that
+      edge, C the largest |coordinate|, which moves the crossing by that
+      over sin.
+    """
+    n = grid.n
+    ends = np.concatenate([A, B])
+    eps = EPS_REL * pow2_scale(ends, extent=True)
+    # the cells of levels 1..K+1 as one list of nodes, in emission order;
+    # node i gets the edge_of[i]-th edge, from its parent's center, if kept[i]
+    cells, centers, ids, keep = zip(*levels)
+    start = np.cumsum([0, *map(len, cells[1:])])  # first node of each level 1..K+2
+    level = np.repeat(np.arange(1, K + 2), np.diff(start))
+    idx, center = np.concatenate(cells[1:]), np.concatenate(centers[1:])
+    parent = np.concatenate([np.full(len(cells[1]), -1), *(ids[k] + start[k - 1] for k in range(1, K + 1))])
+    kept = np.concatenate(keep[:-1])
+    edge_of = np.cumsum(kept) - 1
+    leaf = ids[K + 1][keep[K + 1]] + start[K]  # the leaf of each atom edge
+    used = kept.copy()  # the centers that are vertices of the chain
+    used[parent[kept & (parent >= 0)]] = True
+    used[leaf] = True
+
+    D = atoms[keep[K + 1]] - center[leaf]
+    length = np.sqrt(row_dots(D, D))
+    U = D / length[:, None]
+    r = math.sqrt(_PARALLEL)
+    if ((length <= _NEAR * eps).any() or (grid.skeleton_distance(atoms, K + 1) <= _NEAR * eps).any()
+            or _any_box_pair(atoms - _NEAR / 2 * eps, atoms + _NEAR / 2 * eps)
+            or _any_box_pair(np.column_stack([leaf, U - r]), np.column_stack([leaf, U + r]))):
+        return None
+
+    # a center v is strictly inside the kept edge of an ancestor cell a iff,
+    # in units of v's half width, its offset z from a's center is a negative
+    # multiple of the sign vector from a's parent center to a's; top is the
+    # coarsest level of a diagonal edge through each center
+    top = level.copy()
+    v = np.flatnonzero(used & (level > 1))
+    a = parent[v]
+    cut_edge, cut_t, cut_v = [np.empty(0, int)], [np.empty(0)], [np.empty(0, int)]
+    while len(v):
+        shift = level[v] - level[a]
+        z = 2 * (idx[v] - (idx[a] << shift[:, None])) + 1 - (1 << shift)[:, None]
+        z *= 2 * (idx[a] & 1) - 1
+        on = kept[a] & (z[:, 0] < 0) & np.all(z == z[:, :1], axis=1)
+        cut_edge.append(edge_of[a[on]])
+        cut_t.append(1.0 + np.ldexp(z[on, 0].astype(float), -shift[on]))
+        cut_v.append(v[on])
+        top[v[on]] = level[a[on]]
+        up = level[a] > 1
+        v, a = v[up], parent[a[up]]
+
+    slack = 1.0 - row_dots(U, 2.0 * (idx[leaf] & 1) - 1) ** 2 / n
+    alpha = 0.5 * math.sqrt(n) * np.ldexp(grid.edge, -top[leaf])
+    moved = np.maximum((8 * n + 4) * _ROUND * alpha / eps, (4 * math.sqrt(n) * _ROUND * np.abs(ends).max() / eps) ** 2)
+    if (slack < np.maximum(_PARALLEL, moved)).any():
+        return None
+    cut_edge, cut_t, cut_v = map(np.concatenate, (cut_edge, cut_t, cut_v))
+    order = np.lexsort((cut_t, cut_edge))
+    return _split_merge(A, B, Theta, cut_edge[order], center[cut_v[order]])
+
+
+def _any_box_pair(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether any two of the closed boxes [lo, hi] overlap (``_box_pairs``)."""
+    return any(len(i) for i, _ in _box_pairs(lo, hi))
 
 
 def _signed_parts(nu: Chain0) -> tuple[Chain0, Chain0]:

@@ -36,7 +36,7 @@ from branchnet.chains import (
     _unique_rows,
     row_dots,
 )
-from branchnet.construct import cascade, shifted_grid
+from branchnet.construct import _cascade_edges, shifted_grid
 from conftest import bits, path_chain, random_chain, signed_zero_chain
 
 
@@ -469,8 +469,10 @@ def segment_interactions_reference(A, B, eps):
 
 
 def cascade_inputs(rng, count):
-    """The snapped edge arrays that ``cascade`` hands to ``_segment_interactions``
-    on unit-weight planar pairs of 16 and 48 atoms per side."""
+    """The snapped edge arrays that ``canonicalize`` of a raw cascade chain
+    (``construct._cascade_edges``) hands to ``_segment_interactions``, on
+    unit-weight planar pairs of 16 and 48 atoms per side.  ``cascade`` itself
+    reaches ``canonicalize`` only for atoms at special positions."""
     seen = []
 
     def record(A, B, eps):
@@ -482,7 +484,10 @@ def cascade_inputs(rng, count):
         for k in range(count):
             atoms = (16, 48)[k % 2]
             mm, mp = (Chain0.from_arrays(2, 2, rng.uniform(0, 1, (atoms, 2)), np.ones((atoms, 2))) for _ in "-+")
-            cascade(mm, mp, shifted_grid((0.5, 0.5), 1.0, [mm, mp], seed=k, k_max=8), K=3 + k % 3)
+            grid = shifted_grid((0.5, 0.5), 1.0, [mm, mp], seed=k, k_max=8)
+            (A, B, Theta), *_ = _cascade_edges(canonicalize0(mp - mm), grid, 3 + k % 3)
+            canonicalize(Chain1.from_arrays(2, 2, A, B, Theta))
+    assert len(seen) == count and all(len(A) for A, _ in seen)
     return seen
 
 

@@ -19,6 +19,7 @@ import pytest
 from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, local_search, shifted_grid, sum_alpha,
                        w_upper)
 from branchnet.chains import canonicalize, canonicalize0, is_compatible, pow2_scale
+from branchnet.construct import bounding_cube
 from branchnet.metrics import flat_norm_0chain_component
 from branchnet.optimize import verify_solution
 from conftest import bits
@@ -52,6 +53,15 @@ def test_pow2_scale():
             assert L == (length_scale_reference(X.tolist()) if extent else length_scale_reference([[0.0], [size]]))
             for k in SCALES:
                 assert pow2_scale(np.ldexp(X, k), extent) == math.ldexp(L, k)
+
+
+@pytest.mark.parametrize("k", [-30, 30])
+def test_bounding_cube_of_one_point_is_equivariant(k):
+    """A single point's cube, which a w-sweep on a one-atom target grids,
+    scales with its coordinates."""
+    P = np.array([[0.75, -0.3]])
+    center, edge = bounding_cube(P)
+    assert bounding_cube(np.ldexp(P, k)) == (tuple(np.ldexp(center, k).tolist()), math.ldexp(edge, k))
 
 
 def test_bench_pools_have_unit_length_scale():
