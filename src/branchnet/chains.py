@@ -208,7 +208,7 @@ class Chain1(_Stored):
 
     @cached_property
     def _graph(self) -> tuple[np.ndarray, np.ndarray]:
-        V, ids = _unique_rows(np.stack([self.A, self.B], axis=1).reshape(-1, self.n))  # a0, b0, a1, b1, ...
+        V, ids, _ = _unique_rows(np.concatenate([self.A, self.B], axis=1).reshape(-1, self.n))  # a0, b0, a1, b1, ...
         ij = ids.reshape(-1, 2)
         V.flags.writeable = ij.flags.writeable = False
         return V, ij
@@ -246,25 +246,32 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
 
 
+def _norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, bit for bit ``np.linalg.norm(X, axis=-1)`` without its wrapper.
+    ``row_dots`` matches ``np.linalg.norm`` of one row instead, another kernel: never swap the two."""
+    return np.sqrt(np.add.reduce(X * X, axis=-1))
+
+
 def pow2_scale(X: np.ndarray, extent: bool = False) -> float:
     """S of weights X, the least power of two >= max |X|, or with ``extent`` L of (k, n) points X, the least
     power of two >= their largest coordinate range; 1.0 for 0 or empty X.  Exact under 2^k scaling (frexp)."""
-    frac, exp = math.frexp(float(np.max(np.ptp(X, axis=0) if extent else np.abs(X))) if X.size else 0.0)
+    frac, exp = math.frexp(float((X.max(axis=0) - X.min(axis=0) if extent else np.abs(X)).max()) if X.size else 0.0)
     return math.ldexp(1.0, exp - (frac == 0.5)) if frac else 1.0
 
 
-def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(distinct rows of X in lexicographic order, each row's index among
-    them): ``np.unique(axis=0, return_inverse=True)`` at a third of its cost.
-    A stable sort keeps equal rows (0.0 and -0.0 too) in order, so each
+    them, each distinct row's index in X): ``np.unique(axis=0,
+    return_index=True, return_inverse=True)`` at a third of its cost.  A
+    stable sort keeps equal rows (0.0 and -0.0 too) in order, so each
     distinct row is its first occurrence."""
     order = np.lexsort(X.T[::-1])
     X = X[order]
     first = np.ones(len(X), dtype=bool)
-    first[1:] = np.any(X[1:] != X[:-1], axis=1)
+    first[1:] = (X[1:] != X[:-1]).any(axis=1)
     ids = np.empty(len(X), dtype=int)
-    ids[order] = np.cumsum(first) - 1
-    return X[first], ids
+    ids[order] = first.cumsum() - 1
+    return X[first], ids, order[first]
 
 
 def _sum_rows(ids: np.ndarray, W: np.ndarray, k: int) -> np.ndarray:
@@ -301,17 +308,17 @@ class _PointRegistry:
             return X
         # replaying the representatives registers each of them again, unchanged
         Q = np.concatenate([self.P, X])
-        U, ids = _unique_rows(Q)
+        U, ids, rep = _unique_rows(Q)
         # one-sided boxes: U + reach rounds monotonically, so no pair within eps is lost
         hi = U + self.eps * (1 + 1e-9)
-        i, j = np.concatenate([np.empty((2, 0), dtype=int), *map(np.stack, _box_pairs(U, hi))], axis=1)
+        i, j = np.concatenate([np.empty((2, 0), dtype=int), *map(np.array, _box_pairs(U, hi))], axis=1)
         ends = np.concatenate([i, j])
-        order = np.argsort(ends, kind="stable")
-        partner, start = np.concatenate([j, i])[order], np.searchsorted(ends[order], np.arange(len(U) + 1))
+        order = ends.argsort(kind="stable")
+        partner, start = np.concatenate([j, i])[order], ends[order].searchsorted(np.arange(len(U) + 1))
         near = start[1:] > start[:-1]
-        rep = np.where(near, -1, np.unique(ids, return_index=True)[1])  # a lone group's first row represents it
+        rep[near] = -1  # a lone group's first row represents it; the loop places the others
         out = U[ids]
-        rows = {k: Q[k].tolist() for k in np.flatnonzero(near[ids]).tolist()}  # the rows the loop reads
+        rows = {k: Q[k].tolist() for k in near[ids].nonzero()[0].tolist()}  # the rows the loop reads
         for k in rows:
             g = ids[k]
             best = rep[g]
@@ -345,17 +352,17 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.
     fewest candidates.  The runs are expanded and box-tested on every axis
     at most ``_BLOCK`` candidates at a time.
     """
-    orders = np.argsort(lo, axis=0, kind="stable").T
-    runs = [np.searchsorted(l[o], h[o], side="right") - np.arange(len(o)) - 1 for l, h, o in zip(lo.T, hi.T, orders)]
+    orders = lo.argsort(axis=0, kind="stable").T
+    runs = [l[o].searchsorted(h[o], side="right") - np.arange(len(o)) - 1 for l, h, o in zip(lo.T, hi.T, orders)]
     order, run = min(zip(orders, runs), key=lambda s: s[1].sum())
-    total = np.concatenate([[0], np.cumsum(run)])  # candidates before each sorted position
+    total = np.concatenate([[0], run.cumsum()])  # candidates before each sorted position
     p = 0
     while total[p] < total[-1]:
-        q = max(int(np.searchsorted(total, total[p] + _BLOCK, side="right")) - 1, p + 1)
-        first = np.repeat(np.arange(p, q), run[p:q])
-        second = first + 1 + np.arange(len(first)) - np.repeat(total[p:q] - total[p], run[p:q])
+        q = max(int(total.searchsorted(total[p] + _BLOCK, side="right")) - 1, p + 1)
+        first = np.arange(p, q).repeat(run[p:q])
+        second = first + 1 + np.arange(len(first)) - (total[p:q] - total[p]).repeat(run[p:q])
         i, j = order[first], order[second]
-        overlap = np.all(lo[i] <= hi[j], axis=1) & np.all(lo[j] <= hi[i], axis=1)
+        overlap = (lo[i] <= hi[j]).all(axis=1) & (lo[j] <= hi[i]).all(axis=1)
         i, j = i[overlap], j[overlap]
         yield np.minimum(i, j), np.maximum(i, j)
         p = q
@@ -377,28 +384,26 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
     lo = np.minimum(A, B) - eps
     hi = np.maximum(A, B) + eps
     D = B - A
-    L = np.linalg.norm(D, axis=1)
+    L = _norms(D)
     U = D / L[:, None]
 
     edges, ts = [np.empty(0, dtype=int)], [np.empty(0)]  # each chunk's interior split points
     for ii, jj in _box_pairs(lo, hi):
         ui, uj = U[ii], U[jj]
         w = A[jj] - A[ii]
-        cosa = np.sum(ui * uj, axis=1)
+        cosa = np.add.reduce(ui * uj, axis=1)
         denom = 1.0 - cosa * cosa
         parallel = np.abs(denom) < 1e-12
 
         # transverse pairs: closest points of the two supporting lines
-        tv = np.nonzero(~parallel)[0]
-        wu_i = np.sum(w[tv] * ui[tv], axis=1)
-        wu_j = np.sum(w[tv] * uj[tv], axis=1)
-        dn = denom[tv]
-        s = (wu_i - cosa[tv] * wu_j) / dn
-        t = (cosa[tv] * wu_i - wu_j) / dn
-        gap = np.linalg.norm(
-            A[ii[tv]] + s[:, None] * ui[tv] - A[jj[tv]] - t[:, None] * uj[tv], axis=1
-        )
-        Li, Lj = L[ii[tv]], L[jj[tv]]
+        tv = (~parallel).nonzero()[0]
+        it, jt, uit, ujt, wt, ct, dn = ii[tv], jj[tv], ui[tv], uj[tv], w[tv], cosa[tv], denom[tv]
+        wu_i = np.add.reduce(wt * uit, axis=1)
+        wu_j = np.add.reduce(wt * ujt, axis=1)
+        s = (wu_i - ct * wu_j) / dn
+        t = (ct * wu_i - wu_j) / dn
+        gap = _norms(A[it] + s[:, None] * uit - A[jt] - t[:, None] * ujt)
+        Li, Lj = L[it], L[jt]
         ti, tj = s / Li, t / Lj
         near = (
             (gap <= eps)
@@ -407,15 +412,16 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
         )
 
         # parallel pairs: collinear overlap iff the line offset vanishes
-        pl = np.nonzero(parallel)[0]
-        perp = w[pl] - np.sum(w[pl] * ui[pl], axis=1)[:, None] * ui[pl]
-        coll = pl[np.linalg.norm(perp, axis=1) <= eps]
+        pl = parallel.nonzero()[0]
+        wp, uip = w[pl], ui[pl]
+        perp = wp - np.add.reduce(wp * uip, axis=1)[:, None] * uip
+        coll = pl[_norms(perp) <= eps]
         ci, cj = ii[coll], jj[coll]
         c = np.concatenate([ci, ci, cj, cj])
         tc = row_dots(np.concatenate([A[cj], B[cj], A[ci], B[ci]]) - A[c], U[c]) / L[c]
 
         # keep the interior candidates of this chunk only, so that no more than a chunk's are held
-        e, t = np.concatenate([ii[tv][near], jj[tv][near], c]), np.concatenate([ti[near], tj[near], tc])
+        e, t = np.concatenate([it[near], jt[near], c]), np.concatenate([ti[near], tj[near], tc])
         inside = (eps / L[e] < t) & (t < 1.0 - eps / L[e])
         edges.append(e[inside])
         ts.append(t[inside])
@@ -434,17 +440,17 @@ def canonicalize(T: Chain1) -> Chain1:
     those no longer than ``EPS_MULT_REL`` times the longest multiplicity,
     input or merged.  Idempotent; preserves boundary and can only decrease mass.
     """
-    same = np.flatnonzero(np.all(T.A == T.B, axis=1))
+    same = (T.A == T.B).all(axis=1).nonzero()[0]
     if len(same):
         raise DegenerateEdgeError(f"degenerate edge at {tuple(T.A[same[0]].tolist())}")
     reg = _PointRegistry(T.n, EPS_REL * pow2_scale(np.concatenate([T.A, T.B]), extent=True))
     A, B = reg.snap(np.concatenate([T.A, T.B], axis=1).reshape(-1, T.n)).reshape(-1, 2, T.n).swapaxes(0, 1)
-    rows = np.flatnonzero(np.any(A != B, axis=1))  # a pair collapsed by snapping is below resolution: drop it
+    rows = (A != B).any(axis=1).nonzero()[0]  # a pair collapsed by snapping is below resolution: drop it
     A, B = A[rows], B[rows]
 
     # split every edge at its cuts, in order of (edge, t); a cut closer than
     # the snap radius to the last one kept on its edge is dropped
-    cuts, _ = _unique_rows(np.column_stack(_segment_interactions(A, B, reg.eps)))
+    cuts = _unique_rows(np.stack(_segment_interactions(A, B, reg.eps), axis=1))[0]
     tol = [reg.eps / math.dist(a, b) for a, b in zip(A.tolist(), B.tolist())]
     keep, last = [], (-1.0, 0.0)
     for k, (e, u) in enumerate(cuts.tolist()):
@@ -465,13 +471,13 @@ def _split_merge(A: np.ndarray, B: np.ndarray, Theta: np.ndarray, edge: np.ndarr
     (``_merge_rows``)."""
     n, m = A.shape[1], Theta.shape[1]
     line = np.concatenate([np.arange(len(A)), edge, np.arange(len(A))])
-    order = np.argsort(line, kind="stable")
+    order = line.argsort(kind="stable")
     P, line = np.concatenate([A, C, B])[order], line[order]
-    i = np.flatnonzero((line[:-1] == line[1:]) & np.any(P[:-1] != P[1:], axis=1))
+    i = ((line[:-1] == line[1:]) & (P[:-1] != P[1:]).any(axis=1)).nonzero()[0]
     Pa, Pb, Theta = P[i], P[i + 1], Theta[line[i]]
-    at = np.arange(len(i)), np.argmax(Pa != Pb, axis=1)
+    at = np.arange(len(i)), (Pa != Pb).argmax(axis=1)
     flip = (Pa[at] > Pb[at])[:, None]
-    keys = np.where(flip, np.hstack([Pb, Pa]), np.hstack([Pa, Pb]))
+    keys = np.where(flip, np.concatenate([Pb, Pa], axis=1), np.concatenate([Pa, Pb], axis=1))
     ends, Theta = _merge_rows(keys, np.where(flip, -Theta, Theta))
     return Chain1.from_arrays(n, m, ends[:, :n], ends[:, n:], Theta, canonical=True)
 
@@ -488,7 +494,7 @@ def _merge_rows(keys: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """(distinct rows of keys in lexicographic order, the sum of W's rows
     under each, by ``_sum_rows``), for the significant sums only.  Sums
     count as inputs of the threshold, so a second pass keeps every row."""
-    K, ids = _unique_rows(keys)
+    K, ids, _ = _unique_rows(keys)
     S = _sum_rows(ids, W, len(K))
     keep = _significant(S, np.concatenate([W, S]))
     return K[keep], S[keep]
@@ -634,11 +640,12 @@ def _common_refinement(Tp: Chain1, T: Chain1):
     return canonicalize(combined)
 
 
-def is_piece(Tp: Chain1, T: Chain1, eps: float = 1e-9) -> bool:
+def is_piece(Tp: Chain1, T: Chain1, eps: float | None = None) -> bool:
     """Whether Tp is a piece of T: per component, a sign-compatible
-    sub-flow with |theta'_j| <= |theta_j| edgewise on the common refinement.
-    """
+    sub-flow with |theta'_j| <= |theta_j| edgewise on the common refinement,
+    up to ``eps``, by default ``EPS_REL`` S of both chains' multiplicities."""
     _check_dims(Tp, T)
+    eps = EPS_REL * pow2_scale(np.concatenate([Tp.Theta, T.Theta])) if eps is None else eps
     R = _common_refinement(Tp, T).Theta
     tp, t = R[:, : T.m], R[:, T.m :]
     bad = (np.abs(tp) > eps) & ((tp * t < 0.0) | (np.abs(tp) > np.abs(t) + eps))
@@ -655,13 +662,15 @@ def is_compatible(mu_minus: Chain0, mu_plus: Chain0) -> bool:
 # ---------------------------------------------------------------------------
 # equality helpers
 
-def chains_close(S: Chain1, T: Chain1, tol: float = 1e-9) -> bool:
-    """Canonical equality of 1-chains up to multiplicity tolerance."""
+def chains_close(S: Chain1, T: Chain1, tol: float | None = None) -> bool:
+    """Canonical equality of 1-chains up to ``tol``, by default ``EPS_REL`` S of both chains' multiplicities."""
     Theta = canonicalize(S - T).Theta
+    tol = EPS_REL * pow2_scale(np.concatenate([S.Theta, T.Theta])) if tol is None else tol
     return bool(np.all(np.sqrt(row_dots(Theta, Theta)) <= tol))
 
 
-def chain0_close(a: Chain0, b: Chain0, tol: float = 1e-9) -> bool:
-    """Canonical equality of 0-chains up to atom-weight tolerance."""
+def chain0_close(a: Chain0, b: Chain0, tol: float | None = None) -> bool:
+    """Canonical equality of 0-chains up to ``tol``, by default ``EPS_REL`` S of both measures' weights."""
     W = canonicalize0(a - b).W
+    tol = EPS_REL * pow2_scale(np.concatenate([a.W, b.W])) if tol is None else tol
     return bool(np.all(np.sqrt(row_dots(W, W)) <= tol))

@@ -160,7 +160,7 @@ def dyadic_approx(mu: Chain0, grid: DyadicGrid, k: int) -> Chain0:
         i = int(np.argmax(bad))
         where = "outside grid cube" if outside[i] else "on grid skeleton; re-run shifted_grid"
         raise ValueError(f"atom {tuple(mu.P[i].tolist())} {where}")
-    cells, ids = _unique_rows(grid.cell_index(mu.P, k))
+    cells, ids, _ = _unique_rows(grid.cell_index(mu.P, k))
     return Chain0.from_arrays(mu.n, mu.m, grid.cell_center(cells, k), _sum_rows(ids, mu.W, len(cells)))
 
 
@@ -248,7 +248,7 @@ def _cascade_edges(nu: Chain0, grid: DyadicGrid, K: int):
     that point got an edge; the atoms in leaf order; and the single level-0
     point with its weight.
     """
-    cells, ids = _unique_rows(grid.cell_index(nu.P, K + 1))
+    cells, ids, _ = _unique_rows(grid.cell_index(nu.P, K + 1))
     leaf_order = np.argsort(ids, kind="stable")  # stable: atoms keep their order within a cell
     P, W, ids = nu.P[leaf_order], nu.W[leaf_order], ids[leaf_order]
     atoms, edges, levels = P, [], []
@@ -259,7 +259,7 @@ def _cascade_edges(nu: Chain0, grid: DyadicGrid, K: int):
         edges.append((tails[keep], P[keep], W[keep]))
         levels.append((cells, centers, ids, keep))
         P, W = centers, _sum_rows(ids, W, len(cells))
-        cells, ids = _unique_rows(cells // 2)
+        cells, ids, _ = _unique_rows(cells // 2)
     return tuple(np.concatenate(x) for x in zip(*reversed(edges))), levels[::-1], atoms, (P, W)
 
 

@@ -31,6 +31,7 @@ from branchnet.chains import (
     pow2_scale,
     row_dots,
     _box_pairs,
+    _norms,
     _significant,
     _vertex_weights,
 )
@@ -90,14 +91,14 @@ def _arcs(ij: np.ndarray, flow: np.ndarray, tol: float) -> tuple[np.ndarray, np.
     """One commodity's flow support: the (u, v) vertex ids of each edge
     with |flow| > tol, oriented along the flow, and the edge indices, in
     edge order."""
-    edges = np.flatnonzero(np.abs(flow) > tol)
+    edges = (np.abs(flow) > tol).nonzero()[0]
     uv = np.where((flow[edges] < 0)[:, None], ij[edges, ::-1], ij[edges])
     return uv, edges
 
 
 def _flow_tol(theta: np.ndarray) -> float:
     """Flows at most this small count as zero: relative to the largest."""
-    return _FLOW_TOL_REL * float(np.max(np.abs(theta), initial=0.0))
+    return _FLOW_TOL_REL * float(np.abs(theta).max(initial=0.0))
 
 
 def _find_directed_cycle(k: int, uv: np.ndarray):
@@ -148,7 +149,8 @@ def remove_cycles(T: Chain1) -> Chain1:
     commodity and subtracts the minimum flow along it.  Divergence is
     preserved exactly, the result is a piece of T, and each component's
     support becomes acyclic.  Terminates: every cancellation zeroes at
-    least one edge-component.
+    least one edge-component.  With no cycle to cancel, the result is T
+    itself (canonicalized first if not flagged canonical), graph included.
     """
     if not T.canonical:
         T = canonicalize(T)
@@ -162,12 +164,14 @@ def remove_cycles(T: Chain1) -> Chain1:
             if cycle is None:
                 break
             cycle = edges[cycle].tolist()
-            c = np.min(np.abs(theta[cycle, j]))
+            c = np.abs(theta[cycle, j]).min()
             for ei in cycle:
                 s = 1.0 if theta[ei, j] > 0 else -1.0
                 theta[ei, j] -= s * c
                 if abs(theta[ei, j]) <= tol:
                     theta[ei, j] = 0.0
+    if (theta == T.Theta).all():  # no cycle: a cancellation zeroes an edge-component, and none is <= tol
+        return T
 
     keep = np.sqrt(row_dots(theta, theta)) > tol
     return Chain1.from_arrays(T.n, T.m, T.A[keep], T.B[keep], theta[keep], canonical=True)
@@ -204,7 +208,8 @@ def straighten(T: Chain1) -> Chain1:
 
     Replaces the two incident edges by their chord; energy never increases
     (triangle inequality times the shared cost term) and the boundary is
-    untouched since the collapsed vertex carries no net weight.
+    untouched since the collapsed vertex carries no net weight.  With no
+    collapse, the result is T itself (canonicalized first if not flagged).
     """
     if not T.canonical:
         T = canonicalize(T)
@@ -226,7 +231,7 @@ def straighten(T: Chain1) -> Chain1:
             (a1, b1, th1), (a2, b2, th2) = edges[i1], edges[i2]
             thru1 = th1 * (1.0 if b1 == v else -1.0)  # flow into v
             thru2 = th2 * (1.0 if a2 == v else -1.0)  # flow out of v
-            if np.max(np.abs(thru1 - thru2)) > 1e-12 * np.max(np.abs(thru1)):
+            if np.abs(thru1 - thru2).max() > 1e-12 * np.abs(thru1).max():
                 continue
             x = a1 if b1 == v else b1
             y = b2 if a2 == v else a2
@@ -241,6 +246,8 @@ def straighten(T: Chain1) -> Chain1:
             incident[y].add(next_id)
             next_id += 1
             changed = True
+    if next_id == len(T.ij):  # no vertex collapsed
+        return T
     kept = list(edges.values())  # in id order, as a new id is the largest yet
     return canonicalize(Chain1.from_arrays(T.n, T.m, T.V[[a for a, _, _ in kept]], T.V[[b for _, b, _ in kept]],
                                            [th for _, _, th in kept]))
@@ -248,11 +255,6 @@ def straighten(T: Chain1) -> Chain1:
 
 # ---------------------------------------------------------------------------
 # branch-point relocation: exact weighted Fermat-Torricelli points
-
-def _norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, bit for bit those of ``np.linalg.norm``."""
-    return np.sqrt(np.add.reduce(X * X, axis=-1))
-
 
 def _fermat_point(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
     """Minimizer of f(v) = sum_i w_i |v - a_i|, the weighted geometric median
@@ -280,19 +282,19 @@ def _fermat_point(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, scal
     pull = _norms(R)
     passes = pull <= (on @ weights) * (1 + 1e-12)
     if passes.any():
-        return anchors[int(np.argmax(passes))]
+        return anchors[int(passes.argmax())]
 
     v, g_tol, eye = v0, 1e-12 * np.add.reduce(weights), np.eye(len(v0))
     d = _norms(v - anchors)
     f, f_at = weights @ d, dist @ weights
-    k = int(np.argmin(f_at))
+    k = int(f_at.argmin())
     if f_at[k] <= f or np.minimum.reduce(d) < near:
         v = anchors[k] + 0.5e-7 * scale * R[k] / pull[k]
         d = _norms(v - anchors)
         f = weights @ d
     for _ in range(_NEWTON_ITERS):
         if np.minimum.reduce(d) < near:
-            return anchors[int(np.argmin(d))]  # as good as that anchor, to within 1e-12 scale
+            return anchors[int(d.argmin())]  # as good as that anchor, to within 1e-12 scale
         U = (v - anchors) / d[:, None]
         g = weights @ U
         if _norms(g) <= g_tol:
@@ -335,7 +337,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     ``_fermat_point`` finds that minimizer exactly.  Moves are accepted
     only when the local objective does not increase, so the sweep is energy
     non-increasing.  Vertices that land on a neighbor make the connecting
-    edge vanish.
+    edge vanish.  When no vertex moves, the result is T itself.
 
     The edge costs are evaluated once and the incidence (vertex id -> tail
     and head edge indices) is built once per call; the sweep is
@@ -349,7 +351,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         T = canonicalize(T)
     if not len(T.A):
         return T
-    L = pow2_scale(np.vstack([T.A, T.B]), extent=True)
+    L = pow2_scale(np.concatenate([T.A, T.B]), extent=True)
     W = evaluate_rows(cost, T.Theta)
     pos, ends = np.array(T.V), T.ij.tolist()  # vertex positions and the [a, b] ids of each edge
     incidence: list[tuple[list[int], list[int]] | None] = [([], []) for _ in pos]
@@ -357,7 +359,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         incidence[a][0].append(i)
         incidence[b][1].append(i)
 
-    for v in np.flatnonzero(~_significant(_vertex_weights(T), T.Theta)).tolist():
+    for v in (~_significant(_vertex_weights(T), T.Theta)).nonzero()[0].tolist():
         tails, heads = incidence[v]
         incidence[v] = None
         loops = set(tails).intersection(heads)  # edges of a vertex that landed on v: they move with it
@@ -367,14 +369,14 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         anchors = pos[[ends[i][1] for i in out] + [ends[i][0] for i in into]]
         weights = W[out + into]
         old = pos[v]
-        f_old = float(np.sum(weights * _norms(anchors - old)))
+        f_old = float(np.add.reduce(weights * _norms(anchors - old)))
         new = _fermat_point(old, anchors, weights, L)
         # snap to a coincident anchor so the degenerate edge can be dropped
         d = _norms(anchors - new)
-        k = int(np.argmin(d))
+        k = int(d.argmin())
         if d[k] < EPS_REL * L:
             new = anchors[k]
-        f_new = float(np.sum(weights * _norms(anchors - new)))
+        f_new = float(np.add.reduce(weights * _norms(anchors - new)))
         if f_new > f_old * (1 + 1e-12):
             continue
         pos[v] = new
@@ -382,12 +384,14 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
             ends[i][0] = v
         for i in heads:
             ends[i][1] = v
-        u = next((u for u in np.flatnonzero(np.all(pos == new, axis=1)).tolist() if incidence[u] is not None), v)
+        u = next((u for u in (pos == new).all(axis=1).nonzero()[0].tolist() if incidence[u] is not None), v)
         there = incidence[u] or ([], [])
         incidence[u] = (sorted(there[0] + tails), sorted(there[1] + heads))
 
+    if pos.tobytes() == T.V.tobytes():  # no vertex moved, to the bit
+        return T
     A, B = pos[[a for a, _ in ends]], pos[[b for _, b in ends]]
-    kept = np.any(A != B, axis=1)
+    kept = (A != B).any(axis=1)
     return canonicalize(Chain1.from_arrays(T.n, T.m, A[kept], B[kept], T.Theta[kept]))
 
 
@@ -399,22 +403,22 @@ def _merge_candidates(T: Chain1) -> np.ndarray:
     of their midpoints, then by edge indices: one row (i, k, aligned) each."""
     if len(T.A) < 2:
         return np.zeros((0, 3), dtype=int)
-    diam = bounding_cube(np.vstack([T.A, T.B]))[1]
+    diam = bounding_cube(np.concatenate([T.A, T.B]))[1]
     A, B = T.A, T.B
-    U = (B - A) / np.linalg.norm(B - A, axis=1)[:, None]
+    U = (B - A) / _norms(B - A)[:, None]
     M = 0.5 * (A + B)
     R = _MERGE_DIST_FRAC * diam
     # midpoints within R are within R on every axis.  A rounded distance can
     # fall a few ulps below the true one (while the squares do not underflow),
     # which 1e-9 covers; M + reach rounds monotonically, so it never drops a pair
     reach = R * (1 + 1e-9)
-    ii, jj = np.concatenate([np.empty((2, 0), dtype=int), *map(np.stack, _box_pairs(M, M + reach))], axis=1)
-    dots = np.sum(U[ii] * U[jj], axis=1)
-    dist = np.linalg.norm(M[ii] - M[jj], axis=1)
+    ii, jj = np.concatenate([np.empty((2, 0), dtype=int), *map(np.array, _box_pairs(M, M + reach))], axis=1)
+    dots = np.add.reduce(U[ii] * U[jj], axis=1)
+    dist = _norms(M[ii] - M[jj])
     keep = (np.abs(dots) >= _MERGE_COS) & (dist <= R)
     ii, jj = ii[keep], jj[keep]
     order = np.lexsort((jj, ii, dist[keep]))
-    return np.column_stack([ii, jj, dots[keep] > 0])[order]
+    return np.stack([ii, jj, dots[keep] > 0], axis=1)[order]
 
 
 def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, config: OptimizerConfig) -> Chain1:
@@ -429,7 +433,7 @@ def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, confi
     if np.array_equal(v, w):
         return T
     P, Q, Th = np.array([a1, a2, v, w, w]), np.array([v, v, w, b1, b2]), np.array([th1, th2, th1 + th2, th1, th2])
-    keep = np.any(P != Q, axis=1)  # the new edges, less those of zero length
+    keep = (P != Q).any(axis=1)  # the new edges, less those of zero length
     trial = Chain1.from_arrays(T.n, T.m, *(np.concatenate([np.delete(X, [i, k], axis=0), Y[keep]])
                                            for X, Y in ((T.A, P), (T.B, Q), (T.Theta, Th))))
     return relocate_branch_points(canonicalize(trial), cost)
@@ -472,15 +476,15 @@ def local_search(
     for iters in range(1, config.max_iters + 1):
         E_start = E
         T2 = remove_cycles(T)
-        E2 = energy(T2, cost)
+        E2 = E if T2 is T else energy(T2, cost)  # a move that changes nothing returns its input
         if E2 <= E:
             T, E = T2, E2
         T2 = straighten(T)
-        E2 = energy(T2, cost)
+        E2 = E if T2 is T else energy(T2, cost)
         if E2 <= E * (1 + 1e-12):
             T, E = T2, E2
         T2 = relocate_branch_points(T, cost)
-        E2 = energy(T2, cost)
+        E2 = E if T2 is T else energy(T2, cost)
         if E2 <= E * (1 + 1e-12):
             T, E = T2, E2
         for i, k, aligned in _merge_candidates(T)[:_MERGE_TRIES].tolist():
@@ -496,7 +500,7 @@ def local_search(
         stop_reason = "max_iters"
     # a move after the last sweep's cycle removal can close a cycle
     T2 = remove_cycles(T)
-    E2 = energy(T2, cost)
+    E2 = E if T2 is T else energy(T2, cost)
     if E2 <= E:
         T, E = T2, E2
 

@@ -67,6 +67,32 @@ def test_local_search_golden(seed, m, family, init):
     assert _digest(T, rep.energy, rep.mass, rep.mass_bound_constant, rep.iterations, rep.ok) == SEARCH_GOLDEN[seed]
 
 
+def _unit_square_pair(seed, m, atoms):
+    """A solve-shaped pair: ``atoms`` per side in the unit square, equal totals."""
+    rng = np.random.default_rng(seed)
+    wm, wp = rng.uniform(0.2, 2.0, (2, atoms, m))
+    wp *= wm.sum(axis=0) / wp.sum(axis=0)
+    return Chain0.from_arrays(2, m, rng.uniform(0, 1, (atoms, 2)), wm), \
+        Chain0.from_arrays(2, m, rng.uniform(0, 1, (atoms, 2)), wp)
+
+
+SOLVE_POOL_GOLDEN = "2d8a2618f3abf91a8d067b7bcff9f8333f713b632f2b6e645cd20f15661fc515"
+
+
+def test_solve_pool_golden():
+    """Nine default searches shaped like the ``solve`` benchmark's (atoms per
+    side 4, 7, 10; m = 1..3; sum_alpha at alpha 0.5, 0.75, 0.95), one digest
+    over every network and report: any move that changes a bit on the
+    search's path changes it."""
+    h = hashlib.sha256()
+    for i in range(9):
+        m, alpha, atoms = 1 + i % 3, (0.5, 0.75, 0.95)[(i + i // 3) % 3], (4, 7, 10)[i // 3]
+        T, rep = local_search(*_unit_square_pair(100 + i, m, atoms), sum_alpha(m, alpha))
+        h.update(_digest(T, rep.energy, rep.mass, rep.mass_bound_constant, rep.iterations, rep.ok,
+                         rep.stop_reason).encode())
+    assert h.hexdigest() == SOLVE_POOL_GOLDEN
+
+
 CASCADE_GOLDEN = {
     (2, 1): "a8534b19ab203592334d77c2557f2a6fcbef9f4a26c6289f84f86fb3e0a1e9e4",
     (3, 2): "e92ce05dac46138ec65b82a85b7507b849a6976c56901bbb4fdc9e9c09600ef0",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchnet import optimize
 from branchnet.chains import (
     Atom,
     Chain0,
@@ -237,6 +238,48 @@ class TestRemoveCycles:
             out = remove_cycles(T)
             assert bits(out) == bits(remove_cycles_reference(T))
             assert len(out.A) == 2
+
+
+class TestMovesThatChangeNothing:
+    """A move that changes nothing returns its canonical input itself, so
+    the search takes the energy it already has.  The trees are drawn in
+    3-space, where no two edges cross, so every branch point has degree 3
+    and no directed cycle forms."""
+
+    def test_straighten_returns_its_input(self, rng):
+        kinked = Chain1(2, 1, (Edge((0.0, 0.0), (1.0, 0.0), (1.0,)), Edge((1.0, 0.0), (1.0, 1.0), (2.0,))))
+        for T in (canonicalize(kinked), *(_random_tree(rng, 3, 1 + k % 3, 6) for k in range(6))):
+            assert straighten(T) is T
+
+    def test_remove_cycles_returns_its_input(self, rng):
+        for T in (canonicalize(path_chain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], (1.0, -2.0))),
+                  *(_random_tree(rng, 3, 1 + k % 3, 6) for k in range(6))):
+            T.ij  # a cached graph stays with the chain it belongs to
+            out = remove_cycles(T)
+            assert out is T and "_graph" in out.__dict__
+        cyclic = canonicalize(path_chain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], (1.0,)) + square_cycle())
+        assert remove_cycles(cyclic) is not cyclic
+
+    def test_relocate_returns_its_input_without_a_free_vertex(self):
+        cost = sum_alpha(1, 0.75)
+        segment = canonicalize(path_chain([(0.0, 0.0), (1.0, 1.0)], (1.0,)))
+        # the hub takes in 2 and sends out 1.5: it carries an atom, so nothing moves
+        star = canonicalize(Chain1(2, 1, (Edge((0.0, 0.0), (1.0, 0.0), (2.0,)), Edge((1.0, 0.0), (2.0, 1.0), (1.0,)),
+                                          Edge((1.0, 0.0), (2.0, -1.0), (0.5,)))))
+        for T in (segment, star):
+            assert relocate_branch_points(T, cost) is T
+
+    def test_straighten_canonicalizes_only_after_a_collapse(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimize, "canonicalize", lambda T: calls.append(len(T.A)) or canonicalize(T))
+        kinked = Chain1(2, 1, (Edge((0.0, 0.0), (1.0, 0.0), (1.0,)), Edge((1.0, 0.0), (1.0, 1.0), (2.0,))))
+        straighten(canonicalize(kinked))  # unequal flows: nothing collapses
+        assert calls == []
+        straighten(kinked)  # a chain not flagged canonical is canonicalized first, once
+        assert calls == [2]
+        calls.clear()
+        bent = canonicalize(path_chain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], (1.0,)))
+        assert len(straighten(bent).A) == 1 and calls == [1]
 
 
 class TestMultiplicityBound:

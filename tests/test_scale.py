@@ -18,7 +18,8 @@ import pytest
 
 from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, local_search, shifted_grid, sum_alpha,
                        w_upper)
-from branchnet.chains import canonicalize, canonicalize0, is_compatible, pow2_scale
+from branchnet.chains import (canonicalize, canonicalize0, chain0_close, chains_close, is_compatible, is_piece,
+                              pow2_scale)
 from branchnet.construct import bounding_cube
 from branchnet.metrics import flat_norm_0chain_component
 from branchnet.optimize import verify_solution
@@ -210,3 +211,23 @@ def test_verify_residual_is_homogeneous_in_the_weights():
     assert base > 0
     for k in SCALES:
         assert residual(k) == math.ldexp(base, k), k
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_equality_helpers_compare_at_the_weight_scale(k):
+    """``chains_close``, ``chain0_close`` and ``is_piece`` default to
+    ``EPS_REL`` S of the multiplicities they compare: at every weight scale
+    a chain is not close to its double, a measure not to its triple, and a
+    reversed chain is no piece, while a last-bits difference still passes."""
+    theta, w = np.ldexp([[0.75], [0.5]], k), np.ldexp([[0.75, -0.5]], k)
+    S = Chain1.from_arrays(2, 1, [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]], theta)
+    mu = Chain0.from_arrays(1, 2, [[0.25]], w)
+
+    def scaled(T, c):
+        return Chain1.from_arrays(2, 1, T.A, T.B, c * T.Theta)
+
+    near = 1 + 2.0 ** -35  # beyond EPS_MULT_REL, so canonicalize keeps the difference
+    assert not chains_close(S, scaled(S, 2.0)) and chains_close(S, scaled(S, near)), k
+    assert not chain0_close(mu, Chain0.from_arrays(1, 2, mu.P, 3 * w)), k
+    assert chain0_close(mu, Chain0.from_arrays(1, 2, mu.P, near * w)), k
+    assert not is_piece(-S, S) and is_piece(scaled(S, 0.5), S) and is_piece(scaled(S, near), S), k

@@ -2,9 +2,9 @@
 between branchnet modules, only ``chains`` touches the Edge/Atom views,
 graphs are read from vertex ids, canonicalization merges rows through one
 array helper, rows are summed by one group sum, no module enumerates all
-pairs, points are snapped in batches, only ``costs.evaluate_rows``
-branches on the cost family, and every parameter default is set by some
-call."""
+pairs, points are snapped in batches, the search's hot path calls no numpy
+wrapper, only ``costs.evaluate_rows`` branches on the cost family, and
+every parameter default is set by some call."""
 
 import ast
 from pathlib import Path
@@ -172,6 +172,37 @@ def test_points_are_snapped_in_batches():
     found += [f"chains.py:{node.lineno} imports product" for node in ast.walk(MODULES["chains"])
               if isinstance(node, ast.ImportFrom) and any(a.name == "product" for a in node.names)]
     assert not found, found
+
+
+HOT_PATH = {"chains": {"_unique_rows", "_box_pairs", "snap", "_segment_interactions", "canonicalize", "_split_merge",
+                       "_merge_rows", "_significant"},
+            "optimize": {"relocate_branch_points", "_fermat_point"}}
+WRAPPERS = {"np.linalg.norm", "np.sum", "np.any", "np.all", "np.flatnonzero", "np.hstack", "np.column_stack",
+            "np.unique"}
+
+
+def _dotted(node) -> str:
+    """``np.linalg.norm`` for the expression np.linalg.norm, "" for anything
+    but a chain of names."""
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_hot_path_calls_no_numpy_wrappers():
+    """The search's small-chain hot path calls ufuncs and array methods:
+    ``np.add.reduce`` or ``chains._norms`` for sums and norms, ``.any()``,
+    ``.all()`` and ``.nonzero()[0]``, ``np.concatenate`` and ``np.stack``.
+    The Python wrappers named in ``WRAPPERS`` compute the same bits at a
+    fixed cost of microseconds per call, which is most of the cost of a
+    small ``canonicalize``."""
+    found = [f"{stem}.{scope}:{node.lineno} calls {_dotted(node.func)}"
+             for stem, names in HOT_PATH.items() for scope, node in _scoped(MODULES[stem])
+             if scope in names and isinstance(node, ast.Call) and _dotted(node.func) in WRAPPERS]
+    assert not found, found
+    for stem, names in HOT_PATH.items():  # a renamed function would escape the rule
+        assert names <= {node.name for node in ast.walk(MODULES[stem]) if isinstance(node, FUNCTIONS)}, stem
 
 
 def _reads_family(node) -> bool:
