@@ -329,20 +329,22 @@ def rectifiability_flag(cost: CostSpec) -> bool:
 class BetaEnvelope:
     """Concave non-decreasing envelope of the cost on the diagonal.
 
-    ``power`` is set for beta(x) = x^alpha, in which case admissibility and
-    series tails are decided analytically.
+    ``power`` is set for beta(x) = x^alpha, 0 < alpha <= 1, in which case
+    admissibility and series tails are decided analytically.
     """
 
     fn: Callable[[float], float]
     power: float | None = None
+
+    def __post_init__(self):
+        if self.power is not None and not 0 < self.power <= 1:
+            raise ValueError("alpha must be in (0, 1]")
 
     def __call__(self, x: float) -> float:
         return float(self.fn(x))
 
     @staticmethod
     def from_power(alpha: float) -> "BetaEnvelope":
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
         return BetaEnvelope(lambda x, a=alpha: x**a, power=alpha)
 
 
@@ -360,9 +362,7 @@ def admissibility_check(beta: BetaEnvelope, n: int) -> tuple[bool, float]:
         raise ValueError("n >= 1 required")
     expo = 2.0 - 1.0 / n
 
-    _check_concave_nondecreasing(beta)
-
-    if beta.power is not None:
+    if beta.power is not None:  # concave and non-decreasing by construction
         alpha = beta.power
         admissible = alpha > 1.0 - 1.0 / n
         if admissible:
@@ -372,6 +372,7 @@ def admissibility_check(beta: BetaEnvelope, n: int) -> tuple[bool, float]:
             value = math.inf
         return admissible, value
 
+    _check_concave_nondecreasing(beta)
     total = 0.0
     prev_piece = math.inf
     for k in range(200):

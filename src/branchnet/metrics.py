@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from branchnet.chains import Chain0, Chain1, canonicalize, canonicalize0, component_lift, mass, pow2_scale, row_dots
+from branchnet.chains import (Chain0, Chain1, _norms, canonicalize, canonicalize0, component_lift, mass, pow2_scale,
+                              row_dots)
 from branchnet.costs import CostSpec, evaluate_rows
 from branchnet.energy import energy
 
@@ -130,9 +131,9 @@ def coarea_check(T: Chain1, g, offset: float = 0.0) -> tuple[float, float]:
     if not len(T.A):
         return 0.0, 0.0
     drops = np.abs((T.B - T.A) @ gv)
-    norms = np.linalg.norm(T.Theta, axis=1)
+    norms = _norms(T.Theta)
     integral = math.fsum(norms * drops)
-    bound = float(np.linalg.norm(gv)) * mass(T)
+    bound = math.sqrt(row_dots(gv[None], gv[None])[0]) * mass(T)
     return integral, bound
 
 
@@ -146,7 +147,7 @@ def _calibration_constant(n: int, samples: int, rng) -> float:
     if n == 2:
         return math.pi / 2.0  # E|cos phi| = 2/pi
     V = rng.normal(size=(samples, n))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    V /= _norms(V)[:, None]
     return float(1.0 / np.mean(np.abs(V[:, 0])))
 
 
@@ -169,7 +170,7 @@ def ig_identity_mc(
     if not len(T.A):
         return 0.0, 0.0, 0.0
     tau = T.B - T.A
-    lengths = np.linalg.norm(tau, axis=1)
+    lengths = _norms(tau)
     tau = tau / lengths[:, None]
     weights = evaluate_rows(cost, T.Theta) * lengths
 
@@ -181,7 +182,7 @@ def ig_identity_mc(
     while done < samples:
         k = min(chunk, samples - done)
         V = rng.normal(size=(k, T.n))
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        V /= _norms(V)[:, None]
         acc += np.abs(V @ tau.T).sum(axis=0)
         done += k
     estimate = c * float(weights @ (acc / samples))

@@ -71,7 +71,7 @@ class SolutionReport:
     acyclic_per_component: tuple[bool, ...]
     mass_bound_ok: bool
     mass_bound_constant: float
-    iterations: int
+    iterations: int  # local_search's sweeps; 0 from verify_solution
     eps_bnd: float = 1e-8  # bound on boundary_residual: the tolerance times the weight scale S
     stop_reason: str | None = None  # local_search: "converged" or "max_iters"; None from verify_solution
 
@@ -163,13 +163,11 @@ def remove_cycles(T: Chain1) -> Chain1:
             cycle = _find_directed_cycle(len(T.V), uv)
             if cycle is None:
                 break
-            cycle = edges[cycle].tolist()
-            c = np.abs(theta[cycle, j]).min()
-            for ei in cycle:
-                s = 1.0 if theta[ei, j] > 0 else -1.0
-                theta[ei, j] -= s * c
-                if abs(theta[ei, j]) <= tol:
-                    theta[ei, j] = 0.0
+            e = edges[cycle]  # a cycle passes each edge once
+            flow = theta[e, j]
+            flow -= np.copysign(np.abs(flow).min(), flow)
+            flow[np.abs(flow) <= tol] = 0.0
+            theta[e, j] = flow
     if (theta == T.Theta).all():  # no cycle: a cancellation zeroes an edge-component, and none is <= tol
         return T
 
@@ -187,17 +185,13 @@ class MultiplicityBoundReport:
 def check_multiplicity_bound(T: Chain1) -> MultiplicityBoundReport:
     """Verify |theta_j(e)| <= half the boundary mass of each component lift,
     up to ``EPS_REL`` S, S of T's multiplicities (valid for acyclic chains)."""
-    violations = []
-    worst = 0.0
     tol = EPS_REL * pow2_scale(T.Theta)
-    for j in range(T.m):
-        half = 0.5 * mass(boundary(component_lift(T, j)))
-        for i, v in enumerate(np.abs(T.Theta[:, j]).tolist()):
-            if v > tol:
-                worst = max(worst, v / half if half > 0 else math.inf)
-                if v > half + tol:
-                    violations.append((i, j))
-    return MultiplicityBoundReport(not violations, worst, tuple(violations))
+    half = 0.5 * np.array([mass(boundary(component_lift(T, j))) for j in range(T.m)])
+    X = np.abs(T.Theta)
+    ratio = np.divide(X, half, out=np.full(X.shape, math.inf), where=half > 0)
+    j, i = (X > half + tol).T.nonzero()  # by component, then edge
+    violations = tuple(zip(i.tolist(), j.tolist()))
+    return MultiplicityBoundReport(not violations, float(ratio[X > tol].max(initial=0.0)), violations)
 
 
 # ---------------------------------------------------------------------------
@@ -210,47 +204,43 @@ def straighten(T: Chain1) -> Chain1:
     (triangle inequality times the shared cost term) and the boundary is
     untouched since the collapsed vertex carries no net weight.  With no
     collapse, the result is T itself (canonicalized first if not flagged).
+
+    Vertices are visited by first appearance, in passes until none
+    collapses, on the (E, 2) vertex-id array with room for one chord per
+    vertex: a collapse sets its two rows to -1 and appends the chord.
+    Degrees (a loop edge counted once) are read once, as a collapse
+    changes no other vertex's degree.
     """
     if not T.canonical:
         T = canonicalize(T)
-    edges = {i: (a, b, th) for i, ((a, b), th) in enumerate(zip(T.ij.tolist(), T.Theta))}
-    next_id = len(edges)
-    incident: list[set[int]] = [set() for _ in T.V]
-    for i, (a, b, _) in edges.items():
-        incident[a].add(i)
-        incident[b].add(i)
-    order = list(dict.fromkeys(T.ij.ravel().tolist()))  # vertices by first appearance
-    changed = True
+    E = len(T.ij)
+    ends, theta = np.full((E + len(T.V), 2), -1), np.empty((E + len(T.V), T.m))
+    ends[:E], theta[:E] = T.ij, T.Theta
+    loop = T.ij[:, 0] == T.ij[:, 1]
+    degree = np.bincount(np.concatenate([T.ij[:, 0], T.ij[~loop, 1]]), minlength=len(T.V))
+    order = T.ij.ravel()[np.sort(np.unique(T.ij, return_index=True)[1])]  # vertices by first appearance
+    k, changed = E, True
     while changed:
         changed = False
-        for v in order:
-            ids = incident[v]
-            if len(ids) != 2:
-                continue
-            i1, i2 = sorted(ids)
-            (a1, b1, th1), (a2, b2, th2) = edges[i1], edges[i2]
-            thru1 = th1 * (1.0 if b1 == v else -1.0)  # flow into v
-            thru2 = th2 * (1.0 if a2 == v else -1.0)  # flow out of v
+        for v in order[degree[order] == 2].tolist():
+            i1, i2 = (ends == v).any(axis=1).nonzero()[0].tolist()
+            (a1, b1), (a2, b2) = ends[[i1, i2]].tolist()
+            thru1 = theta[i1] * (1.0 if b1 == v else -1.0)  # flow into v
+            thru2 = theta[i2] * (1.0 if a2 == v else -1.0)  # flow out of v
             if np.abs(thru1 - thru2).max() > 1e-12 * np.abs(thru1).max():
                 continue
             x = a1 if b1 == v else b1
             y = b2 if a2 == v else a2
             if x == y:
                 continue  # two-edge loop; cycle removal's job
-            for i in (i1, i2):
-                a, b, _ = edges.pop(i)
-                incident[a].discard(i)
-                incident[b].discard(i)
-            edges[next_id] = (x, y, thru1)
-            incident[x].add(next_id)
-            incident[y].add(next_id)
-            next_id += 1
-            changed = True
-    if next_id == len(T.ij):  # no vertex collapsed
+            ends[[i1, i2]] = -1
+            ends[k], theta[k] = (x, y), thru1
+            k += 1
+            degree[v], changed = 0, True
+    if k == E:  # no vertex collapsed
         return T
-    kept = list(edges.values())  # in id order, as a new id is the largest yet
-    return canonicalize(Chain1.from_arrays(T.n, T.m, T.V[[a for a, _, _ in kept]], T.V[[b for _, b, _ in kept]],
-                                           [th for _, _, th in kept]))
+    kept = ends[:, 0] >= 0
+    return canonicalize(Chain1.from_arrays(T.n, T.m, T.V[ends[kept, 0]], T.V[ends[kept, 1]], theta[kept]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +329,13 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     non-increasing.  Vertices that land on a neighbor make the connecting
     edge vanish.  When no vertex moves, the result is T itself.
 
-    The edge costs are evaluated once and the incidence (vertex id -> tail
-    and head edge indices) is built once per call; the sweep is
-    Gauss-Seidel over the free vertices in sorted order, and a moved
-    vertex's edges join the incidence of a vertex it lands on, so a later
-    free vertex there sees them.  An edge with both ends on that vertex
-    has zero length wherever it goes, so it moves with it and does not
-    pull.
+    The edge costs are evaluated once; the sweep is Gauss-Seidel over the
+    free vertices in sorted order, on the (E, 2) vertex-id array.  A moved
+    vertex's edges are relabeled to the last vertex at its new point: a
+    free vertex there not yet visited has the largest id, so it sees them
+    on its turn, and no other is visited again.  An edge with both ends on
+    a vertex (it landed there) has zero length wherever it goes, so it
+    moves with it and does not pull.
     """
     if not T.canonical:
         T = canonicalize(T)
@@ -353,21 +343,14 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         return T
     L = pow2_scale(np.concatenate([T.A, T.B]), extent=True)
     W = evaluate_rows(cost, T.Theta)
-    pos, ends = np.array(T.V), T.ij.tolist()  # vertex positions and the [a, b] ids of each edge
-    incidence: list[tuple[list[int], list[int]] | None] = [([], []) for _ in pos]
-    for i, (a, b) in enumerate(ends):
-        incidence[a][0].append(i)
-        incidence[b][1].append(i)
+    pos, ends = np.array(T.V), np.array(T.ij)  # vertex positions and each edge's (tail, head) ids
 
     for v in (~_significant(_vertex_weights(T), T.Theta)).nonzero()[0].tolist():
-        tails, heads = incidence[v]
-        incidence[v] = None
-        loops = set(tails).intersection(heads)  # edges of a vertex that landed on v: they move with it
-        out, into = [i for i in tails if i not in loops], [i for i in heads if i not in loops]
-        if not out and not into:
+        at = ends == v
+        side, e = (at & ~at[:, ::-1]).T.nonzero()  # the edges with one end on v: tails, then heads
+        if not len(e):
             continue
-        anchors = pos[[ends[i][1] for i in out] + [ends[i][0] for i in into]]
-        weights = W[out + into]
+        anchors, weights = pos[ends[e, 1 - side]], W[e]
         old = pos[v]
         f_old = float(np.add.reduce(weights * _norms(anchors - old)))
         new = _fermat_point(old, anchors, weights, L)
@@ -380,17 +363,11 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         if f_new > f_old * (1 + 1e-12):
             continue
         pos[v] = new
-        for i in tails:
-            ends[i][0] = v
-        for i in heads:
-            ends[i][1] = v
-        u = next((u for u in (pos == new).all(axis=1).nonzero()[0].tolist() if incidence[u] is not None), v)
-        there = incidence[u] or ([], [])
-        incidence[u] = (sorted(there[0] + tails), sorted(there[1] + heads))
+        ends[at] = (pos == new).all(axis=1).nonzero()[0][-1]
 
     if pos.tobytes() == T.V.tobytes():  # no vertex moved, to the bit
         return T
-    A, B = pos[[a for a, _ in ends]], pos[[b for _, b in ends]]
+    A, B = pos[ends[:, 0]], pos[ends[:, 1]]
     kept = (A != B).any(axis=1)
     return canonicalize(Chain1.from_arrays(T.n, T.m, A[kept], B[kept], T.Theta[kept]))
 
@@ -436,7 +413,7 @@ def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, confi
     keep = (P != Q).any(axis=1)  # the new edges, less those of zero length
     trial = Chain1.from_arrays(T.n, T.m, *(np.concatenate([np.delete(X, [i, k], axis=0), Y[keep]])
                                            for X, Y in ((T.A, P), (T.B, Q), (T.Theta, Th))))
-    return relocate_branch_points(canonicalize(trial), cost)
+    return relocate_branch_points(trial, cost)  # which canonicalizes the trial first
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +481,7 @@ def local_search(
     if E2 <= E:
         T, E = T2, E2
 
-    report = verify_solution(T, mu_minus, mu_plus, cost, iterations=iters)
-    return T, replace(report, stop_reason=stop_reason)
+    return T, replace(verify_solution(T, mu_minus, mu_plus, cost), iterations=iters, stop_reason=stop_reason)
 
 
 def verify_solution(
@@ -513,7 +489,6 @@ def verify_solution(
     mu_minus: Chain0,
     mu_plus: Chain0,
     cost: CostSpec,
-    iterations: int = 0,
     eps_bnd: float = 1e-8,
 ) -> SolutionReport:
     """Certify a produced network: boundary residual (flat upper bound of
@@ -533,7 +508,7 @@ def verify_solution(
     M = mass(T)
     cconst = mass_bound_constant(cost, bm) if bm > 0 else 0.0
     mass_ok = bool(M <= cconst * E * (1 + 1e-9) + 1e-12 * L * S)
-    return SolutionReport(E, M, float(residual), acyclic, mass_ok, cconst, iterations, eps_bnd * S)
+    return SolutionReport(E, M, float(residual), acyclic, mass_ok, cconst, 0, eps_bnd * S)
 
 
 def w_upper(

@@ -365,6 +365,18 @@ class TestAdmissibility:
         ok3, _ = admissibility_check(BetaEnvelope.from_power(0.7), n=3)
         assert ok3  # threshold 1 - 1/3
 
+    def test_power_envelope_is_decided_without_sampling(self):
+        calls = []
+        beta = BetaEnvelope(lambda x: calls.append(x) or x**0.75, power=0.75)
+        assert admissibility_check(beta, n=2) == (True, 1.0 / (0.75 - 0.5)) and calls == []
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+    def test_power_outside_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            BetaEnvelope(lambda x: x**alpha, power=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            BetaEnvelope.from_power(alpha)
+
     def test_generic_envelope_quadrature(self):
         beta = BetaEnvelope(lambda x: x**0.75)  # power not declared
         ok, value = admissibility_check(beta, n=2)

@@ -171,6 +171,23 @@ def free_vertices_reference(T):
     return {p for e in endpoint_tuples(T) for p in e} - set(map(tuple, boundary_reference(T).P.tolist()))
 
 
+def multiplicity_bound_reference(T):
+    """The bound by loops over components, then edges: |theta_j(e)| against
+    half the boundary mass of component j, with slack 1e-9 times the least
+    power of two at or above the largest |theta|."""
+    tol = 1e-9 * length_scale_reference([(0.0,), (float(np.abs(T.Theta).max(initial=0.0)),)])
+    violations, worst = [], 0.0
+    for j in range(T.m):
+        lift = Chain1.from_arrays(T.n, T.m, T.A, T.B, T.Theta * (np.arange(T.m) == j))
+        half = 0.5 * sum(float(np.linalg.norm(w)) for w in boundary_reference(lift).W)
+        for i, th in enumerate(T.Theta[:, j].tolist()):
+            if abs(th) > tol:
+                worst = max(worst, abs(th) / half if half > 0 else math.inf)
+                if abs(th) > half + tol:
+                    violations.append((i, j))
+    return optimize.MultiplicityBoundReport(not violations, worst, tuple(violations))
+
+
 def square_cycle(theta=(1.0,)):
     pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
     return path_chain(pts, theta)
@@ -294,6 +311,20 @@ class TestMultiplicityBound:
         rep = check_multiplicity_bound(canonicalize(a + b))
         assert rep.ok
 
+    def test_matches_loop_reference(self, rng):
+        # component 1 carries only the cycle: half its boundary mass is 0, so
+        # its ratio is inf; the cycle also breaks component 0's bound, so the
+        # violations come from both components, component by component
+        T = canonicalize(square_cycle((1.5, 2.0)) + path_chain([(3.0, 0.0), (4.0, 0.0)], (1.0, 0.0)))
+        rep = check_multiplicity_bound(T)
+        assert rep == multiplicity_bound_reference(T)
+        assert rep.worst_ratio == math.inf and [j for _, j in rep.violations] == [0] * 4 + [1] * 4
+        assert all(type(x) is int for pair in rep.violations for x in pair)
+        for k in range(30):
+            T = canonicalize(random_chain(rng, edges=10, m=1 + k % 3, grid=2))
+            for X in (T, remove_cycles(T)):
+                assert check_multiplicity_bound(X) == multiplicity_bound_reference(X)
+
     def test_holds_after_cycle_removal(self, rng):
         # oracle: a sum of source-to-sink paths always satisfies the bound;
         # remove_cycles must restore it on arbitrary inputs
@@ -335,6 +366,39 @@ class TestStraighten:
         T = canonicalize(path_chain([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)], (1.0,)))
         out = straighten(T)
         assert out.edges == () and bits(out) == bits(straighten_reference(T))
+        # p -> q -> p flagged canonical keeps both edges; the bent path beside
+        # it collapses, so both sides canonicalize the rest
+        A = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
+        B = np.array([[1.0, 0.0], [0.0, 0.0], [6.0, 0.0], [6.0, 1.0]])
+        T = Chain1.from_arrays(2, 1, A, B, np.ones((4, 1)), canonical=True)
+        out = straighten(T)
+        assert bits(out) == bits(straighten_reference(T))
+        assert bits(out) == bits(canonicalize(path_chain([(5.0, 0.0), (6.0, 1.0)], (1.0,))))
+
+    def test_path_through_three_degree_two_vertices(self):
+        # each collapse appends a chord that the next vertex collapses again
+        T = canonicalize(path_chain([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)], (1.0, -2.0)))
+        out = straighten(T)
+        assert len(T.A) == 4 and len(out.A) == 1 and bits(out) == bits(straighten_reference(T))
+
+    def test_a_later_pass_collapses_what_an_earlier_one_could_not(self):
+        # v is visited first and its flows differ by 1.5e-12 relatively; u
+        # then collapses, and its chord carries the flow of u's first edge,
+        # within 1e-12 of v's outflow, so v collapses in the second pass
+        s, u, v, t = (0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)
+        T = Chain1.from_arrays(2, 1, [v, s, u], [t, u, v], [[1.0 + 1.5e-12], [1.0 + 0.9e-12], [1.0]], canonical=True)
+        out = straighten(T)
+        assert len(out.A) == 1 and bits(out) == bits(straighten_reference(T))
+
+    def test_loop_edge_counts_once_in_a_degree(self):
+        # a loop edge (v, v) flagged canonical beside one edge (v, w): the
+        # incidence sets give v degree 2 (a count of its row ends gives 3),
+        # and the flows agree, so v collapses
+        A = np.array([[0.0, 0.0], [0.0, 0.0]])
+        B = np.array([[1.0, 0.0], [0.0, 0.0]])
+        T = Chain1.from_arrays(2, 1, A, B, np.array([[1.0], [-1.0]]), canonical=True)
+        out = straighten(T)
+        assert bits(out) == bits(straighten_reference(T)) and len(out.A) == 1
 
     def test_matches_tuple_keyed_reference_bit_for_bit(self, rng):
         collapsed = 0
@@ -546,6 +610,25 @@ class TestRelocateMatchesReference:
         ends = np.array([(1.0, -1.5), (1.0, 2.5), (3.0, 0.4), (3.0, 0.6)])
         pulls = (ends - hub) / np.linalg.norm(ends - hub, axis=1)[:, None]
         assert abs(hub[1] - 0.5) <= 1e-12 and np.linalg.norm(pulls.sum(axis=0)) <= 1e-12
+
+    def test_vertices_land_on_a_fixed_vertex_one_after_another(self):
+        # v is pulled onto the sink f, which no sweep visits; w, sorted after
+        # v, then feels the edge (v, w) pull from f beside its own edge to f,
+        # and lands there too
+        v, w, f = (0.8, 0.1), (0.9, -0.1), (1.0, 0.0)
+        T = canonicalize(Chain1(2, 1, (
+            Edge((0.5, 1.0), v, (5.0,)),
+            Edge((0.5, -1.0), v, (5.0,)),
+            Edge(v, f, (9.0,)),
+            Edge(v, w, (1.0,)),
+            Edge((0.6, -1.0), w, (1.0,)),
+            Edge(w, f, (2.0,)),
+        )))
+        cost = sum_alpha(1, 0.5)
+        out = relocate_branch_points(T, cost)
+        ref = _relocate_reference(T, cost)
+        assert _edge_tuples(out) == _edge_tuples(ref) and bits(out) == bits(ref)
+        assert [e.b for e in out.edges] == [f] * 3
 
     def test_coincident_anchors_take_the_damped_step(self):
         # as above, but w also carries a heavy through-flow pulling it up,

@@ -3,8 +3,9 @@ between branchnet modules, only ``chains`` touches the Edge/Atom views,
 graphs are read from vertex ids, canonicalization merges rows through one
 array helper, rows are summed by one group sum, no module enumerates all
 pairs, points are snapped in batches, the search's hot path calls no numpy
-wrapper, only ``costs.evaluate_rows`` branches on the cost family, and
-every parameter default is set by some call."""
+wrapper and no module calls ``np.linalg.norm``, the search's moves hold no
+Python incidence, only ``costs.evaluate_rows`` branches on the cost
+family, and every parameter default is set by some call."""
 
 import ast
 from pathlib import Path
@@ -203,6 +204,42 @@ def test_hot_path_calls_no_numpy_wrappers():
     assert not found, found
     for stem, names in HOT_PATH.items():  # a renamed function would escape the rule
         assert names <= {node.name for node in ast.walk(MODULES[stem]) if isinstance(node, FUNCTIONS)}, stem
+
+
+def test_no_module_calls_np_linalg_norm():
+    """Norms go through ``chains._norms`` (rows) or ``chains.row_dots`` (one
+    vector), which give ``np.linalg.norm``'s bits without its wrapper."""
+    found = [f"{stem}.{scope}:{node.lineno}" for stem, tree in MODULES.items() for scope, node in _scoped(tree)
+             if isinstance(node, ast.Call) and _dotted(node.func) == "np.linalg.norm"]
+    assert not found, found
+
+
+MOVES = {"remove_cycles", "straighten", "relocate_branch_points", "_apply_merge", "check_multiplicity_bound"}
+
+
+def _list_of_lists(node) -> bool:
+    """A list display or comprehension whose items are lists, or tuples of lists."""
+    items = [*node.elts] if isinstance(node, ast.List) else [node.elt] if isinstance(node, ast.ListComp) else []
+    items += [x for item in items if isinstance(item, ast.Tuple) for x in item.elts]
+    return any(isinstance(item, (ast.List, ast.ListComp)) for item in items)
+
+
+def test_moves_read_their_graph_from_arrays():
+    """The search's moves and the multiplicity check keep their graph in
+    the (E, 2) vertex-id array and NumPy masks: they build no set or dict,
+    no list of lists, and no list from ``ij`` or ``V``."""
+    found = []
+    for scope, node in _scoped(MODULES["optimize"]):
+        if scope not in MOVES:
+            continue
+        name = _dotted(node.func) if isinstance(node, ast.Call) else ""
+        if (isinstance(node, (ast.Set, ast.SetComp, ast.Dict, ast.DictComp))
+                or name in ("set", "frozenset", "dict") or name.endswith(".fromkeys")
+                or _list_of_lists(node)
+                or name.endswith((".ij.tolist", ".V.tolist"))):
+            found.append(f"{scope}:{node.lineno}")
+    assert not found, found
+    assert MOVES <= {node.name for node in ast.walk(MODULES["optimize"]) if isinstance(node, FUNCTIONS)}
 
 
 def _reads_family(node) -> bool:
