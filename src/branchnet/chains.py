@@ -371,6 +371,25 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 # canonicalization
 
+_ROUND = 2.0**-53  # unit roundoff
+
+
+def _rounding_bound(n: int, alpha, eps: float, offset=0.0):
+    """The least 1 - cos^2 at which the closest-point solve of
+    ``_segment_interactions`` puts the crossing of two segments through a
+    common point X within eps/2 of X, by each of two causes.
+
+    Lemma.  Take two segments in R^n, each no longer than alpha, with tails
+    at most alpha apart, whose lines pass through X, or, as the points are
+    rounded, within ``offset`` of it.  To first order in the unit roundoff u,
+    the solve moves the computed crossing off the lines' true one by at most
+    (4n + 2) u alpha / (1 - cos^2), 1 - cos^2 as computed, and an offset moves
+    the true one off X by at most offset / sin.  Each is at most eps/2 at a
+    1 - cos^2 of at least this bound.
+    """
+    return np.maximum((8 * n + 4) * _ROUND * alpha / eps, (2 * offset / eps) ** 2)
+
+
 def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Split points ``(edge, t)`` of the edges A[i] -> B[i] from pairwise
     interactions, as flat arrays in no particular order, repeats included:
@@ -380,29 +399,40 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
     transverse crossings, and T-junctions (an endpoint of one edge interior
     to another).  Only pairs whose boxes, widened by eps, overlap are tested
     (``_box_pairs``), with array masks, one chunk of pairs at a time.
+
+    A pair that shares an endpoint exactly, with 1 - cos^2 at least
+    ``_rounding_bound`` for alpha the sum of its lengths, is dropped before
+    the solve: its lines meet at that endpoint, and the computed crossing
+    stays within eps/2 of it, so no t of the pair falls more than eps from
+    an end.  A star hub's pairs are such pairs.
     """
+    n = A.shape[1]
     lo = np.minimum(A, B) - eps
     hi = np.maximum(A, B) + eps
     D = B - A
     L = _norms(D)
     U = D / L[:, None]
+    ends = _unique_rows(np.concatenate([A, B]))[1].reshape(2, -1).T  # (E, 2) vertex ids, equal for equal points
 
     edges, ts = [np.empty(0, dtype=int)], [np.empty(0)]  # each chunk's interior split points
     for ii, jj in _box_pairs(lo, hi):
         ui, uj = U[ii], U[jj]
-        w = A[jj] - A[ii]
         cosa = np.add.reduce(ui * uj, axis=1)
         denom = 1.0 - cosa * cosa
         parallel = np.abs(denom) < 1e-12
+        shared = (ends[ii, :, None] == ends[jj, None, :]).any(axis=(1, 2))
+        meet = shared & (denom >= _rounding_bound(n, L[ii] + L[jj], eps))
 
         # transverse pairs: closest points of the two supporting lines
-        tv = (~parallel).nonzero()[0]
-        it, jt, uit, ujt, wt, ct, dn = ii[tv], jj[tv], ui[tv], uj[tv], w[tv], cosa[tv], denom[tv]
+        tv = (~(parallel | meet)).nonzero()[0]
+        it, jt, uit, ujt, ct, dn = ii[tv], jj[tv], ui[tv], uj[tv], cosa[tv], denom[tv]
+        Ai, Aj = A[it], A[jt]
+        wt = Aj - Ai
         wu_i = np.add.reduce(wt * uit, axis=1)
         wu_j = np.add.reduce(wt * ujt, axis=1)
         s = (wu_i - ct * wu_j) / dn
         t = (ct * wu_i - wu_j) / dn
-        gap = _norms(A[it] + s[:, None] * uit - A[jt] - t[:, None] * ujt)
+        gap = _norms(Ai + s[:, None] * uit - Aj - t[:, None] * ujt)
         Li, Lj = L[it], L[jt]
         ti, tj = s / Li, t / Lj
         near = (
@@ -413,7 +443,7 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
 
         # parallel pairs: collinear overlap iff the line offset vanishes
         pl = parallel.nonzero()[0]
-        wp, uip = w[pl], ui[pl]
+        wp, uip = A[jj[pl]] - A[ii[pl]], ui[pl]
         perp = wp - np.add.reduce(wp * uip, axis=1)[:, None] * uip
         coll = pl[_norms(perp) <= eps]
         ci, cj = ii[coll], jj[coll]

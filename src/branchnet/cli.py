@@ -52,7 +52,8 @@ def parse_cost(spec: str, m: int) -> costs.CostSpec:
         vals = [float(x) for x in val.split(",")]
         params[key.strip()] = vals[0] if len(vals) == 1 else vals
     if family == "sum_alpha":
-        return costs.sum_alpha(m, float(params["alpha"]), params.get("weights"))
+        weights = params.get("weights")
+        return costs.sum_alpha(m, float(params["alpha"]), None if weights is None else np.atleast_1d(weights))
     if family == "component_sum":
         return costs.component_sum(m, np.atleast_1d(params["coeffs"]), np.atleast_1d(params["alphas"]))
     if family == "p_norm_alpha":

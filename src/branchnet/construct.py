@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branchnet.chains import (EPS_REL, Chain0, Chain1, _box_pairs, _split_merge, _sum_rows, _unique_rows, canonicalize,
-                              canonicalize0, is_compatible, mass, pow2_scale, row_dots)
+from branchnet.chains import (_ROUND, EPS_REL, Chain0, Chain1, _box_pairs, _rounding_bound, _split_merge, _sum_rows,
+                              _unique_rows, canonicalize, canonicalize0, is_compatible, mass, pow2_scale, row_dots)
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
 from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
@@ -265,7 +265,6 @@ def _cascade_edges(nu: Chain0, grid: DyadicGrid, K: int):
 
 _NEAR = 4  # "a few eps": the snap radius, the reach of an interaction and the interior margin, with one to spare
 _PARALLEL = 2e-12  # twice the 1 - cos^2 < 1e-12 parallel test of _segment_interactions
-_ROUND = 2.0**-53  # unit roundoff
 
 
 def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Theta) -> Chain1 | None:
@@ -286,14 +285,11 @@ def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Th
       does: the parallel test would project one atom onto the other's edge;
     - an atom edge has 1 - cos^2 < ``_PARALLEL`` with its leaf's diagonal
       through the parent's center, the only main diagonal along which other
-      edges enter the leaf, or 1 - cos^2 so small that rounding could move
-      the computed crossing of the two lines eps/2 off the leaf's center
-      by either of two causes: the closest-point solve of
-      ``_segment_interactions`` moves it up to (4n + 2) u alpha / (1 - cos^2),
-      for u the unit roundoff and alpha the longest diagonal edge through
-      the center, and rounding puts the center up to 2 sqrt(n) u C off that
-      edge, C the largest |coordinate|, which moves the crossing by that
-      over sin.
+      edges enter the leaf, or 1 - cos^2 below ``chains._rounding_bound``,
+      where rounding could move the computed crossing of the two lines eps/2
+      off the leaf's center: alpha is the longest diagonal edge through the
+      center, and rounding puts the center up to 2 sqrt(n) u C off that
+      edge, u the unit roundoff and C the largest |coordinate|.
     """
     n = grid.n
     ends = np.concatenate([A, B])
@@ -343,7 +339,7 @@ def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Th
 
     slack = 1.0 - row_dots(U, 2.0 * (idx[leaf] & 1) - 1) ** 2 / n
     alpha = 0.5 * math.sqrt(n) * np.ldexp(grid.edge, -top[leaf])
-    moved = np.maximum((8 * n + 4) * _ROUND * alpha / eps, (4 * math.sqrt(n) * _ROUND * np.abs(ends).max() / eps) ** 2)
+    moved = _rounding_bound(n, alpha, eps, 2 * math.sqrt(n) * _ROUND * np.abs(ends).max())
     if (slack < np.maximum(_PARALLEL, moved)).any():
         return None
     cut_edge, cut_t, cut_v = map(np.concatenate, (cut_edge, cut_t, cut_v))

@@ -40,9 +40,18 @@ class CostSpec:
     m: int
     params: dict = field(default_factory=dict)
     fn: Callable[[np.ndarray], float] | None = None
+    # unit directions u among which |t|_2 / C(t) is largest on every sphere |t|_2 = r, attached by the family
+    # constructors; none for a custom cost
+    extremal: tuple[tuple[float, ...], ...] = field(default=(), repr=False)
 
     def __call__(self, theta) -> float:
         return evaluate(self, theta)
+
+
+def _axes(m: int) -> tuple[tuple[float, ...], ...]:
+    """The m coordinate axes: for sum_alpha and component_sum, C(r u) is a concave function of (u_1^2, ..., u_m^2),
+    so its minimum on a sphere, where |t|_2 / C(t) is largest, is at a vertex of the simplex of the u_j^2."""
+    return tuple(map(tuple, np.eye(m).tolist()))
 
 
 def sum_alpha(m: int, alpha: float, weights: Sequence[float] | None = None) -> CostSpec:
@@ -52,7 +61,7 @@ def sum_alpha(m: int, alpha: float, weights: Sequence[float] | None = None) -> C
         raise ValueError("weights must be positive, length m")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    return CostSpec("SumAlpha", m, {"alpha": float(alpha), "weights": tuple(w)})
+    return CostSpec("SumAlpha", m, {"alpha": float(alpha), "weights": tuple(w)}, extremal=_axes(m))
 
 
 def component_sum(m: int, coeffs: Sequence[float], alphas: Sequence[float]) -> CostSpec:
@@ -61,14 +70,16 @@ def component_sum(m: int, coeffs: Sequence[float], alphas: Sequence[float]) -> C
     al = np.asarray(alphas, dtype=float)
     if len(c) != m or len(al) != m or np.any(c <= 0) or np.any(al <= 0) or np.any(al > 1):
         raise ValueError("need c_j > 0 and alpha_j in (0, 1], length m")
-    return CostSpec("ComponentSum", m, {"coeffs": tuple(c), "alphas": tuple(al)})
+    return CostSpec("ComponentSum", m, {"coeffs": tuple(c), "alphas": tuple(al)}, extremal=_axes(m))
 
 
 def p_norm_alpha(m: int, p: float, alpha: float) -> CostSpec:
     """C(t) = |t|_p^alpha with p >= 1, 0 < alpha <= 1."""
     if p < 1 or not 0 < alpha <= 1:
         raise ValueError("need p >= 1 and alpha in (0, 1]")
-    return CostSpec("PNormAlpha", m, {"p": float(p), "alpha": float(alpha)})
+    # |u|_p >= |u|_2 with equality on the axes for p <= 2, and >= m^(1/p - 1/2) |u|_2 with equality on the diagonal
+    extremal = _axes(m) if p <= 2 else ((1.0 / math.sqrt(m),) * m,)
+    return CostSpec("PNormAlpha", m, {"p": float(p), "alpha": float(alpha)}, extremal=extremal)
 
 
 def custom_cost(m: int, fn: Callable[[np.ndarray], float]) -> CostSpec:

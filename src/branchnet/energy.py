@@ -12,6 +12,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from branchnet.chains import Chain0, Chain1, component_lift
 from branchnet.costs import _RADII, CostSpec, derivative_profile, evaluate_rows, sampled_ratios
 
@@ -57,18 +59,23 @@ def mass_bound_constant(cost: CostSpec, boundary_mass: float, directions: int = 
     Built from the inverse per-axis derivatives at 0 (with the convention
     that an infinite derivative contributes 0) and the supremum of
     |theta|/C(theta) over the ball |theta| <= boundary_mass, scaled by m.
-    The supremum is still sampled, not certified: it is taken over a
-    (directions // _RADII random directions plus the m axes) x _RADII radii grid,
-    whose costs are evaluated in batches (:func:`sampled_ratios`).
+    For a built-in family the supremum is exact: on every sphere it is
+    reached on one of the cost's ``extremal`` directions u, and r / C(r u)
+    is non-decreasing in r for alpha <= 1, so it is the largest
+    boundary_mass / C(boundary_mass u).  A custom cost's is still sampled,
+    not certified: it is taken over a (directions // _RADII random
+    directions plus the m axes) x _RADII radii grid, whose costs are
+    evaluated in batches (:func:`sampled_ratios`).
     """
     if boundary_mass <= 0:
         raise ValueError("boundary_mass must be positive")
     prof = derivative_profile(cost, samples=0)
     inv_deriv = max([0.0] + [1.0 / prof.axis_derivatives[j] for j in prof.basis_set])
-
-    # axis directions are the extremal ones for the built-in families
-    R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // _RADII), seed, axes=True)
-    sup_ratio = float(R.max())
+    if cost.extremal:
+        sup_ratio = float((boundary_mass / evaluate_rows(cost, boundary_mass * np.array(cost.extremal))).max())
+    else:
+        R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // _RADII), seed, axes=True)
+        sup_ratio = float(R.max())
     return cost.m * max(inv_deriv, sup_ratio)
 
 

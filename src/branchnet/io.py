@@ -30,12 +30,16 @@ def _require(cond: bool, where: str, msg: str):
         raise SchemaError(f"{where}: {msg}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _check_vector(v, length: int, where: str) -> tuple[float, ...]:
     _require(isinstance(v, list), where, f"expected a list, got {type(v).__name__}")
     _require(len(v) == length, where, f"expected length {length}, got {len(v)}")
     out = []
     for i, x in enumerate(v):
-        _require(isinstance(x, (int, float)) and not isinstance(x, bool), f"{where}[{i}]", "expected a number")
+        _require(_is_number(x), f"{where}[{i}]", "expected a number")
         try:
             xf = float(x)
         except OverflowError:  # an integer beyond the float range
@@ -68,18 +72,53 @@ def _check_header(doc, path) -> tuple[int, int]:
     return n, m
 
 
+def _all(items: list, cls) -> bool:
+    """Whether every item is a cls: a set of exact types first, isinstance
+    only for subclasses (np.float64 is a float)."""
+    return {*map(type, items)} <= {cls} or all(isinstance(x, cls) for x in items)
+
+
+def _field_arrays(records: list, fields: tuple[tuple[str, int], ...]) -> list[np.ndarray] | None:
+    """One (k, d) float array per field (key, d) of the k records, each from
+    one ``np.array``, which rounds a number as ``float`` does; None unless
+    every record is an object with every key, every row a list of d numbers
+    as ``_check_vector`` takes them, and every entry finite."""
+    if not _all(records, dict):
+        return None
+    out = []
+    for key, d in fields:
+        rows = [rec.get(key) for rec in records]  # a missing key gives None, no list
+        if not (_all(rows, list) and {*map(len, rows)} <= {d}):
+            return None
+        flat = [x for row in rows for x in row]
+        if not ({*map(type, flat)} <= {int, float} or all(map(_is_number, flat))):
+            return None
+        try:
+            X = np.array(rows, dtype=float).reshape(len(rows), d)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if not np.isfinite(X).all():
+            return None
+        out.append(X)
+    return out
+
+
 def measure_from_document(doc, path) -> Chain0:
-    """Measure from a parsed document; ``path`` prefixes error locations."""
+    """Measure from a parsed document; ``path`` prefixes error locations.
+    Each field is converted as one array (``_field_arrays``); only a document
+    it refuses is walked atom by atom, which locates the first error."""
     n, m = _check_header(doc, path)
     _require("atoms" in doc and isinstance(doc["atoms"], list), f"{path}:atoms", "missing atom list")
-    P, W = [], []
-    for i, rec in enumerate(doc["atoms"]):
-        where = f"{path}:atoms[{i}]"
-        _require(isinstance(rec, dict), where, "expected an object")
-        _require("p" in rec and "w" in rec, where, "atom needs fields 'p' and 'w'")
-        P.append(_check_vector(rec["p"], n, f"{where}.p"))
-        W.append(_check_vector(rec["w"], m, f"{where}.w"))
-    return Chain0.from_arrays(n, m, P, W)
+    arrays = _field_arrays(doc["atoms"], (("p", n), ("w", m)))
+    if arrays is None:
+        arrays = P, W = [], []
+        for i, rec in enumerate(doc["atoms"]):
+            where = f"{path}:atoms[{i}]"
+            _require(isinstance(rec, dict), where, "expected an object")
+            _require("p" in rec and "w" in rec, where, "atom needs fields 'p' and 'w'")
+            P.append(_check_vector(rec["p"], n, f"{where}.p"))
+            W.append(_check_vector(rec["w"], m, f"{where}.w"))
+    return Chain0.from_arrays(n, m, *arrays)
 
 
 def load_measure(path) -> Chain0:
@@ -97,22 +136,27 @@ def save_measure(mu: Chain0, path) -> None:
 
 
 def network_from_document(doc, path) -> Chain1:
-    """Network from a parsed document; ``path`` prefixes error locations."""
+    """Network from a parsed document; ``path`` prefixes error locations.
+    Each field is converted as one array (``_field_arrays``) and the edges
+    tested for degeneracy at once; only a document refused there is walked
+    edge by edge, which locates the first error."""
     n, m = _check_header(doc, path)
     _require("edges" in doc and isinstance(doc["edges"], list), f"{path}:edges", "missing edge list")
-    A, B, Theta = [], [], []
-    for i, rec in enumerate(doc["edges"]):
-        where = f"{path}:edges[{i}]"
-        _require(isinstance(rec, dict), where, "expected an object")
-        for key in ("a", "b", "theta"):
-            _require(key in rec, where, f"edge needs field '{key}'")
-        a = _check_vector(rec["a"], n, f"{where}.a")
-        b = _check_vector(rec["b"], n, f"{where}.b")
-        Theta.append(_check_vector(rec["theta"], m, f"{where}.theta"))
-        _require(a != b, where, "degenerate edge (a == b)")
-        A.append(a)
-        B.append(b)
-    return Chain1.from_arrays(n, m, A, B, Theta)
+    arrays = _field_arrays(doc["edges"], (("a", n), ("b", n), ("theta", m)))
+    if arrays is None or (arrays[0] == arrays[1]).all(axis=1).any():
+        arrays = A, B, Theta = [], [], []
+        for i, rec in enumerate(doc["edges"]):
+            where = f"{path}:edges[{i}]"
+            _require(isinstance(rec, dict), where, "expected an object")
+            for key in ("a", "b", "theta"):
+                _require(key in rec, where, f"edge needs field '{key}'")
+            a = _check_vector(rec["a"], n, f"{where}.a")
+            b = _check_vector(rec["b"], n, f"{where}.b")
+            Theta.append(_check_vector(rec["theta"], m, f"{where}.theta"))
+            _require(a != b, where, "degenerate edge (a == b)")
+            A.append(a)
+            B.append(b)
+    return Chain1.from_arrays(n, m, *arrays)
 
 
 def load_network(path) -> Chain1:

@@ -94,6 +94,14 @@ def flat_bounds(X: Chain0 | Chain1) -> FlatBounds:
     return FlatBounds(lo, hi, per, exact)
 
 
+def _gradient(T: Chain1, g) -> np.ndarray:
+    """g as an array of length T.n, or a ValueError that names both lengths."""
+    gv = np.asarray(g, dtype=float)
+    if gv.shape != (T.n,):
+        raise ValueError(f"gradient of length {gv.size} for a network in n = {T.n} dimensions")
+    return gv
+
+
 def slice_chain(T: Chain1, g, y: float, offset: float = 0.0) -> Chain0:
     """Slice a 1-chain by the level set {g.x + offset = y}.
 
@@ -102,7 +110,7 @@ def slice_chain(T: Chain1, g, y: float, offset: float = 0.0) -> Chain0:
     otherwise.  A y hitting a vertex is perturbed by a relative epsilon
     with a warning.
     """
-    gv = np.asarray(g, dtype=float)
+    gv = _gradient(T, g)
     if not len(T.A):
         return Chain0(T.n, T.m, ())
     A, B, Th = T.A, T.B, T.Theta
@@ -127,7 +135,7 @@ def coarea_check(T: Chain1, g, offset: float = 0.0) -> tuple[float, float]:
     The integral of mass(slice(T, f, y)) over y equals
     sum_e |theta_e|_2 * |f(b_e) - f(a_e)| exactly for affine f.
     """
-    gv = np.asarray(g, dtype=float)
+    gv = _gradient(T, g)
     if not len(T.A):
         return 0.0, 0.0
     drops = np.abs((T.B - T.A) @ gv)

@@ -518,7 +518,41 @@ def interaction_inputs(rng):
             yield rng.uniform(-1, 1, (E, n)), rng.uniform(-1, 1, (E, n)) + 2.0
 
 
+def shared_endpoint_inputs(rng):
+    """(A, B, eps) of edges through one point X: pairs sharing X tail-tail,
+    tail-head and head-head, and stars of 3-8 spokes, at angles from 1e-2
+    down to 1e-9 rad off a first direction, for n = 2..4 and X up to 2^20
+    from the origin; eps is canonicalize's, ``EPS_REL`` L."""
+    for k in range(240):
+        n = 2 + k % 3
+        X = rng.uniform(-1, 1, n) * 2.0 ** rng.integers(0, 21)
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        spokes = 2 if k % 4 else int(rng.integers(3, 9))
+        dirs = [u]
+        for _ in range(spokes - 1):
+            w = rng.normal(size=n)
+            w -= (w @ u) * u
+            angle = 10.0 ** -rng.uniform(2, 9)
+            dirs.append(math.cos(angle) * u + math.sin(angle) * w / np.linalg.norm(w))
+        far = X + rng.uniform(0.25, 2, (spokes, 1)) * np.array(dirs)
+        out = rng.random(spokes) < 0.5 if spokes > 2 else np.array([k % 3 != 2, k % 3 == 0])  # TT, TH, HH
+        A, B = np.where(out[:, None], X, far), np.where(out[:, None], far, X)
+        yield A, B, EPS_REL * chains.pow2_scale(np.concatenate([A, B]), extent=True)
+
+
 class TestBroadPhase:
+    def test_shared_endpoint_pairs_match_reference(self, rng):
+        """Pairs through a common endpoint are dropped before the narrow
+        phase only where it provably finds no split (``_rounding_bound``)."""
+        cut = 0
+        for A, B, eps in shared_endpoint_inputs(rng):
+            got = _unique_rows(np.column_stack(_segment_interactions(A, B, eps)))[0]
+            want = _unique_rows(np.column_stack(segment_interactions_reference(A, B, eps)))[0]
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            cut += len(got) > 0
+        assert cut > 20
+
     def test_segment_interactions_match_all_pairs_reference(self, rng):
         cut = 0
         for A, B in interaction_inputs(rng):

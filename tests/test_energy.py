@@ -11,7 +11,7 @@ from branchnet.energy import (
     energy_component,
     mass_bound_constant,
 )
-from branchnet.costs import component_sum, custom_cost, derivative_profile, p_norm_alpha, sum_alpha
+from branchnet.costs import component_sum, custom_cost, derivative_profile, p_norm_alpha, sampled_ratios, sum_alpha
 from conftest import COST_FAMILIES, random_chain
 from test_costs import evaluate_reference
 
@@ -127,7 +127,20 @@ def _mass_bound_reference(cost, boundary_mass, directions=10_000, radii=64, seed
     return cost.m * max(inv_deriv, sup_ratio)
 
 
+def _sampled_constant(cost, boundary_mass, directions=10_000, seed=0):
+    """The sampled definition of the constant, through the batched
+    :func:`sampled_ratios`: what ``mass_bound_constant`` still takes for a
+    custom cost."""
+    prof = derivative_profile(cost, samples=0)
+    inv_deriv = max([0.0] + [1.0 / prof.axis_derivatives[j] for j in prof.basis_set])
+    R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // 64), seed, axes=True)
+    return cost.m * max(inv_deriv, float(R.max()))
+
+
 class TestMassBoundBatched:
+    """The batched sampling equals the scalar loop bit for bit; a built-in
+    family's constant is its closed form (``TestMassBoundClosedForm``)."""
+
     MASSES = (1e-3, 0.37, 1.0, 4.0, 250.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -135,12 +148,14 @@ class TestMassBoundBatched:
     def test_bit_equal_to_scalar_loop(self, make, m):
         cost = make(m)
         for bm in self.MASSES:
-            assert mass_bound_constant(cost, bm) == _mass_bound_reference(cost, bm)
+            assert _sampled_constant(cost, bm) == _mass_bound_reference(cost, bm)
+            _assert_closed_form(cost, bm, _mass_bound_reference(cost, bm))
 
     def test_weighted_and_linear_sum_alpha_bit_equal(self):
         for cost in (sum_alpha(2, 0.6, weights=[1.0, 2.5]), sum_alpha(3, 1.0)):
             for bm in self.MASSES:
-                assert mass_bound_constant(cost, bm, directions=640) == _mass_bound_reference(cost, bm, 640)
+                assert _sampled_constant(cost, bm, directions=640) == _mass_bound_reference(cost, bm, 640)
+                _assert_closed_form(cost, bm, _mass_bound_reference(cost, bm, 640))
 
     @pytest.mark.parametrize("cost", [
         component_sum(3, [1.0, 2.0, 0.5], [0.3, 1.0, 0.7]),
@@ -150,5 +165,69 @@ class TestMassBoundBatched:
     ], ids=["component_sum", "p3", "p1.5", "custom"])
     def test_other_families_match_scalar_loop(self, cost):
         for bm in self.MASSES:
-            got = mass_bound_constant(cost, bm, directions=1280, seed=4)
-            assert got == pytest.approx(_mass_bound_reference(cost, bm, 1280, seed=4), rel=1e-14)
+            want = _mass_bound_reference(cost, bm, 1280, seed=4)
+            sampled = _sampled_constant(cost, bm, directions=1280, seed=4)
+            assert sampled == pytest.approx(want, rel=1e-14)
+            if cost.extremal:
+                _assert_closed_form(cost, bm, want)
+            else:  # a custom cost attaches no directions and is still sampled
+                got = mass_bound_constant(cost, bm, directions=1280, seed=4)
+                assert got == pytest.approx(want, rel=1e-14) and got == sampled
+
+
+U = np.finfo(float).eps  # 2^-52, the spacing of floats at 1
+
+
+def _closed_form(cost, delta):
+    """m max(sup |t|_2 / C(t) on the ball of radius delta, the largest inverse
+    axis derivative at 0), from the family's formula with ``math.pow``."""
+    m, a = cost.m, cost.params.get("alpha")
+    if "weights" in cost.params:
+        w = min(cost.params["weights"])
+        ratio, inv_deriv = math.pow(delta, 1 - a) / math.pow(w, a), 1 / w if a == 1 else 0.0
+    elif "coeffs" in cost.params:
+        pairs = list(zip(cost.params["coeffs"], cost.params["alphas"]))
+        ratio = max(math.pow(delta, 1 - al) / c for c, al in pairs)
+        inv_deriv = max([0.0] + [1 / c for c, al in pairs if al == 1])
+    else:
+        p = cost.params["p"]
+        ratio = math.pow(delta, 1 - a) * (math.pow(m, a * (0.5 - 1 / p)) if p > 2 else 1.0)
+        inv_deriv = 1.0 if a == 1 else 0.0
+    return m * max(ratio, inv_deriv)
+
+
+def _assert_closed_form(cost, delta, sampled):
+    """The constant is the family's closed form within 4 U, and no sampled
+    reference lies above it by more than rounding (8 U)."""
+    got = mass_bound_constant(cost, delta)
+    assert got == pytest.approx(_closed_form(cost, delta), rel=4 * U, abs=0)
+    assert got >= sampled * (1 - 8 * U)
+
+
+class TestMassBoundClosedForm:
+    """ROADMAP item 13's grid: m 1..5, alpha in {0.3, 0.5, 0.75, 0.9, 1},
+    p in {1, 1.5, 2, 3, inf} and uneven weights."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_grid(self, m, alpha):
+        w = [1.0 + 0.37 * j for j in range(m)][::-1]  # the smallest weight last
+        costs = [sum_alpha(m, alpha, w), component_sum(m, w, [alpha] * m),
+                 *(p_norm_alpha(m, p, alpha) for p in (1.0, 1.5, 2.0, 3.0, math.inf))]
+        for cost in costs:
+            for delta in (0.37, 250.0):
+                sampled = _mass_bound_reference(cost, delta, directions=320, seed=m)
+                _assert_closed_form(cost, delta, sampled)
+                if cost.params.get("p", 2.0) <= 2.0:  # the axes, which the sampled grid holds too
+                    assert mass_bound_constant(cost, delta) <= sampled
+
+    def test_uneven_exponents_take_the_largest_axis(self):
+        cost = component_sum(3, [1.0, 2.0, 0.5], [0.3, 1.0, 0.7])
+        for delta in (1e-3, 1.0, 250.0):
+            _assert_closed_form(cost, delta, _mass_bound_reference(cost, delta, 640))
+
+    def test_diagonal_raises_the_sampled_constant(self):
+        # p = inf at m = 5: the diagonal's ratio is m^(alpha/2) times an axis's, which sampling misses
+        cost = p_norm_alpha(5, math.inf, 0.9)
+        assert cost.extremal == ((1.0 / math.sqrt(5),) * 5,)
+        assert mass_bound_constant(cost, 1.0) > 1.05 * _sampled_constant(cost, 1.0)

@@ -1,10 +1,14 @@
 import json
 import math
 import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from branchnet import io as bn_io
 from branchnet.chains import Atom, Chain0, Chain1, Edge, canonicalize, chains_close
 from branchnet.cli import (
     EXIT_INVARIANT,
@@ -18,9 +22,14 @@ from branchnet.cli import (
 from branchnet.costs import evaluate
 from branchnet.io import (
     SchemaError,
+    _check_header,
+    _check_vector,
+    _require,
     emit_svg,
     load_measure,
     load_network,
+    measure_from_document,
+    network_from_document,
     save_measure,
     save_network,
 )
@@ -90,6 +99,159 @@ class TestSchemaErrors:
         p.write_text("{not json")
         with pytest.raises(SchemaError):
             load_measure(p)
+
+
+def measure_from_document_reference(doc, path) -> Chain0:
+    """The per-number reading: every atom's fields through ``_check_vector``."""
+    n, m = _check_header(doc, path)
+    _require("atoms" in doc and isinstance(doc["atoms"], list), f"{path}:atoms", "missing atom list")
+    P, W = [], []
+    for i, rec in enumerate(doc["atoms"]):
+        where = f"{path}:atoms[{i}]"
+        _require(isinstance(rec, dict), where, "expected an object")
+        _require("p" in rec and "w" in rec, where, "atom needs fields 'p' and 'w'")
+        P.append(_check_vector(rec["p"], n, f"{where}.p"))
+        W.append(_check_vector(rec["w"], m, f"{where}.w"))
+    return Chain0.from_arrays(n, m, P, W)
+
+
+def network_from_document_reference(doc, path) -> Chain1:
+    """The per-number reading: every edge's fields through ``_check_vector``,
+    then its degeneracy."""
+    n, m = _check_header(doc, path)
+    _require("edges" in doc and isinstance(doc["edges"], list), f"{path}:edges", "missing edge list")
+    A, B, Theta = [], [], []
+    for i, rec in enumerate(doc["edges"]):
+        where = f"{path}:edges[{i}]"
+        _require(isinstance(rec, dict), where, "expected an object")
+        for key in ("a", "b", "theta"):
+            _require(key in rec, where, f"edge needs field '{key}'")
+        a = _check_vector(rec["a"], n, f"{where}.a")
+        b = _check_vector(rec["b"], n, f"{where}.b")
+        Theta.append(_check_vector(rec["theta"], m, f"{where}.theta"))
+        _require(a != b, where, "degenerate edge (a == b)")
+        A.append(a)
+        B.append(b)
+    return Chain1.from_arrays(n, m, A, B, Theta)
+
+
+class _Row(list):
+    """A list subclass, as a document built in Python may hold."""
+
+
+# numbers as json.load gives them, and as Python code may put them in a document
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**70, 2**70),
+    st.sampled_from([0, -0.0, 2**53 + 1, 2**63, 2**64 + 1, 10**308, -10**308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+# entries _check_vector refuses: out of range, non-finite, not a number
+BAD_ENTRIES = st.one_of(
+    st.sampled_from([10**309, -10**309, math.nan, math.inf, -math.inf, True, False, None, "1", np.int64(1)]),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+)
+FIELDS = {"atoms": (("p", "n"), ("w", "m")), "edges": (("a", "n"), ("b", "n"), ("theta", "m"))}
+
+
+@st.composite
+def documents(draw):
+    """A measure or network document: valid records, a quarter of the edges
+    degenerate, then up to three faults, each at a random record."""
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    dims = {"n": draw(st.integers(1, 3)), "m": draw(st.integers(1, 3))}
+    records = []
+    for _ in range(draw(st.integers(0, 5))):
+        rec = {key: draw(st.lists(NUMBERS, min_size=dims[d], max_size=dims[d])) for key, d in FIELDS[kind]}
+        if kind == "edges" and draw(st.integers(0, 3)) == 0:
+            rec["b"] = list(rec["a"])
+        records.append(rec)
+    for _ in range(draw(st.integers(0, 3)) if records else 0):
+        i = draw(st.integers(0, len(records) - 1))
+        fault = draw(st.sampled_from(["entry", "length", "tuple", "subclass", "not-an-object", "missing-key"]))
+        if fault == "not-an-object":
+            records[i] = draw(st.sampled_from([[], 1, "edge", None]))
+            continue
+        key = draw(st.sampled_from([key for key, _ in FIELDS[kind]]))
+        if not isinstance(records[i], dict) or key not in records[i]:
+            continue
+        row = list(records[i][key])
+        if fault == "entry":
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_ENTRIES)
+            records[i][key] = row
+        elif fault == "length":
+            records[i][key] = row + [1.0] if draw(st.booleans()) or len(row) == 1 else row[1:]
+        elif fault == "tuple":
+            records[i][key] = tuple(row)
+        elif fault == "subclass":
+            records[i][key] = _Row(row)
+        else:
+            del records[i][key]
+    return {"version": 1, **dims, kind: records}
+
+
+def _read_both(doc):
+    """(the library's reading, the reference's): a chain's (shape, bytes)
+    per array, or the SchemaError's message."""
+    out = []
+    for read in ((measure_from_document, measure_from_document_reference) if "atoms" in doc
+                 else (network_from_document, network_from_document_reference)):
+        try:
+            X = read(doc, "doc.json")
+        except SchemaError as exc:
+            out.append(str(exc))
+        else:
+            out.append([(a.shape, a.tobytes()) for a in (getattr(X, k) for k in X._ARRAYS)])
+    return out
+
+
+def _edge(a, b, theta=(1.0,)):
+    return {"a": list(a), "b": list(b), "theta": list(theta)}
+
+
+class TestArrayParsing:
+    """Each field is read as one array; only the error path walks the
+    records, and it reports what the per-number reading reports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(documents())
+    @example({"version": 1, "n": 2, "m": 1, "edges": [_edge([0, 0], [0.0, -0.0]), _edge([0, 1], [1, math.nan])]})
+    @example({"version": 1, "n": 2, "m": 1, "edges": [_edge([0, 1], [1, 10**309]), _edge([0, 0], [0.0, -0.0])]})
+    @example({"version": 1, "n": 2, "m": 1, "edges": [_edge([1, 2], [1, 2], [math.inf])]})
+    @example({"version": 1, "n": 1, "m": 1, "atoms": [{"p": [np.float64(0.1)], "w": _Row([2**64 + 1])}]})
+    @example({"version": 1, "n": 1, "m": 1, "atoms": []})
+    @example({"version": 1, "n": 2, "m": 1, "edges": [defaultdict(lambda: [0.0, 1.0], b=[1.0, 1.0], theta=[1.0])]})
+    def test_matches_the_per_number_reading(self, doc):
+        got, want = _read_both(doc)
+        assert got == want
+
+    @pytest.mark.parametrize("first, second, error", [
+        (_edge([0, 0], [0.0, -0.0]), _edge([0, 1], ["1", 0]), r"edges\[0\]: degenerate edge"),
+        (_edge([0, 1], ["1", 0]), _edge([0, 0], [0.0, -0.0]), r"edges\[0\]\.b\[0\]: expected a number"),
+        (_edge([2, 2], [2, 2], [True]), _edge([0, 1], [1, 0]), r"edges\[0\]\.theta\[0\]: expected a number"),
+        (_edge([0, 1], [1, 0], [1, 2]), _edge([0, 0], [0, 0]), r"edges\[0\]\.theta: expected length 1"),
+    ], ids=["degenerate-first", "bad-number-first", "bad-theta-of-a-degenerate-edge", "bad-length-first"])
+    def test_first_error_in_record_order(self, first, second, error):
+        doc = {"version": 1, "n": 2, "m": 1, "edges": [first, second]}
+        with pytest.raises(SchemaError, match=error):
+            network_from_document(doc, "doc.json")
+        got, want = _read_both(doc)
+        assert got == want
+
+    def test_valid_documents_never_reach_the_per_number_check(self, rng, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bn_io, "_check_vector", lambda *args: calls.append(args) or _check_vector(*args))
+        mu, T = random_measure(rng, n=3, m=2, atoms=7), random_chain(rng, n=2, m=3, edges=6)
+        save_measure(mu, tmp_path / "m.json")
+        save_network(T, tmp_path / "t.json")
+        assert load_measure(tmp_path / "m.json") == mu
+        assert load_network(tmp_path / "t.json").edges == T.edges
+        # a document built in Python: np.float64 entries (a float subclass) and list subclasses
+        doc = {"version": 1, "n": 2, "m": 1,
+               "edges": [{"a": _Row(map(np.float64, a)), "b": list(b), "theta": [np.float64(t[0])]}
+                         for a, b, t in zip(T.A.tolist(), T.B.tolist(), T.Theta.tolist())]}
+        assert network_from_document(doc, "doc.json").edges == Chain1.from_arrays(2, 1, T.A, T.B, T.Theta[:, :1]).edges
+        assert calls == []
 
 
 class TestSvg:
@@ -264,6 +426,36 @@ class TestCli:
         main(["optimize", str(pm), str(pp), "--cost", "sum_alpha:alpha=0.5", "--out", str(out)])
         capsys.readouterr()
         assert main(["slice", str(out), "--gradient", "0,1", "--level", "0.5"]) == EXIT_OK
+
+    def test_slice_gradient_of_the_wrong_length(self, instance, capsys):
+        pm, pp, d = instance
+        out = d / "net.json"
+        main(["optimize", str(pm), str(pp), "--cost", "sum_alpha:alpha=0.5", "--out", str(out)])
+        capsys.readouterr()
+        for gradient in ("0,1,0", "1"):
+            assert main(["slice", str(out), "--gradient", gradient, "--level", "0.5"]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert f"validation error: gradient of length {gradient.count(',') + 1} for a network in n = 2" in err
+
+    def test_single_weight(self, tmp_path, capsys):
+        for m, code in ((1, EXIT_OK), (2, EXIT_VALIDATION)):
+            files = []
+            for name, x in (("mm", 0.0), ("mp", 3.0)):
+                files.append(tmp_path / f"{name}{m}.json")
+                files[-1].write_text(json.dumps({"version": 1, "n": 2, "m": m,
+                                                 "atoms": [{"p": [x, 0.0], "w": [1.0] * m}]}))
+            out = tmp_path / f"net{m}.json"
+            assert main(["optimize", *map(str, files), "--cost", "sum_alpha:alpha=0.5;weights=2",
+                         "--out", str(out)]) == code
+            captured = capsys.readouterr()
+            if code == EXIT_OK:
+                from branchnet.costs import sum_alpha
+                from branchnet.energy import energy
+                rec = json.loads(captured.out)
+                assert rec["energy"] == energy(canonicalize(load_network(out)), sum_alpha(1, 0.5, [2.0]))
+                assert rec["energy"] == pytest.approx(3 * math.sqrt(2))
+            else:
+                assert "validation error" in captured.err
 
     def test_cascade_rejects_negative_depth(self, instance, capsys):
         pm, pp, _ = instance
