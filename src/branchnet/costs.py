@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from branchnet.chains import row_dots
+from branchnet.chains import pow2_scale, row_dots
 
 INF_CAP = 1e12
 _DIR_DERIV_IMAX = 60
@@ -402,10 +402,11 @@ def admissibility_check(beta: BetaEnvelope, n: int) -> tuple[bool, float]:
 def _check_concave_nondecreasing(beta: BetaEnvelope) -> None:
     xs = np.linspace(0.0, 1.0, 257)
     vals = np.array([beta(x) for x in xs])
-    if np.any(np.diff(vals) < -1e-12):
+    scale = pow2_scale(vals)  # both slacks are relative to the envelope's scale
+    if np.any(np.diff(vals) < -1e-12 * scale):
         raise ValueError("beta envelope not non-decreasing on sampled grid")
     second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
-    if np.any(second > 1e-9 * max(1.0, float(np.max(np.abs(vals))))):
+    if np.any(second > 1e-9 * scale):
         warnings.warn("beta envelope not concave on sampled grid", stacklevel=3)
 
 

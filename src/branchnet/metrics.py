@@ -12,8 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+import scipy
 
 from branchnet.chains import (Chain0, Chain1, _norms, canonicalize, canonicalize0, component_lift, mass, pow2_scale,
                               row_dots)
@@ -64,11 +63,12 @@ def flat_norm_0chain_component(nu: Chain0, j: int) -> float:
     if not len(i):  # one-sided, or every pair at d >= 2: nothing is shipped
         return P + N
     # row r is -(y_i + y_k) <= d_ik - 2, with y_i in column i and y_k in column npos + k
-    A_ub = coo_matrix((-np.ones(2 * len(i)), (np.repeat(np.arange(len(i)), 2), np.column_stack([i, npos + k]).ravel())),
-                      shape=(len(i), npos + nneg))
+    rows, cols = np.repeat(np.arange(len(i)), 2), np.column_stack([i, npos + k]).ravel()
+    A_ub = scipy.sparse.coo_matrix((-np.ones(2 * len(i)), (rows, cols)), shape=(len(i), npos + nneg))
     S = pow2_scale(w)
-    res = linprog(np.abs(np.concatenate([w[pos], w[neg]])) / S, A_ub=A_ub, b_ub=D[i, k] - 2.0, bounds=(0, None),
-                  options={"presolve": False, "simplex_dual_edge_weight_strategy": "dantzig"})
+    res = scipy.optimize.linprog(np.abs(np.concatenate([w[pos], w[neg]])) / S, A_ub=A_ub, b_ub=D[i, k] - 2.0,
+                                 bounds=(0, None), options={"presolve": False,
+                                                            "simplex_dual_edge_weight_strategy": "dantzig"})
     if not res.success:  # y = 1 is feasible and the objective is positive, so this is a solver failure
         raise RuntimeError(f"flat-norm LP failed: {res.message}")
     return P + N - S * float(res.fun)

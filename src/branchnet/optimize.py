@@ -74,14 +74,21 @@ class SolutionReport:
     iterations: int  # local_search's sweeps; 0 from verify_solution
     eps_bnd: float = 1e-8  # bound on boundary_residual: the tolerance times the weight scale S
     stop_reason: str | None = None  # local_search: "converged" or "max_iters"; None from verify_solution
+    last_gain: float | None = None  # local_search: the last sweep's (E_start - E) / E_start; None otherwise
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """Each failed check with its margin; empty exactly when the report is ok."""
+        r, eps, bound = self.boundary_residual, self.eps_bnd, self.mass_bound_constant * self.energy
+        found = [] if r <= eps else [f"boundary residual {r!r} above eps_bnd {eps!r} by {r - eps!r}"]  # NaN fails
+        found += [f"component {j} has a directed cycle" for j, a in enumerate(self.acyclic_per_component) if not a]
+        if not self.mass_bound_ok:
+            found.append(f"mass {self.mass!r} above mass_bound_constant x energy {bound!r} by {self.mass - bound!r}")
+        return tuple(found)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.boundary_residual <= self.eps_bnd
-            and all(self.acyclic_per_component)
-            and self.mass_bound_ok
-        )
+        return not self.failures
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +442,8 @@ def local_search(
     8 merge candidates that lowers it by more than rel_tol relatively.  It
     stops when a full sweep gains less than rel_tol relatively or after
     max_iters sweeps, then removes cycles once more under the same rule.
-    The report's ``stop_reason`` says which: "converged" or "max_iters".
+    The report's ``stop_reason`` says which: "converged" or "max_iters",
+    and its ``last_gain`` is the last sweep's relative gain.
     """
     config = config or OptimizerConfig()
     if not is_compatible(mu_minus, mu_plus):
@@ -449,7 +457,7 @@ def local_search(
         T = canonicalize(cone(nu, barycenter(nu)))
 
     E = energy(T, cost)
-    iters = 0
+    iters, last_gain = 0, None
     for iters in range(1, config.max_iters + 1):
         E_start = E
         T2 = remove_cycles(T)
@@ -470,6 +478,7 @@ def local_search(
             if E2 < E * (1 - config.rel_tol):
                 T, E = T2, E2
                 break
+        last_gain = (E_start - E) / max(E_start, 1e-300)
         if E_start - E < config.rel_tol * max(E_start, 1e-300):
             stop_reason = "converged"
             break
@@ -481,7 +490,8 @@ def local_search(
     if E2 <= E:
         T, E = T2, E2
 
-    return T, replace(verify_solution(T, mu_minus, mu_plus, cost), iterations=iters, stop_reason=stop_reason)
+    return T, replace(verify_solution(T, mu_minus, mu_plus, cost), iterations=iters, stop_reason=stop_reason,
+                      last_gain=last_gain)
 
 
 def verify_solution(

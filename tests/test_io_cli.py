@@ -319,6 +319,7 @@ class TestCli:
         rec = json.loads(capsys.readouterr().out)
         assert rec["ok"] and rec["energy"] == pytest.approx(3 * math.sqrt(2), rel=1e-6)
         assert rec["stop_reason"] == "converged" and list(rec)[-1] == "stop_reason"
+        assert list(rec)[-2] == "last_gain" and 0.0 <= rec["last_gain"] < 1e-6
         assert out.exists() and (d / "net.svg").exists()
 
     def test_energy_and_verify(self, instance, capsys):
@@ -339,6 +340,13 @@ class TestCli:
         save_network(T, bad)
         code = main(["verify", str(bad), str(pm), str(pp), "--cost", "sum_alpha:alpha=0.5"])
         assert code == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        rec = json.loads(out)
+        assert rec["ok"] is False and "failures" not in rec
+        r = rec["boundary_residual"]
+        # eps_bnd is --tol times the weight scale S = 2
+        assert err == (f"invariant violation: network failed verification: boundary residual {r!r} above eps_bnd "
+                       f"2e-08 by {r - 2e-8!r}\n")
 
     def test_missing_file_is_io_error(self, capsys):
         assert main(["energy", "/nonexistent.json", "--cost", "sum_alpha:alpha=0.5"]) == EXIT_IO

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -33,7 +34,7 @@ from branchnet.metrics import (
     ig_identity_mc,
     slice_chain,
 )
-from branchnet import metrics, optimize
+from branchnet import optimize
 from branchnet.construct import GridShiftError
 from branchnet.optimize import local_search, w_upper
 from conftest import bits, compatible_pair, path_chain, random_chain, random_measure, signed_zero_chain
@@ -92,7 +93,8 @@ class TestFlatNorm0Chain:
 
     def test_lp_has_a_column_per_atom_and_a_row_per_close_pair(self, rng, monkeypatch):
         calls = []
-        monkeypatch.setattr(metrics, "linprog", lambda *args, **kw: calls.append((args, kw)) or linprog(*args, **kw))
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kw: calls.append((args, kw)) or linprog(*args, **kw))
         for n, npos, nneg, side in ((2, 5, 4, 3.0), (3, 7, 3, 2.5), (1, 4, 6, 6.0)):
             P = rng.uniform(0.0, side, (npos + nneg, n))
             nu = Chain0.from_arrays(n, 1, P, np.r_[rng.uniform(0.5, 2.0, npos), -rng.uniform(0.5, 2.0, nneg)][:, None])
@@ -111,7 +113,7 @@ class TestFlatNorm0Chain:
         def refuse(*args, **kw):
             raise AssertionError("linprog called with no pair at d < 2")
 
-        monkeypatch.setattr(metrics, "linprog", refuse)
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
         nu = Chain0.from_arrays(2, 2, [[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [5.0, 5.0]],
                                 [[1.5, 0.0], [-0.5, 1.0], [-2.0, -1.0], [0.25, 0.0]])
         assert flat_norm_0chain_component(nu, 0) == 1.5 + 0.25 + 0.5 + 2.0

@@ -897,6 +897,64 @@ class TestVerifySolution:
         assert rep.boundary_residual > rep.eps_bnd and not rep.ok
 
 
+class TestReportFailures:
+    """``SolutionReport.failures`` names each failed check with its margin,
+    and is empty exactly when the report is ok."""
+
+    def test_wrong_boundary_names_the_residual(self):
+        mm = Chain0(2, 1, (Atom((0.0, 0.0), (1.0,)),))
+        mp = Chain0(2, 1, (Atom((1.0, 0.0), (1.0,)),))
+        wrong = canonicalize(path_chain([(0.0, 0.0), (0.5, 0.8)], (1.0,)))
+        rep = verify_solution(wrong, mm, mp, sum_alpha(1, 0.5))
+        r, eps = rep.boundary_residual, rep.eps_bnd
+        assert rep.failures == (f"boundary residual {r!r} above eps_bnd {eps!r} by {r - eps!r}",)
+        assert not rep.ok
+
+    def test_directed_triangle_names_its_component(self):
+        mm = Chain0(2, 2, (Atom((0.0, 0.5), (1.0, 1.0)),))
+        mp = Chain0(2, 2, (Atom((2.0, 0.5), (1.0, 1.0)),))
+        good = path_chain([(0.0, 0.5), (2.0, 0.5)], (1.0, 1.0))
+        triangle = path_chain([(3.0, 0.0), (4.0, 0.0), (4.0, 1.0), (3.0, 0.0)], (0.0, 1.0))
+        rep = verify_solution(canonicalize(good + triangle), mm, mp, sum_alpha(2, 0.5))
+        assert rep.acyclic_per_component == (True, False)
+        assert rep.failures == ("component 1 has a directed cycle",) and not rep.ok
+
+    def test_mass_bound_names_its_margin(self):
+        rep = optimize.SolutionReport(2.0, 3.5, 0.0, (True,), False, 1.5, 0)
+        assert rep.failures == ("mass 3.5 above mass_bound_constant x energy 3.0 by 0.5",)
+        assert not rep.ok
+
+    @pytest.mark.parametrize("residual", [0.0, 1e-8, 2e-8, math.nan])
+    @pytest.mark.parametrize("acyclic", [(), (True,), (True, False), (False, False)])
+    @pytest.mark.parametrize("mass_ok", [True, False])
+    def test_ok_keeps_its_truth_table(self, residual, acyclic, mass_ok):
+        rep = optimize.SolutionReport(1.0, 1.0, residual, acyclic, mass_ok, 1.0, 0, eps_bnd=1e-8)
+        assert rep.ok == (residual <= 1e-8 and all(acyclic) and mass_ok)
+        assert len(rep.failures) == (not residual <= 1e-8) + acyclic.count(False) + (not mass_ok)
+
+
+class TestLastGain:
+    def test_a_converged_search_gained_less_than_rel_tol(self, rng):
+        mm, mp = compatible_pair(rng, atoms=5, m=2)
+        _, rep = local_search(mm, mp, sum_alpha(2, 0.7))
+        assert rep.stop_reason == "converged" and 0.0 <= rep.last_gain < OptimizerConfig().rel_tol
+
+    def test_a_capped_search_that_had_not_converged_reports_its_gain(self):
+        mm = Chain0(2, 2, (Atom((0.0, 0.2), (1.0, 0.0)), Atom((0.0, -0.2), (0.0, 1.0))))
+        mp = Chain0(2, 2, (Atom((4.0, 0.2), (1.0, 0.0)), Atom((4.0, -0.2), (0.0, 1.0))))
+        config = OptimizerConfig(max_iters=1)
+        _, rep = local_search(mm, mp, sum_alpha(2, 0.5), config)
+        assert rep.stop_reason == "max_iters" and rep.last_gain >= config.rel_tol
+        _, rep = local_search(mm, mp, sum_alpha(2, 0.5))
+        assert rep.stop_reason == "converged"
+
+    def test_no_sweep_reports_no_gain(self, rng):
+        mm, mp = compatible_pair(rng, atoms=4, m=1)
+        T, rep = local_search(mm, mp, sum_alpha(1, 0.7), OptimizerConfig(max_iters=0))
+        assert rep.iterations == 0 and rep.last_gain is None
+        assert verify_solution(T, mm, mp, sum_alpha(1, 0.7)).last_gain is None
+
+
 def merge_candidates_reference(T):
     """(dist, i, k, dot) of every candidate pair, sorted as tuples."""
     if len(T.A) < 2:

@@ -11,6 +11,7 @@ at every scale.
 import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, loc
 from branchnet.chains import (canonicalize, canonicalize0, chain0_close, chains_close, is_compatible, is_piece,
                               pow2_scale)
 from branchnet.construct import bounding_cube
+from branchnet.costs import BetaEnvelope, admissibility_check
 from branchnet.metrics import flat_norm_0chain_component
 from branchnet.optimize import verify_solution
 from conftest import bits
@@ -231,3 +233,37 @@ def test_equality_helpers_compare_at_the_weight_scale(k):
     assert not chain0_close(mu, Chain0.from_arrays(1, 2, mu.P, 3 * w)), k
     assert chain0_close(mu, Chain0.from_arrays(1, 2, mu.P, near * w)), k
     assert not is_piece(-S, S) and is_piece(scaled(S, 0.5), S) and is_piece(scaled(S, near), S), k
+
+
+def _capped_sqrt(k, defect=None):
+    """2^k sqrt(min(x, 1/2)): concave and non-decreasing, flat from x = 1/2
+    on, where a defect of relative size 1e-6 is not hidden by the curvature.
+    From x = 3/4 on, a "dip" steps it down by 1e-6 of its value, and a
+    "kink" raises its slope so that its second difference on the 257-point
+    grid is 1e-6 of its value."""
+    top = math.sqrt(0.5)
+
+    def fn(x):
+        g = math.sqrt(min(x, 0.5))
+        if x >= 0.75 and defect == "dip":
+            g = top * (1 - 1e-6)
+        elif x >= 0.75 and defect == "kink":
+            g = top * (1 + 1e-6 * 256 * (x - 0.75))
+        return math.ldexp(g, k)
+
+    return BetaEnvelope(fn)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_envelope_check_is_relative_to_the_envelope_scale(k):
+    """A custom envelope's monotonicity and concavity checks take their
+    slack relative to ``pow2_scale`` of its sampled values: a relative 1e-6
+    dip raises and a relative 1e-6 convex kink warns at every scale 2^k,
+    and the envelope without a defect does neither."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        admissibility_check(_capped_sqrt(k), 2)
+    with pytest.raises(ValueError, match="not non-decreasing"):
+        admissibility_check(_capped_sqrt(k, "dip"), 2)
+    with pytest.warns(UserWarning, match="not concave"):
+        admissibility_check(_capped_sqrt(k, "kink"), 2)

@@ -1,16 +1,22 @@
 """Structure of the package: every import at module level, no import cycle
-between branchnet modules, only ``chains`` touches the Edge/Atom views,
-graphs are read from vertex ids, canonicalization merges rows through one
-array helper, rows are summed by one group sum, no module enumerates all
-pairs, points are snapped in batches, the search's hot path calls no numpy
-wrapper and no module calls ``np.linalg.norm``, the search's moves hold no
-Python incidence, only ``costs.evaluate_rows`` branches on the cost
-family, and every parameter default is set by some call."""
+between branchnet modules, importing the package or running a command
+without a flat LP loads neither ``scipy.optimize`` nor ``scipy.sparse``,
+only ``chains`` touches the Edge/Atom views, graphs are read from vertex
+ids, canonicalization merges rows through one array helper, rows are summed
+by one group sum, no module enumerates all pairs, points are snapped in
+batches, the search's hot path calls no numpy wrapper and no module calls
+``np.linalg.norm``, the search's moves hold no Python incidence, only
+``costs.evaluate_rows`` branches on the cost family, and every parameter
+default is set by some call."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import branchnet
+from branchnet.cli import main
 
 PACKAGE = Path(branchnet.__file__).parent
 MODULES = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
@@ -61,6 +67,50 @@ def test_module_import_graph_is_acyclic():
 
     for stem in sorted(graph):
         visit(stem)
+
+
+COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import branchnet, branchnet.io, branchnet.cli
+mm, mp, two_sided = sys.argv[2:]
+lp_modules = ("scipy.optimize", "scipy.sparse")
+loaded = {"import": [m for m in lp_modules if m in sys.modules]}
+for command in (["cascade", mm, mp, "--depth", "2"], ["optimize", mm, mp, "--cost", "sum_alpha:alpha=0.5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert branchnet.cli.main(command) == 0, command
+    loaded[command[0]] = [m for m in lp_modules if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert branchnet.cli.main(["flat-bound", two_sided]) == 0
+loaded["flat-bound"] = [m for m in lp_modules if m in sys.modules]
+print(json.dumps({"loaded": loaded, "flat_bound_stdout": out.getvalue()}))
+"""
+
+
+def test_only_the_flat_lp_loads_scipy_optimize(tmp_path, capsys):
+    """A fresh interpreter that imports the package and runs ``cascade`` and
+    ``optimize`` loads neither ``scipy.optimize`` nor ``scipy.sparse``; a
+    ``flat-bound`` that solves an LP loads ``scipy.optimize`` and prints what
+    it prints in process."""
+    def write(name, atoms):
+        path = tmp_path / name
+        path.write_text(json.dumps({"version": 1, "n": 2, "m": 1,
+                                    "atoms": [{"p": p, "w": [w]} for p, w in atoms]}))
+        return str(path)
+
+    mm = write("mm.json", [([-1.0, 0.0], 1.0), ([1.0, 0.0], 1.0)])
+    mp = write("mp.json", [([0.0, 2.0], 2.0)])
+    two_sided = write("nu.json", [([0.0, 0.0], 1.0), ([1.0, 0.0], -1.0)])  # one pair at d = 1 < 2
+    proc = subprocess.run([sys.executable, "-I", "-c", COLD_START, str(PACKAGE.parent), mm, mp, two_sided],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    loaded = got["loaded"]
+    assert loaded["import"] == loaded["cascade"] == loaded["optimize"] == [], loaded
+    assert "scipy.optimize" in loaded["flat-bound"], loaded
+    assert main(["flat-bound", two_sided]) == 0
+    assert got["flat_bound_stdout"] == capsys.readouterr().out
 
 
 def test_only_chains_builds_or_reads_edge_and_atom_views():
