@@ -312,6 +312,9 @@ class _PointRegistry:
         # one-sided boxes: U + reach rounds monotonically, so no pair within eps is lost
         hi = U + self.eps * (1 + 1e-9)
         i, j = np.concatenate([np.empty((2, 0), dtype=int), *map(np.array, _box_pairs(U, hi))], axis=1)
+        if not len(i):  # no two groups are near: each row goes to its group's first row
+            self.P = Q[np.sort(rep)]
+            return U[ids[len(Q) - len(X):]]
         ends = np.concatenate([i, j])
         order = ends.argsort(kind="stable")
         partner, start = np.concatenate([j, i])[order], ends[order].searchsorted(np.arange(len(U) + 1))
@@ -423,38 +426,47 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
         shared = (ends[ii, :, None] == ends[jj, None, :]).any(axis=(1, 2))
         meet = shared & (denom >= _rounding_bound(n, L[ii] + L[jj], eps))
 
+        # a block runs only on a chunk with pairs of its kind: on a small chunk numpy's fixed per-call cost dominates
+        found_e, found_t = [], []  # this chunk's candidates
+
         # transverse pairs: closest points of the two supporting lines
         tv = (~(parallel | meet)).nonzero()[0]
-        it, jt, uit, ujt, ct, dn = ii[tv], jj[tv], ui[tv], uj[tv], cosa[tv], denom[tv]
-        Ai, Aj = A[it], A[jt]
-        wt = Aj - Ai
-        wu_i = np.add.reduce(wt * uit, axis=1)
-        wu_j = np.add.reduce(wt * ujt, axis=1)
-        s = (wu_i - ct * wu_j) / dn
-        t = (ct * wu_i - wu_j) / dn
-        gap = _norms(Ai + s[:, None] * uit - Aj - t[:, None] * ujt)
-        Li, Lj = L[it], L[jt]
-        ti, tj = s / Li, t / Lj
-        near = (
-            (gap <= eps)
-            & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
-            & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj)
-        )
+        if len(tv):
+            it, jt, uit, ujt, ct, dn = ii[tv], jj[tv], ui[tv], uj[tv], cosa[tv], denom[tv]
+            Ai, Aj = A[it], A[jt]
+            wt = Aj - Ai
+            wu_i = np.add.reduce(wt * uit, axis=1)
+            wu_j = np.add.reduce(wt * ujt, axis=1)
+            s = (wu_i - ct * wu_j) / dn
+            t = (ct * wu_i - wu_j) / dn
+            gap = _norms(Ai + s[:, None] * uit - Aj - t[:, None] * ujt)
+            Li, Lj = L[it], L[jt]
+            ti, tj = s / Li, t / Lj
+            near = (
+                (gap <= eps)
+                & (ti > -eps / Li) & (ti < 1.0 + eps / Li)
+                & (tj > -eps / Lj) & (tj < 1.0 + eps / Lj)
+            )
+            found_e += [it[near], jt[near]]
+            found_t += [ti[near], tj[near]]
 
         # parallel pairs: collinear overlap iff the line offset vanishes
         pl = parallel.nonzero()[0]
-        wp, uip = A[jj[pl]] - A[ii[pl]], ui[pl]
-        perp = wp - np.add.reduce(wp * uip, axis=1)[:, None] * uip
-        coll = pl[_norms(perp) <= eps]
-        ci, cj = ii[coll], jj[coll]
-        c = np.concatenate([ci, ci, cj, cj])
-        tc = row_dots(np.concatenate([A[cj], B[cj], A[ci], B[ci]]) - A[c], U[c]) / L[c]
+        if len(pl):
+            wp, uip = A[jj[pl]] - A[ii[pl]], ui[pl]
+            perp = wp - np.add.reduce(wp * uip, axis=1)[:, None] * uip
+            coll = pl[_norms(perp) <= eps]
+            ci, cj = ii[coll], jj[coll]
+            c = np.concatenate([ci, ci, cj, cj])
+            found_e.append(c)
+            found_t.append(row_dots(np.concatenate([A[cj], B[cj], A[ci], B[ci]]) - A[c], U[c]) / L[c])
 
         # keep the interior candidates of this chunk only, so that no more than a chunk's are held
-        e, t = np.concatenate([it[near], jt[near], c]), np.concatenate([ti[near], tj[near], tc])
-        inside = (eps / L[e] < t) & (t < 1.0 - eps / L[e])
-        edges.append(e[inside])
-        ts.append(t[inside])
+        if found_e:
+            e, t = np.concatenate(found_e), np.concatenate(found_t)
+            inside = (eps / L[e] < t) & (t < 1.0 - eps / L[e])
+            edges.append(e[inside])
+            ts.append(t[inside])
     return np.concatenate(edges), np.concatenate(ts)
 
 
@@ -469,6 +481,11 @@ def canonicalize(T: Chain1) -> Chain1:
     flipping orientation negates theta), and negligible edges are dropped:
     those no longer than ``EPS_MULT_REL`` times the longest multiplicity,
     input or merged.  Idempotent; preserves boundary and can only decrease mass.
+
+    A chain in which no edge has an interior cut, the common case in the
+    local search, goes from the narrow phase straight to the merge: it skips
+    the cuts' sort, the per-edge cut tolerances, the cut loop and the second
+    snap, each of which would produce nothing on it.
     """
     same = (T.A == T.B).all(axis=1).nonzero()[0]
     if len(same):
@@ -476,11 +493,14 @@ def canonicalize(T: Chain1) -> Chain1:
     reg = _PointRegistry(T.n, EPS_REL * pow2_scale(np.concatenate([T.A, T.B]), extent=True))
     A, B = reg.snap(np.concatenate([T.A, T.B], axis=1).reshape(-1, T.n)).reshape(-1, 2, T.n).swapaxes(0, 1)
     rows = (A != B).any(axis=1).nonzero()[0]  # a pair collapsed by snapping is below resolution: drop it
-    A, B = A[rows], B[rows]
+    A, B, Theta = A[rows], B[rows], T.Theta[rows]
+    edge, t = _segment_interactions(A, B, reg.eps)
+    if not len(edge):  # no interior cut: the snapped edges are the pieces
+        return _split_merge(A, B, Theta, edge, A[:0])
 
     # split every edge at its cuts, in order of (edge, t); a cut closer than
     # the snap radius to the last one kept on its edge is dropped
-    cuts = _unique_rows(np.stack(_segment_interactions(A, B, reg.eps), axis=1))[0]
+    cuts = _unique_rows(np.stack([edge, t], axis=1))[0]
     tol = [reg.eps / math.dist(a, b) for a, b in zip(A.tolist(), B.tolist())]
     keep, last = [], (-1.0, 0.0)
     for k, (e, u) in enumerate(cuts.tolist()):
@@ -489,7 +509,7 @@ def canonicalize(T: Chain1) -> Chain1:
             last = e, u
     edge, t = cuts[keep, 0].astype(int), cuts[keep, 1]
     C = reg.snap(A[edge] + t[:, None] * (B[edge] - A[edge]))
-    return _split_merge(A, B, T.Theta[rows], edge, C)
+    return _split_merge(A, B, Theta, edge, C)
 
 
 def _split_merge(A: np.ndarray, B: np.ndarray, Theta: np.ndarray, edge: np.ndarray, C: np.ndarray) -> Chain1:

@@ -199,8 +199,10 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0) -> CostV
     without sign change), and a continuity probe along random rays.  Lower
     semicontinuity itself is not pointwise testable; a genuinely
     discontinuous custom cost can pass vacuously (noted in the report).
-    Violations are counted beyond a relative slack of ``_AXIOM_TOL``.  Each
-    block of ``_BLOCK`` samples takes one :func:`evaluate_rows` call.
+    Violations are counted beyond a slack of ``_AXIOM_TOL`` times the cost
+    values that bound them, and the continuity probe beyond 1e-3 |C| at the
+    probe point, with no floor: a cost scaled by 2^k gets the same counts.
+    Each block of ``_BLOCK`` samples takes one :func:`evaluate_rows` call.
     """
     if samples < 1:
         raise ValueError("samples >= 1 required")
@@ -220,13 +222,14 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0) -> CostV
         # u * th is order-comparable with th; the continuity probe runs along the ray through th (lsc surrogate)
         points = [th, -th, th + eta, eta, u * th] + [s[:, None] * th for s in (t - dt, t, t + dt)]
         c_th, c_neg, c_sum, c_eta, c_shrunk, lo, mid, hi = evaluate_rows(cost, np.concatenate(points)).reshape(8, -1)
-        slack = _AXIOM_TOL * np.maximum(c_th, 1.0)
+        # each slack is relative to the cost values it bounds, with no floor, so the counts are scale-free
+        slack = _AXIOM_TOL * np.abs(c_th)
         rep.evenness_violations += int(np.count_nonzero(np.abs(c_neg - c_th) > slack))
         rep.positivity_violations += int(np.count_nonzero(np.any(th != 0, axis=1) & (c_th <= 0.0)))
-        rep.subadditivity_violations += int(np.count_nonzero(c_sum > c_th + c_eta + slack))
+        rep.subadditivity_violations += int(np.count_nonzero(c_sum > c_th + c_eta + slack + _AXIOM_TOL * np.abs(c_eta)))
         rep.monotonicity_violations += int(np.count_nonzero(c_shrunk > c_th + slack))
-        scale = np.maximum(np.abs(mid), 1.0)
-        rep.continuity_violations += int(np.count_nonzero((mid > hi + 1e-3 * scale) | (mid < lo - 1e-3 * scale)))
+        reach = 1e-3 * np.abs(mid)
+        rep.continuity_violations += int(np.count_nonzero((mid > hi + reach) | (mid < lo - reach)))
 
     rep.notes.append("lsc checked only via continuity probe along rays")
     return rep

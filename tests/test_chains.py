@@ -36,7 +36,7 @@ from branchnet.chains import (
     _unique_rows,
     row_dots,
 )
-from branchnet.construct import _cascade_edges, shifted_grid
+from branchnet.construct import _cascade_edges, cascade, shifted_grid
 from conftest import bits, path_chain, random_chain, signed_zero_chain
 
 
@@ -562,6 +562,16 @@ class TestBroadPhase:
             cut += len(got) > 0
         assert cut > 60
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_reference_comparisons_hold_with_tiny_chunks(self, rng, block):
+        """Chunks of 1-3 candidates: many hold only meet pairs, only parallel
+        pairs or only transverse pairs, so each block of the narrow phase is
+        skipped on some chunks and run on others."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chains, "_BLOCK", block)
+            self.test_shared_endpoint_pairs_match_reference(rng)
+            self.test_segment_interactions_match_all_pairs_reference(rng)
+
     def test_touching_boxes_are_candidates(self):
         A, B = touching_boxes(2)
         lo, hi = np.minimum(A, B) - EPS_REL, np.maximum(A, B) + EPS_REL
@@ -838,6 +848,71 @@ def test_canonicalize_idempotent_on_axis_lattice(edge_data):
     assert bits(canonicalize(T)) == bits(T)
     mu = canonicalize0(Chain0.from_arrays(2, 2, np.vstack([A, B]), np.vstack([Theta, -2 * Theta])))
     assert bits(canonicalize0(mu)) == bits(mu)
+
+
+def no_cut_reference(T: Chain1) -> Chain1:
+    """Canonical form of a chain whose edges meet only at shared endpoints:
+    each edge oriented from its lexicographically smaller end (negating
+    theta when it flips), coincident edges summed in a dict in edge order,
+    sorted by (a, b), dropping sums within 1e-12 of the longest
+    multiplicity or sum."""
+    acc: dict = {}
+    for a, b, th in zip(map(tuple, T.A.tolist()), map(tuple, T.B.tolist()), T.Theta):
+        if a > b:
+            a, b, th = b, a, -th
+        acc[a, b] = acc[a, b] + th if (a, b) in acc else th
+    eps_w = 1e-12 * max((float(np.linalg.norm(th)) for th in [*T.Theta, *acc.values()]), default=0.0)
+    kept = [key for key in sorted(acc) if np.linalg.norm(acc[key]) > eps_w]
+    return Chain1.from_arrays(T.n, T.m, [a for a, _ in kept], [b for _, b in kept],
+                              np.array([acc[key] for key in kept]).reshape(-1, T.m), canonical=True)
+
+
+# unit steps of the lattice Z^n along an axis or the all-ones diagonal: two
+# such steps meet at most at a lattice point, their shared endpoint
+no_cut_edge_st = st.tuples(st.lists(st.integers(0, 2), min_size=3, max_size=3), st.integers(0, 3), st.booleans(),
+                           st.lists(st.sampled_from([1.0, -1.0, 2.5, -0.75, 1e-13, -3e-12]), min_size=2, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([1, 2]), st.lists(no_cut_edge_st, max_size=12),
+       st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
+def test_canonicalize_without_cuts_matches_reference(n, m, edge_data, scale, offset):
+    """Edges that meet only at shared endpoints, some of them coincident or
+    reversed copies: canonicalize finds no cut, snaps once, and agrees bit for
+    bit with orienting, summing and sorting the edges."""
+    steps = np.vstack([np.eye(n), np.ones((1, n))])
+    P = np.array([p[:n] for p, *_ in edge_data], dtype=float).reshape(-1, n)
+    Q = P + steps[[min(d, n) for _, d, _, _ in edge_data]]
+    flip = np.array([f for *_, f, _ in edge_data], dtype=bool)[:, None]
+    A, B = offset + scale * np.where(flip, Q, P), offset + scale * np.where(flip, P, Q)
+    T = Chain1.from_arrays(n, m, A, B, np.array([th[:m] for *_, th in edge_data]).reshape(-1, m))
+    eps = EPS_REL * chains.pow2_scale(np.concatenate([T.A, T.B]), extent=True)
+    assert len(_segment_interactions(T.A, T.B, eps)[0]) == 0
+
+    snaps = []
+    snap = _PointRegistry.snap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_PointRegistry, "snap", lambda reg, X: snaps.append(len(X)) or snap(reg, X))
+        got = canonicalize(T)
+    assert snaps == [2 * len(A)]  # the endpoints only: no cut points to snap
+    assert bits(got) == bits(no_cut_reference(T))
+    for X, cols in ((got.A, n), (got.B, n), (got.Theta, m)):
+        assert X.dtype == np.float64 and X.flags.c_contiguous and not X.flags.writeable
+        assert X.shape == (len(got.Theta), cols)
+
+
+def test_canonical_and_cascade_arrays_are_read_only_c_contiguous(rng):
+    """A canonicalized and a cascade-built chain hold read-only C-contiguous
+    float64 arrays of shapes (E, n), (E, n) and (E, m)."""
+    mm, mp = (Chain0.from_arrays(2, 1, rng.uniform(0, 1, (16, 2)), np.ones((16, 1))) for _ in range(2))
+    assembled = cascade(mm, mp, shifted_grid((0.5, 0.5), 1.0, [mm, mp], seed=3, k_max=8), 4).chain
+    for T in (canonicalize(random_chain(rng, 3, 2, 8, grid=2)), assembled):
+        assert T.canonical and len(T.Theta)
+        for X, cols in ((T.A, T.n), (T.B, T.n), (T.Theta, T.m)):
+            assert X.dtype == np.float64 and X.flags.c_contiguous and not X.flags.writeable
+            assert X.shape == (len(T.Theta), cols)
+            with pytest.raises(ValueError):
+                X[0, 0] = 1.0
 
 
 class _BruteForceRegistry:

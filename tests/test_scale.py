@@ -22,7 +22,7 @@ from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, loc
 from branchnet.chains import (canonicalize, canonicalize0, chain0_close, chains_close, is_compatible, is_piece,
                               pow2_scale)
 from branchnet.construct import bounding_cube
-from branchnet.costs import BetaEnvelope, admissibility_check
+from branchnet.costs import BetaEnvelope, admissibility_check, custom_cost, validate_cost
 from branchnet.metrics import flat_norm_0chain_component
 from branchnet.optimize import verify_solution
 from conftest import bits
@@ -267,3 +267,15 @@ def test_envelope_check_is_relative_to_the_envelope_scale(k):
         admissibility_check(_capped_sqrt(k, "dip"), 2)
     with pytest.warns(UserWarning, match="not concave"):
         admissibility_check(_capped_sqrt(k, "kink"), 2)
+
+
+def test_cost_validation_counts_are_scale_free():
+    """``validate_cost``'s slacks are relative to the cost values they
+    compare, so a cost scaled by 2^k gets the same counts: 2^k |t|^1.5,
+    superadditive at every scale, fails subadditivity alike at k = -40, 0, 40."""
+    counts = []
+    for k in (-40, 0, 40):
+        report = validate_cost(custom_cost(1, lambda th, k=k: math.ldexp(abs(float(th[0])) ** 1.5, k)), samples=2000)
+        counts.append((report.as_dict(), report.ok))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0][0]["subadditivity"] > 0 and not counts[0][1]
