@@ -552,6 +552,8 @@ def _merge_rows(keys: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _significant(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Which rows of W are longer than the relative tolerance of the longest input row."""
+    S = pow2_scale(inputs)
+    W, inputs = W / S, inputs / S  # exact, S a power of two; the squares near the threshold stay in range
     eps_w = EPS_MULT_REL * float(np.sqrt(row_dots(inputs, inputs)).max(initial=0.0))
     return np.sqrt(row_dots(W, W)) > eps_w
 

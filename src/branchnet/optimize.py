@@ -47,6 +47,7 @@ _ROUNDING = 1 + 8 * np.finfo(float).eps  # sums of a few norms agree within this
 _MERGE_COS = math.cos(math.radians(30.0))  # bundles at most 30 degrees apart
 _MERGE_DIST_FRAC = 0.1  # midpoints at most this fraction of the diameter apart
 _MERGE_TRIES = 8  # best merge candidates tried per sweep
+_RISE = 1 + 1e-12  # straightening and relocation may raise the energy by this factor, a rounding slack
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         if d[k] < EPS_REL * L:
             new = anchors[k]
         f_new = float(np.add.reduce(weights * _norms(anchors - new)))
-        if f_new > f_old * (1 + 1e-12):
+        if f_new > f_old * _RISE:
             continue
         pos[v] = new
         ends[at] = (pos == new).all(axis=1).nonzero()[0][-1]
@@ -426,6 +427,18 @@ def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, confi
 # ---------------------------------------------------------------------------
 # local search driver
 
+def _sweep(T: Chain1, E: float, rows, cost: CostSpec) -> tuple[Chain1, float]:
+    """Each row in turn: (T, E) become the first trial of ``propose(T)`` whose energy E2 passes
+    ``accept(E2, E)``, and later trials are not drawn.  A trial that is T itself keeps E."""
+    for propose, accept in rows:
+        for T2 in propose(T):
+            E2 = E if T2 is T else energy(T2, cost)
+            if accept(E2, E):
+                T, E = T2, E2
+                break
+    return T, E
+
+
 def local_search(
     mu_minus: Chain0,
     mu_plus: Chain0,
@@ -435,13 +448,12 @@ def local_search(
     """Heuristic minimizer of the transportation energy between two
     compatible measures.
 
-    Starts from the cone (or cascade) competitor and sweeps the move set.
-    Each sweep keeps cycle removal when the energy does not rise
-    (E2 <= E), straightening and branch-point relocation when it rises by
-    at most a relative 1e-12 (E2 <= E (1 + 1e-12)), and the first of up to
-    8 merge candidates that lowers it by more than rel_tol relatively.  It
-    stops when a full sweep gains less than rel_tol relatively or after
-    max_iters sweeps, then removes cycles once more under the same rule.
+    Starts from the cone (or cascade) competitor and sweeps the move table ``rows`` (``_sweep``), one
+    (propose, accept) row per move: it keeps cycle removal when the energy does not rise (E2 <= E),
+    straightening and branch-point relocation when it rises by at most a relative 1e-12
+    (E2 <= E (1 + 1e-12)), and the first of the 8 best merge candidates that lowers it by more than
+    rel_tol relatively (E2 < E (1 - rel_tol)).  It stops when a full sweep gains less than rel_tol
+    relatively or after max_iters sweeps, then removes cycles once more under the same rule.
     The report's ``stop_reason`` says which: "converged" or "max_iters",
     and its ``last_gain`` is the last sweep's relative gain.
     """
@@ -456,39 +468,25 @@ def local_search(
     else:
         T = canonicalize(cone(nu, barycenter(nu)))
 
+    # built per call, not at import, so each move is read from the module when called (a tracer may rebind it)
+    rows = ((lambda T: (remove_cycles(T),), lambda E2, E: E2 <= E),
+            (lambda T: (straighten(T),), lambda E2, E: E2 <= E * _RISE),
+            (lambda T: (relocate_branch_points(T, cost),), lambda E2, E: E2 <= E * _RISE),
+            (lambda T: (_apply_merge(T, i, k, bool(aligned), cost, config)
+                        for i, k, aligned in _merge_candidates(T)[:_MERGE_TRIES].tolist()),
+             lambda E2, E: E2 < E * (1 - config.rel_tol)))
     E = energy(T, cost)
     iters, last_gain = 0, None
     for iters in range(1, config.max_iters + 1):
         E_start = E
-        T2 = remove_cycles(T)
-        E2 = E if T2 is T else energy(T2, cost)  # a move that changes nothing returns its input
-        if E2 <= E:
-            T, E = T2, E2
-        T2 = straighten(T)
-        E2 = E if T2 is T else energy(T2, cost)
-        if E2 <= E * (1 + 1e-12):
-            T, E = T2, E2
-        T2 = relocate_branch_points(T, cost)
-        E2 = E if T2 is T else energy(T2, cost)
-        if E2 <= E * (1 + 1e-12):
-            T, E = T2, E2
-        for i, k, aligned in _merge_candidates(T)[:_MERGE_TRIES].tolist():
-            T2 = _apply_merge(T, i, k, bool(aligned), cost, config)
-            E2 = energy(T2, cost)
-            if E2 < E * (1 - config.rel_tol):
-                T, E = T2, E2
-                break
+        T, E = _sweep(T, E, rows, cost)
         last_gain = (E_start - E) / max(E_start, 1e-300)
         if E_start - E < config.rel_tol * max(E_start, 1e-300):
             stop_reason = "converged"
             break
     else:
         stop_reason = "max_iters"
-    # a move after the last sweep's cycle removal can close a cycle
-    T2 = remove_cycles(T)
-    E2 = E if T2 is T else energy(T2, cost)
-    if E2 <= E:
-        T, E = T2, E2
+    T, E = _sweep(T, E, rows[:1], cost)  # a move after the last sweep's cycle removal can close a cycle
 
     return T, replace(verify_solution(T, mu_minus, mu_plus, cost), iterations=iters, stop_reason=stop_reason,
                       last_gain=last_gain)
@@ -554,5 +552,4 @@ def w_upper(
     if grid is not None:
         best = energy(cascade(mu_minus, mu_plus, grid, min(K, grid.k_max - 1)).chain, cost)
 
-    T, _ = local_search(mu_minus, mu_plus, cost, config or OptimizerConfig())
-    return min(best, energy(T, cost))
+    return min(best, local_search(mu_minus, mu_plus, cost, config or OptimizerConfig())[1].energy)

@@ -955,6 +955,32 @@ class TestLastGain:
         assert verify_solution(T, mm, mp, sum_alpha(1, 0.7)).last_gain is None
 
 
+class TestSweep:
+    """``_sweep`` on fake rows whose trials are names with made-up energies."""
+
+    ENERGIES = {"start": 10.0, "up": 11.0, "down": 8.0, "lower": 7.0, "low": 6.0}
+
+    def test_first_accepted_trial_per_row(self, monkeypatch):
+        priced, drawn = [], []
+        monkeypatch.setattr(optimize, "energy", lambda T, cost: priced.append(T) or self.ENERGIES[T])
+
+        def trials(*names):
+            def propose(T):
+                for name in names:
+                    drawn.append(name)
+                    yield T if name == "same" else name
+            return propose
+
+        lower, no_rise = (lambda E2, E: E2 < E), (lambda E2, E: E2 <= E)
+        rows = ((trials("up", "down", "lower"), lower),  # "down" is kept, "lower" never drawn
+                (trials("up"), lower),  # rejected
+                (trials("same", "low"), no_rise))  # the input itself, kept at its energy
+        assert optimize._sweep("start", 10.0, rows, None) == ("down", 8.0)
+        assert drawn == ["up", "down", "up", "same"]
+        assert priced == ["up", "down", "up"]
+        assert optimize._sweep("start", 10.0, rows[1:2], None) == ("start", 10.0)
+
+
 def merge_candidates_reference(T):
     """(dist, i, k, dot) of every candidate pair, sorted as tuples."""
     if len(T.A) < 2:

@@ -9,6 +9,7 @@ at every scale.
 """
 
 import importlib.util
+import itertools
 import math
 import sys
 import warnings
@@ -19,8 +20,8 @@ import pytest
 
 from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, local_search, shifted_grid, sum_alpha,
                        w_upper)
-from branchnet.chains import (canonicalize, canonicalize0, chain0_close, chains_close, is_compatible, is_piece,
-                              pow2_scale)
+from branchnet.chains import (boundary, canonicalize, canonicalize0, chain0_close, chains_close, is_compatible,
+                              is_piece, pow2_scale)
 from branchnet.construct import bounding_cube
 from branchnet.costs import BetaEnvelope, admissibility_check, custom_cost, validate_cost
 from branchnet.metrics import flat_norm_0chain_component
@@ -137,6 +138,30 @@ def test_canonicalize_is_equivariant_on_near_degenerate_inputs():
         for k in SCALES:
             got = canonicalize0(Chain0.from_arrays(n, m, np.ldexp(mu.P, k), mu.W))
             assert bits(got) == bits(Chain0.from_arrays(n, m, np.ldexp(C.P, k), C.W))
+
+
+@pytest.mark.parametrize("k", [-660, 660])
+def test_canonical_forms_are_equivariant_at_extreme_weight_scales(k):
+    """Weights times 2^k for |k| = 660, where a squared multiplicity leaves
+    the floating-point range: ``canonicalize``, ``boundary`` and
+    ``canonicalize0`` return exactly 2^k times their unit-scale weights,
+    and drop no row that they keep at unit scale."""
+    rng = np.random.default_rng(660)
+    for T in itertools.islice(reference_chains(rng), 60):
+        C = canonicalize(T)
+        got = canonicalize(Chain1.from_arrays(T.n, T.m, T.A, T.B, np.ldexp(T.Theta, k)))
+        assert bits(got) == bits(Chain1.from_arrays(T.n, T.m, C.A, C.B, np.ldexp(C.Theta, k), canonical=True))
+        D = boundary(C)
+        assert bits(boundary(got)) == bits(Chain0.from_arrays(T.n, T.m, D.P, np.ldexp(D.W, k)))
+    for j in range(20):
+        n, m = 2 + j % 3, 1 + j % 3
+        mu = Chain0.from_arrays(n, m, near_snap_cloud(rng, n), rng.normal(size=(10, m)))
+        C = canonicalize0(mu)
+        got = canonicalize0(Chain0.from_arrays(n, m, mu.P, np.ldexp(mu.W, k)))
+        assert bits(got) == bits(Chain0.from_arrays(n, m, C.P, np.ldexp(C.W, k)))
+    lone = Chain1.from_arrays(2, 1, [[0.0, 0.0]], [[1.0, 0.0]], [[math.ldexp(1.0, k)]])
+    assert len(canonicalize(lone).A) == 1 and len(boundary(lone).P) == 2
+    assert len(canonicalize0(Chain0.from_arrays(2, 1, [[0.0, 0.0]], [[math.ldexp(1.0, k)]])).P) == 1
 
 
 def test_cascade_is_equivariant_on_a_scaled_grid():
