@@ -543,9 +543,12 @@ def canonicalize0(mu: Chain0) -> Chain0:
 def _merge_rows(keys: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows of keys in lexicographic order, the sum of W's rows
     under each, by ``_sum_rows``), for the significant sums only.  Sums
-    count as inputs of the threshold, so a second pass keeps every row."""
+    count as inputs of the threshold, so a second pass keeps every row.  A
+    sum past the float range raises: it would otherwise drop every row."""
     K, ids, _ = _unique_rows(keys)
     S = _sum_rows(ids, W, len(K))
+    if not np.isfinite(S).all():
+        raise ValueError("a sum of coincident multiplicities overflows the float range")
     keep = _significant(S, np.concatenate([W, S]))
     return K[keep], S[keep]
 

@@ -223,9 +223,9 @@ def cascade(
     if beta is not None:
         if not admissibility_check(beta, n)[0]:
             warnings.warn("beta envelope is not admissible; cascade bound may be meaningless", stacklevel=2)
-        nu_plus, nu_minus = _signed_parts(nu)
         series = sum(s_beta(beta, n, k) for k in range(1, K + 3))
-        bound = 0.5 * m * grid.diam * series * max(1.0, mass(nu_minus) + mass(nu_plus))
+        minus, plus = (mass(Chain0.from_arrays(n, m, nu.P, np.maximum(s * nu.W, 0.0))) for s in (-1.0, 1.0))
+        bound = 0.5 * m * grid.diam * series * max(1.0, minus + plus)  # nu's negative and positive parts
         kind = "cascade"
     cert = EnergyCertificate(ener, bound, kind, digest_inputs(mu_minus, mu_plus, K, grid.center, grid.edge))
     return CascadeResult(chain, cert, K, canonicalize0(Chain0.from_arrays(n, m, P, W)))
@@ -350,12 +350,3 @@ def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Th
 def _any_box_pair(lo: np.ndarray, hi: np.ndarray) -> bool:
     """Whether any two of the closed boxes [lo, hi] overlap (``_box_pairs``)."""
     return any(len(i) for i, _ in _box_pairs(lo, hi))
-
-
-def _signed_parts(nu: Chain0) -> tuple[Chain0, Chain0]:
-    """Componentwise positive and negative parts (nu = plus - minus)."""
-    parts = []
-    for W in (np.maximum(nu.W, 0.0), np.maximum(-nu.W, 0.0)):
-        keep = W.any(axis=1)
-        parts.append(Chain0.from_arrays(nu.n, nu.m, nu.P[keep], W[keep]))
-    return tuple(parts)

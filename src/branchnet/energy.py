@@ -12,10 +12,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from branchnet.chains import Chain0, Chain1, component_lift
-from branchnet.costs import _RADII, CostSpec, derivative_profile, evaluate_rows, sampled_ratios
+from branchnet.costs import CostSpec, evaluate_rows, norm_cost_ratio
 
 
 class NonCanonicalError(ValueError):
@@ -54,29 +52,18 @@ def energy_component(T: Chain1, cost: CostSpec, j: int) -> float:
 
 
 def mass_bound_constant(cost: CostSpec, boundary_mass: float, directions: int = 10_000, seed: int = 0) -> float:
-    """Constant C with mass(T') <= C * energy(T) for acyclic fluxes T'.
+    """Constant C with mass(T') <= C * energy(T) for acyclic fluxes T': m times
+    the sup of |theta|/C(theta) on the ball |theta| <= boundary_mass
+    (:func:`norm_cost_ratio`: exact for a built-in family, sampled for a custom one).
 
-    Built from the inverse per-axis derivatives at 0 (with the convention
-    that an infinite derivative contributes 0) and the supremum of
-    |theta|/C(theta) over the ball |theta| <= boundary_mass, scaled by m.
-    For a built-in family the supremum is exact: on every sphere it is
-    reached on one of the cost's ``extremal`` directions u, and r / C(r u)
-    is non-decreasing in r for alpha <= 1, so it is the largest
-    boundary_mass / C(boundary_mass u).  A custom cost's is still sampled,
-    not certified: it is taken over a (directions // _RADII random
-    directions plus the m axes) x _RADII radii grid, whose costs are
-    evaluated in batches (:func:`sampled_ratios`).
+    The inverse axis derivatives at 0 need no term of their own: by
+    subadditivity C(t e_j)/t rises to C'(0; e_j) as t falls to 0, so
+    1/C'(0; e_j) = inf_t t/C(t e_j) <= boundary_mass/C(boundary_mass e_j),
+    a point of the sup.
     """
     if boundary_mass <= 0:
         raise ValueError("boundary_mass must be positive")
-    prof = derivative_profile(cost, samples=0)
-    inv_deriv = max([0.0] + [1.0 / prof.axis_derivatives[j] for j in prof.basis_set])
-    if cost.extremal:
-        sup_ratio = float((boundary_mass / evaluate_rows(cost, boundary_mass * np.array(cost.extremal))).max())
-    else:
-        R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // _RADII), seed, axes=True)
-        sup_ratio = float(R.max())
-    return cost.m * max(inv_deriv, sup_ratio)
+    return cost.m * norm_cost_ratio(cost, boundary_mass, directions, seed)
 
 
 def digest_inputs(*parts) -> str:

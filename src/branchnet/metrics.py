@@ -150,13 +150,13 @@ def augmentation(nu: Chain0) -> np.ndarray:
     return nu.total_weight()
 
 
-def _calibration_constant(n: int, samples: int, rng) -> float:
-    """c(n,1) = 1 / E|u.v| over uniform unit directions v."""
-    if n == 2:
-        return math.pi / 2.0  # E|cos phi| = 2/pi
-    V = rng.normal(size=(samples, n))
-    V /= _norms(V)[:, None]
-    return float(1.0 / np.mean(np.abs(V[:, 0])))
+def _calibration_constant(n: int) -> float:
+    """c(n,1) = 1 / E|u.v| over uniform unit directions v in R^n, in closed form: E|v_1| is
+    Gamma(n/2) / (sqrt(pi) Gamma((n+1)/2)), so c is 1 at n = 1, pi/2 at n = 2 and c(n+2) = c(n) (n+1)/n."""
+    c = math.pi / 2.0 if n % 2 == 0 else 1.0
+    for k in range(2 - n % 2, n - 1, 2):
+        c *= (k + 1) / k
+    return c
 
 
 def ig_identity_mc(
@@ -183,7 +183,7 @@ def ig_identity_mc(
     weights = evaluate_rows(cost, T.Theta) * lengths
 
     rng = np.random.default_rng(seed)
-    c = _calibration_constant(T.n, min(samples, 10**6), np.random.default_rng(seed + 1))
+    c = _calibration_constant(T.n)
     acc = np.zeros(len(T.A))
     done = 0
     chunk = 1 << 16

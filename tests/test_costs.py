@@ -40,6 +40,22 @@ def evaluate_reference(cost, theta) -> float:
     raise ValueError(f"unknown cost family {cost.family!r}")
 
 
+U = np.finfo(float).eps  # 2^-52, the spacing of floats at 1
+
+
+def closed_form_ratio(cost, delta) -> float:
+    """sup |t|_2 / C(t) on the ball of radius delta, from the family's formula
+    with ``math.pow``: on the lightest axis for sum_alpha, on the best axis for
+    component_sum, and on the axes for p <= 2 or the diagonal for p > 2."""
+    m, a = cost.m, cost.params.get("alpha")
+    if "weights" in cost.params:
+        return math.pow(delta, 1 - a) / math.pow(min(cost.params["weights"]), a)
+    if "coeffs" in cost.params:
+        return max(math.pow(delta, 1 - al) / c for c, al in zip(cost.params["coeffs"], cost.params["alphas"]))
+    p = cost.params["p"]
+    return math.pow(delta, 1 - a) * (math.pow(m, a * (0.5 - 1 / p)) if p > 2 else 1.0)
+
+
 class TestEvaluate:
     def test_sum_alpha_formula(self):
         c = sum_alpha(2, 0.5, weights=[1.0, 3.0])
@@ -203,11 +219,11 @@ def _dir_derivative_reference(cost, v, cap=1e12, imax=60, tol=1e-9):
         val = evaluate_reference(cost, t * v) / t
         if val > cap:
             return math.inf
-        if val < prev - tol * max(1.0, abs(prev)):
+        if val < prev - tol * abs(prev):
             raise ValueError("C(tv)/t not monotone along the doubling grid: cost axioms violated")
         prev_step = val - prev if i > 0 else 0.0
         prev = val
-    if imax > 0 and prev_step > 1e-6 * max(1.0, abs(val)):
+    if imax > 0 and prev_step > 1e-6 * abs(val):
         return math.inf
     return val
 
@@ -234,7 +250,7 @@ def _profile_reference(cost, samples, seed):
             v /= np.linalg.norm(v)
             fv = _dir_derivative_reference(cost, v)
             upper = sum(abs(v[j]) * derivs[j] for j in basis)
-            if fv > upper * (1 + 1e-9) + 1e-12 or upper > m * fv * (1 + 1e-9) + 1e-12:
+            if fv > upper * (1 + 1e-9) or upper > m * fv * (1 + 1e-9):
                 raise ValueError("derivative sandwich estimate violated: cost axioms suspect")
             L = max(L, fv)
     return tuple(derivs), basis, len(basis), L
@@ -419,27 +435,58 @@ class TestNormCostRatio:
         c = sum_alpha(1, 1.0, weights=[2.0])
         assert norm_cost_ratio(c, 8.0, samples=500, seed=0) == pytest.approx(0.5, rel=1e-6)
 
-    def test_bit_equal_to_scalar_loop(self):
-        def reference(cost, delta, samples, seed):
-            rng = np.random.default_rng(seed)
-            best = 0.0
-            for _ in range(max(1, samples // 64)):
-                u = rng.normal(size=cost.m)
-                u /= np.linalg.norm(u)
-                for r in delta * np.logspace(-8, 0, 64):
-                    best = max(best, r / evaluate_reference(cost, r * u))
-            return best
+    @staticmethod
+    def reference(cost, delta, samples, seed, axes):
+        """The scalar loop: samples // 64 random unit directions, followed by
+        the m axes when ``axes``, at 64 log-spaced radii in [1e-8 delta, delta]."""
+        rng = np.random.default_rng(seed)
+        dirs = [u / np.linalg.norm(u) for u in (rng.normal(size=cost.m) for _ in range(max(1, samples // 64)))]
+        best = 0.0
+        for u in dirs + (list(np.eye(cost.m)) if axes else []):
+            for r in delta * np.logspace(-8, 0, 64):
+                best = max(best, r / evaluate_reference(cost, r * u))
+        return best
 
-        for cost in (sum_alpha(2, 0.6), p_norm_alpha(3, 2.0, 0.8)):
+    @pytest.mark.parametrize("cost", [
+        sum_alpha(2, 0.6), sum_alpha(3, 1.0, weights=[1.0, 2.5, 0.5]), p_norm_alpha(3, 2.0, 0.8),
+        p_norm_alpha(4, math.inf, 0.7), component_sum(3, [1.0, 2.0, 0.5], [0.3, 1.0, 0.7]),
+    ])
+    def test_builtin_is_closed_form_above_the_sample(self, cost):
+        for delta in (0.01, 1.0, 16.0):
+            got = norm_cost_ratio(cost, delta, samples=2000, seed=3)
+            assert got == pytest.approx(closed_form_ratio(cost, delta), rel=4 * U, abs=0)
+            assert got >= self.reference(cost, delta, 2000, 3, axes=False) * (1 - 8 * U)  # above it but for rounding
+
+    def test_closed_form_exceeds_what_sampling_found(self):
+        # sum_alpha(2, 0.6) at delta = 0.01: 0.01^0.4 on the axes, which 31 random directions miss
+        cost = sum_alpha(2, 0.6)
+        assert round(norm_cost_ratio(cost, 0.01, samples=2000, seed=3), 6) == 0.158489
+        assert round(self.reference(cost, 0.01, 2000, 3, axes=False), 6) == 0.157027
+
+    def test_bit_equal_to_scalar_loop(self):
+        """A custom cost is sampled: its ratio is the scalar loop's, the axes appended, bit for bit."""
+        for cost in (custom_cost(2, lambda t: float(np.abs(t).sum()) ** 0.6),
+                     custom_cost(3, lambda t: float(np.linalg.norm(t)) ** 0.8 + 0.5 * abs(float(t[1])))):
             for delta in (0.01, 1.0, 16.0):
-                assert norm_cost_ratio(cost, delta, samples=2000, seed=3) == reference(cost, delta, 2000, 3)
+                assert norm_cost_ratio(cost, delta, samples=2000, seed=3) == self.reference(cost, delta, 2000, 3, True)
 
     def test_vanishing_cost_rejected(self):
         c = custom_cost(2, lambda t: max(float(t[0]), 0.0))  # zero on a half-plane
         with pytest.raises(ValueError, match="vanishes"):
             norm_cost_ratio(c, 1.0, samples=64 * 40)
+        nan_near_0 = custom_cost(1, lambda t: math.nan if abs(t[0]) < 1e-3 else abs(float(t[0])) ** 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            norm_cost_ratio(nan_near_0, 1.0, samples=640)
 
     def test_unbounded_ratio_near_zero_rejected(self):
         c = custom_cost(1, lambda t: float(np.linalg.norm(t)) ** 2)  # |v|/C(v) = 1/|v|
         with pytest.raises(ValueError, match="unbounded"):
             norm_cost_ratio(c, 1.0, samples=640)
+
+    def test_flat_ratio_is_bounded_at_every_scale(self):
+        """A linear cost's ratio is flat along each ray: the innermost shell
+        ties with the sup, which is bounded, at any delta and cost weight."""
+        for w in (1e-7, 1.0, 2.0 ** 30):
+            c = custom_cost(1, lambda t, w=w: w * abs(float(t[0])))
+            for delta in (2.0 ** -30, 1.0, 10.0):
+                assert norm_cost_ratio(c, delta, samples=640) == pytest.approx(1 / w, rel=4 * U, abs=0), (w, delta)

@@ -11,9 +11,10 @@ from branchnet.energy import (
     energy_component,
     mass_bound_constant,
 )
-from branchnet.costs import component_sum, custom_cost, derivative_profile, p_norm_alpha, sampled_ratios, sum_alpha
+from branchnet.costs import (component_sum, custom_cost, derivative_profile, dir_derivative_at_zero, evaluate_rows,
+                             p_norm_alpha, sum_alpha)
 from conftest import COST_FAMILIES, random_chain
-from test_costs import evaluate_reference
+from test_costs import U, closed_form_ratio, evaluate_reference
 
 
 class TestEnergy:
@@ -127,19 +128,15 @@ def _mass_bound_reference(cost, boundary_mass, directions=10_000, radii=64, seed
     return cost.m * max(inv_deriv, sup_ratio)
 
 
-def _sampled_constant(cost, boundary_mass, directions=10_000, seed=0):
-    """The sampled definition of the constant, through the batched
-    :func:`sampled_ratios`: what ``mass_bound_constant`` still takes for a
-    custom cost."""
-    prof = derivative_profile(cost, samples=0)
-    inv_deriv = max([0.0] + [1.0 / prof.axis_derivatives[j] for j in prof.basis_set])
-    R, _ = sampled_ratios(cost, boundary_mass, max(1, directions // 64), seed, axes=True)
-    return cost.m * max(inv_deriv, float(R.max()))
+def _as_custom(cost):
+    """The same cost through the custom path, which ``mass_bound_constant``
+    samples on ``_mass_bound_reference``'s grid: its scalar formula as fn."""
+    return custom_cost(cost.m, lambda t: evaluate_reference(cost, t))
 
 
 class TestMassBoundBatched:
-    """The batched sampling equals the scalar loop bit for bit; a built-in
-    family's constant is its closed form (``TestMassBoundClosedForm``)."""
+    """A custom cost's sampled constant equals the scalar loop bit for bit;
+    a built-in family's is its closed form (``TestMassBoundClosedForm``)."""
 
     MASSES = (1e-3, 0.37, 1.0, 4.0, 250.0)
 
@@ -148,14 +145,16 @@ class TestMassBoundBatched:
     def test_bit_equal_to_scalar_loop(self, make, m):
         cost = make(m)
         for bm in self.MASSES:
-            assert _sampled_constant(cost, bm) == _mass_bound_reference(cost, bm)
-            _assert_closed_form(cost, bm, _mass_bound_reference(cost, bm))
+            want = _mass_bound_reference(cost, bm)
+            assert mass_bound_constant(_as_custom(cost), bm) == want
+            _assert_closed_form(cost, bm, want)
 
     def test_weighted_and_linear_sum_alpha_bit_equal(self):
         for cost in (sum_alpha(2, 0.6, weights=[1.0, 2.5]), sum_alpha(3, 1.0)):
             for bm in self.MASSES:
-                assert _sampled_constant(cost, bm, directions=640) == _mass_bound_reference(cost, bm, 640)
-                _assert_closed_form(cost, bm, _mass_bound_reference(cost, bm, 640))
+                want = _mass_bound_reference(cost, bm, 640)
+                assert mass_bound_constant(_as_custom(cost), bm, directions=640) == want
+                _assert_closed_form(cost, bm, want)
 
     @pytest.mark.parametrize("cost", [
         component_sum(3, [1.0, 2.0, 0.5], [0.3, 1.0, 0.7]),
@@ -166,34 +165,23 @@ class TestMassBoundBatched:
     def test_other_families_match_scalar_loop(self, cost):
         for bm in self.MASSES:
             want = _mass_bound_reference(cost, bm, 1280, seed=4)
-            sampled = _sampled_constant(cost, bm, directions=1280, seed=4)
+            sampled = mass_bound_constant(_as_custom(cost) if cost.extremal else cost, bm, directions=1280, seed=4)
             assert sampled == pytest.approx(want, rel=1e-14)
             if cost.extremal:
                 _assert_closed_form(cost, bm, want)
-            else:  # a custom cost attaches no directions and is still sampled
-                got = mass_bound_constant(cost, bm, directions=1280, seed=4)
-                assert got == pytest.approx(want, rel=1e-14) and got == sampled
-
-
-U = np.finfo(float).eps  # 2^-52, the spacing of floats at 1
 
 
 def _closed_form(cost, delta):
     """m max(sup |t|_2 / C(t) on the ball of radius delta, the largest inverse
     axis derivative at 0), from the family's formula with ``math.pow``."""
-    m, a = cost.m, cost.params.get("alpha")
+    a = cost.params.get("alpha")
     if "weights" in cost.params:
-        w = min(cost.params["weights"])
-        ratio, inv_deriv = math.pow(delta, 1 - a) / math.pow(w, a), 1 / w if a == 1 else 0.0
+        inv_deriv = 1 / min(cost.params["weights"]) if a == 1 else 0.0
     elif "coeffs" in cost.params:
-        pairs = list(zip(cost.params["coeffs"], cost.params["alphas"]))
-        ratio = max(math.pow(delta, 1 - al) / c for c, al in pairs)
-        inv_deriv = max([0.0] + [1 / c for c, al in pairs if al == 1])
+        inv_deriv = max([0.0] + [1 / c for c, al in zip(cost.params["coeffs"], cost.params["alphas"]) if al == 1])
     else:
-        p = cost.params["p"]
-        ratio = math.pow(delta, 1 - a) * (math.pow(m, a * (0.5 - 1 / p)) if p > 2 else 1.0)
         inv_deriv = 1.0 if a == 1 else 0.0
-    return m * max(ratio, inv_deriv)
+    return cost.m * max(closed_form_ratio(cost, delta), inv_deriv)
 
 
 def _assert_closed_form(cost, delta, sampled):
@@ -230,4 +218,39 @@ class TestMassBoundClosedForm:
         # p = inf at m = 5: the diagonal's ratio is m^(alpha/2) times an axis's, which sampling misses
         cost = p_norm_alpha(5, math.inf, 0.9)
         assert cost.extremal == ((1.0 / math.sqrt(5),) * 5,)
-        assert mass_bound_constant(cost, 1.0) > 1.05 * _sampled_constant(cost, 1.0)
+        assert mass_bound_constant(cost, 1.0) > 1.05 * _mass_bound_reference(cost, 1.0)
+
+
+# subadditive custom costs, with finite or infinite derivatives at 0 along the axes
+SUBADDITIVE = (
+    custom_cost(2, lambda t: float(3.0 * abs(t[0]) + 0.5 * abs(t[1]))),
+    custom_cost(1, lambda t: float(min(abs(t[0]), 1.0) + 0.25 * abs(t[0]))),
+    custom_cost(2, lambda t: float(np.abs(t).sum()) ** 0.5 + float(np.abs(t).sum())),
+    custom_cost(3, lambda t: float(np.linalg.norm(t)) + 2.0 * abs(float(t[2])) ** 0.7),
+)
+
+
+class TestInverseDerivativeLemma:
+    """Why ``mass_bound_constant`` needs no inverse-derivative term: for a
+    subadditive cost C(t e_j)/t rises to C'(0; e_j) as t falls to 0, so
+    1/C'(0; e_j) = inf_t t/C(t e_j) <= delta/C(delta e_j), within rounding."""
+
+    DELTAS = (1e-3, 0.37, 1.0, 4.0, 250.0)
+
+    def _check(self, cost):
+        inv_deriv = 1.0 / dir_derivative_at_zero(cost, np.eye(cost.m))
+        for delta in self.DELTAS:
+            assert np.all(inv_deriv <= delta / evaluate_rows(cost, delta * np.eye(cost.m)) * (1 + 4 * U))
+            assert cost.m * inv_deriv.max() <= mass_bound_constant(cost, delta, directions=640) * (1 + 4 * U)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_builtin_grid(self, m, alpha):
+        w = [1.0 + 0.37 * j for j in range(m)]
+        for cost in (sum_alpha(m, alpha, w), component_sum(m, w, [alpha] * m),
+                     *(p_norm_alpha(m, p, alpha) for p in (1.0, 1.5, 2.0, 3.0, math.inf))):
+            self._check(cost)
+
+    @pytest.mark.parametrize("cost", SUBADDITIVE, ids=["linear", "capped", "sqrt_plus_linear", "norm_plus_power"])
+    def test_custom_subadditive(self, cost):
+        self._check(cost)

@@ -27,6 +27,7 @@ from branchnet.costs import sum_alpha
 from branchnet.energy import energy
 from branchnet.metrics import (
     FlatBounds,
+    _calibration_constant,
     augmentation,
     coarea_check,
     flat_bounds,
@@ -364,6 +365,20 @@ class TestIntegralGeometric:
         assert exact == pytest.approx(2.0 + 2.0**0.5)
         assert rel < 5e-3
         assert (est, exact, rel) == ig_identity_mc(canonicalize(overlap), sum_alpha(1, 0.5), samples=200_000, seed=0)
+
+    def test_calibration_constant_closed_form(self):
+        # c(n,1) = 1 / E|v_1| on the unit sphere of R^n
+        want = (1.0, math.pi / 2, 2.0, 3 * math.pi / 4, 8 / 3)
+        for n, c in enumerate(want, start=1):
+            assert _calibration_constant(n) == pytest.approx(c, rel=4 * np.finfo(float).eps, abs=0)
+        assert _calibration_constant(2) == math.pi / 2
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_chain_converges_in_higher_dimensions(self, rng, n):
+        for _ in range(3):
+            T = random_chain(rng, n=n, edges=6, m=2)
+            _, _, rel = ig_identity_mc(T, sum_alpha(2, 0.7), samples=200_000, seed=n)
+            assert rel < 0.01
 
     def test_deterministic_given_seed(self, rng):
         T = random_chain(rng, edges=4)

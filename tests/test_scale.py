@@ -10,6 +10,7 @@ at every scale.
 
 import importlib.util
 import itertools
+import json
 import math
 import sys
 import warnings
@@ -18,16 +19,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, local_search, shifted_grid, sum_alpha,
-                       w_upper)
+from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, cli, local_search, shifted_grid,
+                       sum_alpha, w_upper)
 from branchnet.chains import (boundary, canonicalize, canonicalize0, chain0_close, chains_close, is_compatible,
                               is_piece, pow2_scale)
 from branchnet.construct import bounding_cube
-from branchnet.costs import BetaEnvelope, admissibility_check, custom_cost, validate_cost
+from branchnet.costs import (BetaEnvelope, admissibility_check, custom_cost, derivative_profile, dir_derivative_at_zero,
+                             rectifiability_flag, validate_cost)
+from branchnet.energy import mass_bound_constant
 from branchnet.metrics import flat_norm_0chain_component
 from branchnet.optimize import verify_solution
 from conftest import bits
 from test_chains import length_scale_reference, near_snap_cloud, reference_chains
+from test_costs import MIXED_BREAKER
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bnbench" / "workloads.py"
 SCALES = (-30, -10, 10, 30)
@@ -164,6 +168,23 @@ def test_canonical_forms_are_equivariant_at_extreme_weight_scales(k):
     assert len(canonicalize0(Chain0.from_arrays(2, 1, [[0.0, 0.0]], [[math.ldexp(1.0, k)]])).P) == 1
 
 
+def test_an_overflowing_merge_raises(tmp_path):
+    """Coincident rows whose sum leaves the float range are refused, not
+    dropped: two edges, or two atoms, of weight 1e308 at one place raise,
+    and the CLI exits 2 on such a measure."""
+    twice = Chain1.from_arrays(2, 1, [[0.0, 0.0]] * 2, [[1.0, 0.0]] * 2, [[1e308]] * 2)
+    atoms = Chain0.from_arrays(2, 1, [[0.0, 0.0]] * 2, [[1e308]] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warning of the sum
+        with pytest.raises(ValueError, match="overflows"):
+            canonicalize(twice)
+        with pytest.raises(ValueError, match="overflows"):
+            canonicalize0(atoms)
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"version": 1, "n": 2, "m": 1, "atoms": [{"p": [0.0, 0.0], "w": [1e308]}] * 2}))
+        assert cli.main(["flat-bound", str(path)]) == 2
+
+
 def test_cascade_is_equivariant_on_a_scaled_grid():
     rng = np.random.default_rng(5)
     mm, mp = (Chain0.from_arrays(2, 2, rng.uniform(0, 1, (24, 2)), np.ones((24, 2))) for _ in "-+")
@@ -192,6 +213,21 @@ def test_verify_refuses_the_empty_network_at_every_scale(k):
         mp = Chain0.from_arrays(2, 1, np.ldexp(P + [1.0, 0.0], p_scale), np.ldexp(W, w_scale))
         rep = verify_solution(empty, mm, mp, cost)
         assert not rep.ok and rep.boundary_residual > rep.eps_bnd, (p_scale, w_scale)
+
+
+@pytest.mark.parametrize("k", [-30, 30])
+def test_mass_bound_of_a_linear_custom_cost_is_scale_free(k):
+    """w(|t_1| + |t_2|) has |v|/C(v) flat along every ray, bounded by 1/w on
+    the axes: its constant is m/w = 2/w at every boundary mass and cost
+    weight, and verify certifies a one-edge network with it at each scale."""
+    for w in (1.0, math.ldexp(1.0, k)):
+        linear = custom_cost(2, lambda th, w=w: w * float(abs(th[0]) + abs(th[1])))
+        for bm in (math.ldexp(1.0, k), 1.0):
+            assert mass_bound_constant(linear, bm) == 2 / w, (w, bm)
+        weights = np.ldexp([[1.0, 0.5]], k)
+        mm, mp = Chain0.from_arrays(2, 2, [[0.0, 0.0]], weights), Chain0.from_arrays(2, 2, [[1.0, 0.0]], weights)
+        rep = verify_solution(Chain1.from_arrays(2, 2, [[0.0, 0.0]], [[1.0, 0.0]], weights), mm, mp, linear)
+        assert rep.ok and rep.mass_bound_constant == 2 / w, w
 
 
 def test_is_compatible_refuses_w_against_2w_at_every_weight_scale():
@@ -304,3 +340,30 @@ def test_cost_validation_counts_are_scale_free():
         counts.append((report.as_dict(), report.ok))
     assert counts[0] == counts[1] == counts[2]
     assert counts[0][0]["subadditivity"] > 0 and not counts[0][1]
+
+
+def _scaled_profile(fn, m, k, seed):
+    """``derivative_profile`` of 2^k fn, with samples from ``seed``: its
+    derivatives and bound scaled back by 2^-k, or the message it raises."""
+    try:
+        prof = derivative_profile(custom_cost(m, lambda th: math.ldexp(fn(th), k)), samples=20, seed=seed)
+    except ValueError as exc:
+        return str(exc)
+    return [math.ldexp(d, -k) for d in prof.axis_derivatives], prof.basis_set, math.ldexp(prof.homog_bound, -k)
+
+
+@pytest.mark.parametrize("k", [-40, 20])
+def test_derivative_verdicts_are_scale_free(k):
+    """The derivative scan's stop and growing rules, and the profile's
+    sandwich test, are relative to the quotients they compare, with no floor
+    or adder, so a cost scaled by 2^k below the cap gets 2^k times the
+    derivatives and the same verdicts.  |t|^0.99, whose quotient t^-0.01
+    still grows at the end of the doubling grid, has an infinite derivative
+    and is rectifiable at every scale; a linear cost keeps its profile, and
+    the mixed breaker raises the same error for each seed."""
+    sub = custom_cost(1, lambda th: math.ldexp(abs(float(th[0])) ** 0.99, k))
+    assert dir_derivative_at_zero(sub, [1.0]) == math.inf and rectifiability_flag(sub)
+    linear = lambda th: float(abs(th[0]) + 2.0 * abs(th[1]) + 0.5 * abs(th[2]))  # noqa: E731
+    for fn, m in ((linear, 3), (MIXED_BREAKER.fn, 2)):
+        for seed in range(4):
+            assert _scaled_profile(fn, m, k, seed) == _scaled_profile(fn, m, 0, seed)
