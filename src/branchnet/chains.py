@@ -583,10 +583,11 @@ def divergence(T: Chain1) -> Chain0:
 
 
 def mass(X: Chain0 | Chain1) -> float:
-    """Total mass: Euclidean norm of multiplicities, weighted by length."""
-    if isinstance(X, Chain0):
-        return float(sum(np.sqrt(row_dots(X.W, X.W)).tolist()))
-    return float(sum((np.sqrt(row_dots(X.Theta, X.Theta)) * X.lengths()).tolist()))
+    """Total mass: Euclidean norm of multiplicities, weighted by length.  The multiplicities are divided by
+    their power-of-two scale S first, which is exact, so no square leaves the floating-point range."""
+    W, lengths = (X.W, 1.0) if isinstance(X, Chain0) else (X.Theta, X.lengths())
+    S = pow2_scale(W)
+    return S * float(sum((np.sqrt(row_dots(W / S, W / S)) * lengths).tolist()))
 
 
 # ---------------------------------------------------------------------------

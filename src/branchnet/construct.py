@@ -43,7 +43,8 @@ def barycenter(nu: Chain0) -> tuple[float, ...]:
     """Default cone vertex: atom positions weighted by |w|_2; the origin if empty."""
     if not len(nu.P):
         return (0.0,) * nu.n
-    wts = np.sqrt(row_dots(nu.W, nu.W))
+    S = pow2_scale(nu.W)  # an exact division, so no square leaves the floating-point range
+    wts = np.sqrt(row_dots(nu.W / S, nu.W / S))
     return tuple((wts @ nu.P) / np.sum(wts))
 
 

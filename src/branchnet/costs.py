@@ -25,7 +25,6 @@ import numpy as np
 
 from branchnet.chains import pow2_scale, row_dots
 
-INF_CAP = 1e12
 _DIR_DERIV_IMAX = 60
 _AXIOM_TOL = 1e-9  # relative slack of validate_cost's axiom tests
 _QUAD_POINTS = 64  # midpoints per dyadic subinterval in admissibility_check
@@ -212,7 +211,7 @@ def validate_cost(cost: CostSpec, samples: int = 10_000, seed: int = 0) -> CostV
 # ---------------------------------------------------------------------------
 # directional derivatives at zero
 
-def _derivative_scan(cost: CostSpec, V: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
+def _derivative_scan(cost: CostSpec, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right-derivatives at 0 along the rows of V, and which rows break
     monotonicity (their values are meaningless); see
     :func:`dir_derivative_at_zero` for the rules."""
@@ -225,24 +224,21 @@ def _derivative_scan(cost: CostSpec, V: np.ndarray, cap: float) -> tuple[np.ndar
     with np.errstate(over="ignore", invalid="ignore"):
         Q = C / ts
         prev = np.pad(Q[:, :-1], ((0, 0), (1, 0)), constant_values=-math.inf)
-        over = Q > cap
-        stop = over | (Q < prev - 1e-9 * np.abs(prev))
+        falls = (Q < prev - 1e-9 * np.abs(prev)).any(axis=1)
         growing = Q[:, -1] - prev[:, -1] > 1e-6 * np.abs(Q[:, -1])
-    # each scan along t ends at its first quotient above the cap (inf) or below its predecessor (raise)
-    stopped, first = stop.any(axis=1), stop.argmax(axis=1)
-    return np.where(stopped | growing, math.inf, Q[:, -1]), stopped & ~over[np.arange(len(Q)), first]
+    return np.where(growing, math.inf, Q[:, -1]), falls
 
 
-def dir_derivative_at_zero(cost: CostSpec, v, cap: float = INF_CAP):
+def dir_derivative_at_zero(cost: CostSpec, v):
     """Right-derivative of the cost at 0 along v: lim_{t->0+} C(tv)/t.
 
     The limit equals sup_{t>0} C(tv)/t, so C(tv)/t evaluated on the doubling
     grid t = 2^-i, i = 0.._DIR_DERIV_IMAX, is non-decreasing as t decreases;
     a relative decrease beyond 1e-9 flags an axiom violation.  Returns
-    math.inf once the quotient exceeds ``cap`` (tested first at each grid
-    point) or when it is still growing at the end of the grid (a quotient
-    diverging slower than the cap within 60 halvings, e.g. t^(-eps), must
-    still classify as infinite).  Both rules are relative, with no floor.
+    math.inf when the quotient is still growing, by more than a relative
+    1e-6, at the end of the grid (t^(-eps) diverges however slowly), and
+    otherwise the quotient there.  Both rules are relative, with no floor
+    and no cap, so the verdicts do not depend on the cost's scale.
 
     One direction (m,) gives a float; k directions (k, m) give k values,
     and a decrease along any of them raises.  The grids of ``_BLOCK``
@@ -252,7 +248,7 @@ def dir_derivative_at_zero(cost: CostSpec, v, cap: float = INF_CAP):
     V = np.asarray(v, dtype=float)
     if not np.all(np.any(V, axis=-1)):
         raise ValueError("v must be nonzero")
-    values, non_monotone = _derivative_scan(cost, np.atleast_2d(V), cap)
+    values, non_monotone = _derivative_scan(cost, np.atleast_2d(V))
     if non_monotone.any():
         raise ValueError(_NOT_MONOTONE)
     return float(values[0]) if V.ndim == 1 else values
@@ -292,7 +288,7 @@ def derivative_profile(cost: CostSpec, samples: int = 1000, seed: int = 0) -> De
         V[:, list(basis)] = rng.normal(size=(samples, vdim))
         norms = np.sqrt(row_dots(V, V))
         V = V[norms != 0.0] / norms[norms != 0.0, None]
-        fv, non_monotone = _derivative_scan(cost, V, INF_CAP)
+        fv, non_monotone = _derivative_scan(cost, V)
         upper = sum(np.abs(V[:, j]) * derivs[j] for j in basis)
         off = (fv > upper * (1 + 1e-9)) | (upper > m * fv * (1 + 1e-9))
         first_bad = np.flatnonzero(non_monotone | off)[:1]
@@ -305,8 +301,8 @@ def derivative_profile(cost: CostSpec, samples: int = 1000, seed: int = 0) -> De
 
 
 def rectifiability_flag(cost: CostSpec) -> bool:
-    """True iff every per-axis derivative at 0 is infinite (above
-    ``INF_CAP``); then every finite-mass finite-energy chain is rectifiable."""
+    """True iff every per-axis derivative at 0 is infinite; then every
+    finite-mass finite-energy chain is rectifiable."""
     return derivative_profile(cost, samples=0).V_dim == 0
 
 

@@ -136,8 +136,6 @@ def coarea_check(T: Chain1, g, offset: float = 0.0) -> tuple[float, float]:
     sum_e |theta_e|_2 * |f(b_e) - f(a_e)| exactly for affine f.
     """
     gv = _gradient(T, g)
-    if not len(T.A):
-        return 0.0, 0.0
     drops = np.abs((T.B - T.A) @ gv)
     norms = _norms(T.Theta)
     integral = math.fsum(norms * drops)

@@ -179,7 +179,8 @@ def remove_cycles(T: Chain1) -> Chain1:
     if (theta == T.Theta).all():  # no cycle: a cancellation zeroes an edge-component, and none is <= tol
         return T
 
-    keep = np.sqrt(row_dots(theta, theta)) > tol
+    S = pow2_scale(theta)  # an exact division, so no square leaves the floating-point range
+    keep = np.sqrt(row_dots(theta / S, theta / S)) > tol / S
     return Chain1.from_arrays(T.n, T.m, T.A[keep], T.B[keep], theta[keep], canonical=True)
 
 
@@ -257,7 +258,8 @@ def straighten(T: Chain1) -> Chain1:
 def _fermat_point(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
     """Minimizer of f(v) = sum_i w_i |v - a_i|, the weighted geometric median
     of the anchors, to tolerances relative to the length ``scale`` and to
-    sum w.
+    sum w.  The weights are divided by their power-of-two scale first, which
+    is exact, so no square of a weight leaves the floating-point range.
 
     First Kuhn's test at every anchor: a_k is a minimizer when the pull of
     the other anchors, R_k = sum_i w_i (a_i - a_k)/|a_i - a_k|, has
@@ -269,9 +271,10 @@ def _fermat_point(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, scal
     than the start (a start on an anchor among them), the search starts with
     a damped step off the best anchor along its pull, so no iterate can
     approach an anchor's kink.  Then Newton steps with the Hessian
-    sum_i (w_i/d_i)(I - u_i u_i^T), halved until f falls, or a Weiszfeld
-    step where that fails, until the gradient is at most 1e-12 sum w or the
-    step at most ``_STEP_TOL`` ``scale``."""
+    sum_i (w_i/d_i)(I - u_i u_i^T), halved until f falls, until the gradient
+    is at most 1e-12 sum w; v is returned as it is when no step longer than
+    ``_STEP_TOL`` ``scale`` lowers f (a NaN step among them)."""
+    weights = weights / pow2_scale(weights)
     near, stop = 1e-12 * scale, _STEP_TOL * scale
     D = anchors[None, :, :] - anchors[:, None, :]  # D[k, i] = a_i - a_k
     dist = _norms(D)
@@ -301,29 +304,20 @@ def _fermat_point(v0: np.ndarray, anchors: np.ndarray, weights: np.ndarray, scal
         H = np.add.reduce(wd) * eye - (U.T * wd) @ U
         try:
             p = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:  # no Newton direction: take the Weiszfeld step
-            p = np.zeros_like(g)
-        t, size, trial = 1.0, _norms(p), None
-        if g @ p < 0:
-            if size <= stop:
-                return v
-            while trial is None and t * size > stop:  # backtrack until f falls
-                trial = v + t * p
-                d_t = _norms(trial - anchors)
-                f_t = weights @ d_t
-                # the full step may also stay within rounding of f, where Newton still converges
-                trial = trial if f_t < f or (t == 1.0 and f_t <= f * _ROUNDING) else None
-                t *= 0.5
-        if trial is None:
-            trial = (wd @ anchors) / np.add.reduce(wd)
+        except np.linalg.LinAlgError:  # H is singular only on collinear anchors, which Kuhn's test settles
+            return v
+        t, size = 1.0, _norms(p)
+        while t * size > stop:  # backtrack until f falls
+            trial = v + t * p
             d_t = _norms(trial - anchors)
             f_t = weights @ d_t
-            if not f_t < f:
-                return v
-        moved = _norms(trial - v)
-        v, d, f = trial, d_t, f_t
-        if moved <= stop:
+            # the full step may also stay within rounding of f, where Newton still converges
+            if f_t < f or (t == 1.0 and f_t <= f * _ROUNDING):
+                break
+            t *= 0.5
+        else:
             return v
+        v, d, f = trial, d_t, f_t
     return v
 
 
@@ -347,8 +341,6 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     """
     if not T.canonical:
         T = canonicalize(T)
-    if not len(T.A):
-        return T
     L = pow2_scale(np.concatenate([T.A, T.B]), extent=True)
     W = evaluate_rows(cost, T.Theta)
     pos, ends = np.array(T.V), np.array(T.ij)  # vertex positions and each edge's (tail, head) ids
@@ -386,8 +378,6 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
 def _merge_candidates(T: Chain1) -> np.ndarray:
     """Pairs of distinct near-parallel nearby edges, best-first by closeness
     of their midpoints, then by edge indices: one row (i, k, aligned) each."""
-    if len(T.A) < 2:
-        return np.zeros((0, 3), dtype=int)
     diam = bounding_cube(np.concatenate([T.A, T.B]))[1]
     A, B = T.A, T.B
     U = (B - A) / _norms(B - A)[:, None]
@@ -413,10 +403,7 @@ def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, confi
     a2, b2, th2 = T.A[k], T.B[k], T.Theta[k]
     if not aligned:
         a2, b2, th2 = b2, a2, -th2
-    v = 0.5 * (a1 + a2)
-    w = 0.5 * (b1 + b2)
-    if np.array_equal(v, w):
-        return T
+    v, w = 0.5 * (a1 + a2), 0.5 * (b1 + b2)
     P, Q, Th = np.array([a1, a2, v, w, w]), np.array([v, v, w, b1, b2]), np.array([th1, th2, th1 + th2, th1, th2])
     keep = (P != Q).any(axis=1)  # the new edges, less those of zero length
     trial = Chain1.from_arrays(T.n, T.m, *(np.concatenate([np.delete(X, [i, k], axis=0), Y[keep]])

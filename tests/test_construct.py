@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,18 @@ class TestCascade:
         res = cascade(mm, mp, grid, 5, cost=sum_alpha(1, 0.75), beta=BetaEnvelope.from_power(0.75))
         assert res.certificate.energy <= res.certificate.bound
         assert res.certificate.bound_kind == "cascade"
+
+    def test_inadmissible_beta_warns(self, rng):
+        """x^0.4 in the plane is not admissible (0.4 <= 1 - 1/2): the cascade
+        still returns its bound, with a warning; x^0.75 gets none."""
+        mm, mp = compatible_pair(rng, atoms=8, span=0.45)
+        grid = shifted_grid((0.0, 0.0), 1.0, [mm, mp], seed=1, k_max=8)
+        with pytest.warns(UserWarning, match="beta envelope is not admissible"):
+            res = cascade(mm, mp, grid, 4, beta=BetaEnvelope.from_power(0.4))
+        assert res.certificate.bound_kind == "cascade" and math.isfinite(res.certificate.bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cascade(mm, mp, grid, 4, beta=BetaEnvelope.from_power(0.75))
 
     def test_identical_measures_give_empty_chain(self, rng):
         mu = random_measure(rng, atoms=6, span=0.4, weights=np.ones((6, 1)))

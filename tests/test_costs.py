@@ -209,7 +209,7 @@ class TestValidateCost:
         assert not rep.ok
 
 
-def _dir_derivative_reference(cost, v, cap=1e12, imax=60, tol=1e-9):
+def _dir_derivative_reference(cost, v, imax=60, tol=1e-9):
     """The scalar loop dir_derivative_at_zero replaced: one scalar cost per grid point."""
     v = np.asarray(v, dtype=float)
     prev = -math.inf
@@ -217,8 +217,6 @@ def _dir_derivative_reference(cost, v, cap=1e12, imax=60, tol=1e-9):
     for i in range(imax + 1):
         t = 2.0 ** (-i)
         val = evaluate_reference(cost, t * v) / t
-        if val > cap:
-            return math.inf
         if val < prev - tol * abs(prev):
             raise ValueError("C(tv)/t not monotone along the doubling grid: cost axioms violated")
         prev_step = val - prev if i > 0 else 0.0
@@ -228,10 +226,10 @@ def _dir_derivative_reference(cost, v, cap=1e12, imax=60, tol=1e-9):
     return val
 
 
-def _outcome(fn, cost, v, **kw):
+def _outcome(fn, cost, v):
     """("value", float hex) or ("raise", message) of one derivative call."""
     try:
-        return ("value", float(fn(cost, v, **kw)).hex())
+        return ("value", float(fn(cost, v)).hex())
     except ValueError as exc:
         return ("raise", str(exc))
 
@@ -283,7 +281,7 @@ class TestDerivatives:
         assert dir_derivative_at_zero(c, [1.0]) == math.inf
 
     def test_slowly_diverging_quotient_detected(self):
-        # t^(-0.05) never reaches the cap within the grid but still diverges
+        # t^(-0.05) is only 8 at the end of the grid, but it still grows there
         c = sum_alpha(1, 0.95)
         assert dir_derivative_at_zero(c, [1.0]) == math.inf
 
@@ -311,10 +309,9 @@ class TestDerivatives:
         cost = COST_FAMILIES[family](m)
         rng = np.random.default_rng(m)
         V = np.vstack([np.eye(cost.m), rng.normal(size=(2 * costs_module._BLOCK + 3, cost.m))])
-        for cap in (1e12, 100.0):
-            got = dir_derivative_at_zero(cost, V, cap=cap)
-            assert isinstance(got, np.ndarray) and got.shape == (len(V),)
-            assert [float(x).hex() for x in got] == [_outcome(dir_derivative_at_zero, cost, v, cap=cap)[1] for v in V]
+        got = dir_derivative_at_zero(cost, V)
+        assert isinstance(got, np.ndarray) and got.shape == (len(V),)
+        assert [float(x).hex() for x in got] == [_outcome(dir_derivative_at_zero, cost, v)[1] for v in V]
 
     def test_batch_raises_on_any_non_monotone_direction(self):
         V = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -350,18 +347,29 @@ class TestDerivatives:
         # along 0.5 the jump comes one step earlier, so the quotient is flat at the end: finite
         assert list(dir_derivative_at_zero(late, [[1.0], [0.5]])) == [math.inf, 0.5 * 1.001]
 
-    def test_cap_and_raise_match_scalar_loop(self):
+    def test_growth_and_raise_match_scalar_loop(self):
         calls = []
         steep = custom_cost(1, lambda t: calls.append(1) or float(abs(t[0]) ** 0.5))
-        # C(t)/t = t^-0.5 passes the cap of 100 at t = 2^-14
-        assert dir_derivative_at_zero(steep, [1.0], cap=100.0) == math.inf
-        assert len(calls) == 61  # the whole doubling grid, also past the cap
-        assert _dir_derivative_reference(steep, [1.0], cap=100.0) == math.inf
-        assert len(calls) == 61 + 15
+        # C(t)/t = t^-0.5 still grows by a factor sqrt(2) at the last grid point
+        assert dir_derivative_at_zero(steep, [1.0]) == math.inf
+        assert len(calls) == 61  # the whole doubling grid
+        assert _dir_derivative_reference(steep, [1.0]) == math.inf
+        assert len(calls) == 61 + 61
         square = custom_cost(1, lambda t: float(t[0] ** 2))
         outcome = _outcome(dir_derivative_at_zero, square, [1.0])
         assert outcome[0] == "raise" and "not monotone" in outcome[1]
         assert outcome == _outcome(_dir_derivative_reference, square, [1.0])
+
+    def test_a_steep_quotient_reads_its_finite_value(self):
+        """No absolute cap: a linear cost of weight 2e12 has derivative 2e12
+        and is not rectifiable, and a quotient that falls after passing 1e12
+        is not monotone."""
+        steep = sum_alpha(1, 1.0, weights=[2e12])
+        assert dir_derivative_at_zero(steep, [1.0]) == 2e12 and not rectifiability_flag(steep)
+        assert derivative_profile(steep, samples=10).axis_derivatives == (2e12,)
+        falls = custom_cost(1, lambda t: float(abs(t[0])) * (1e13 if abs(t[0]) > 2.0**-10 else 2.0))
+        with pytest.raises(ValueError, match="not monotone"):
+            dir_derivative_at_zero(falls, [1.0])
 
     def test_rectifiability_flag_analytic(self):
         assert rectifiability_flag(sum_alpha(2, 0.5))
@@ -423,6 +431,17 @@ class TestSeries:
         beta = BetaEnvelope.from_power(0.4)  # ratio 2^(1-0.8) > 1
         _, tail = s_beta_series(beta, 2, 5)
         assert tail == math.inf
+
+    def test_tail_of_an_envelope_that_is_not_a_power(self):
+        """Without ``power`` the tail is geometric in the ratio of the last
+        two terms: x^0.75 as a plain function gets the power's closed form,
+        and its tail is infinite with one term or a ratio of at least 1."""
+        plain, power = BetaEnvelope(lambda x: x**0.75), BetaEnvelope.from_power(0.75)
+        partial, tail = s_beta_series(plain, 2, 30)
+        assert tail == pytest.approx(s_beta_series(power, 2, 30)[1], rel=1e-12)
+        assert partial + tail == pytest.approx(1.0 / (math.sqrt(2.0) - 1.0), rel=1e-12)
+        assert s_beta_series(plain, 2, 1)[1] == math.inf
+        assert s_beta_series(BetaEnvelope(lambda x: x**0.4), 2, 5)[1] == math.inf
 
 
 class TestNormCostRatio:

@@ -19,7 +19,8 @@ from branchnet.cli import (
     main,
     parse_cost,
 )
-from branchnet.costs import evaluate
+from branchnet.costs import evaluate, sum_alpha
+from branchnet.energy import energy
 from branchnet.io import (
     SchemaError,
     _check_header,
@@ -457,8 +458,6 @@ class TestCli:
                          "--out", str(out)]) == code
             captured = capsys.readouterr()
             if code == EXIT_OK:
-                from branchnet.costs import sum_alpha
-                from branchnet.energy import energy
                 rec = json.loads(captured.out)
                 assert rec["energy"] == energy(canonicalize(load_network(out)), sum_alpha(1, 0.5, [2.0]))
                 assert rec["energy"] == pytest.approx(3 * math.sqrt(2))
@@ -501,6 +500,44 @@ class TestCli:
         capsys.readouterr()
         assert main(["ig-check", str(out), "--cost", "sum_alpha:alpha=0.5",
                      "--samples", "100000"]) == EXIT_OK
+
+    def test_ig_check_fails_at_a_tight_tolerance(self, instance, capsys):
+        pm, pp, d = instance
+        out = d / "net.json"
+        main(["optimize", str(pm), str(pp), "--cost", "sum_alpha:alpha=0.5", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["ig-check", str(out), "--cost", "sum_alpha:alpha=0.5", "--samples", "1000",
+                     "--tol", "1e-12"]) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert json.loads(out)["rel_err"] > 1e-12
+        assert err.startswith("invariant violation: integral-geometric mismatch: rel_err ")
+
+    @pytest.mark.parametrize("command", ["cone", "cascade"])
+    def test_saved_network_has_the_reported_energy(self, instance, capsys, command):
+        pm, pp, d = instance
+        out = d / f"{command}.json"
+        assert main([command, str(pm), str(pp), "--cost", "sum_alpha:alpha=0.75", "--out", str(out)]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        T = canonicalize(load_network(out))
+        assert rec["edges"] == len(T.A) > 0
+        assert rec["energy"] == energy(T, sum_alpha(1, 0.75))
+
+    @pytest.mark.parametrize("cost, message", [("sum_alpha:alpha", "malformed cost parameter 'alpha'"),
+                                               ("sum_alpha:alpha=half", "could not convert")],
+                             ids=["no-value", "not-a-number"])
+    def test_malformed_cost_parameter_is_a_validation_error(self, instance, capsys, cost, message):
+        pm, _, _ = instance
+        assert main(["cone", str(pm), str(pm), "--cost", cost]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("validation error: ") and message in captured.err
+
+    def test_cone_refuses_incompatible_measures(self, instance, capsys):
+        pm, _, d = instance
+        heavy = d / "heavy.json"
+        heavy.write_text(json.dumps({"version": 1, "n": 2, "m": 1, "atoms": [{"p": [0.0, 2.0], "w": [3.0]}]}))
+        assert main(["cone", str(pm), str(heavy)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "incompatible measures" in captured.err
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_ig_check_needs_a_sample(self, instance, capsys, samples):

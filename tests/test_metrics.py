@@ -311,6 +311,12 @@ class TestCoarea:
         integral, _ = coarea_check(T, g)
         assert integral == pytest.approx(quad, rel=1e-2)
 
+    def test_empty_chain(self):
+        empty = Chain1(2, 1, canonical=True)
+        assert coarea_check(empty, [1.0, 0.0]) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="gradient of length 3"):
+            coarea_check(empty, [1.0, 0.0, 0.0])
+
 
 class TestAugmentation:
     def test_boundary_augmentation_vanishes(self, rng):

@@ -767,6 +767,24 @@ class TestFermatPoint:
                 checked += 1
         assert checked > 50
 
+    @pytest.mark.parametrize("solve", ["raises", "nan"])
+    def test_no_newton_direction_returns_a_point_no_worse_than_the_start(self, monkeypatch, solve):
+        """When ``np.linalg.solve`` raises or returns NaN, no step is taken:
+        the result is finite, and its objective is at most the start's, from
+        inside the triangle (kept as it is) or on an anchor (the damped start)."""
+        def broken(H, b):
+            if solve == "raises":
+                raise np.linalg.LinAlgError("singular matrix")
+            return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", broken)
+        anchors, weights = np.array([(0.0, 0.0), (4.0, 0.0), (1.0, 3.0)]), np.array([1.0, 1.5, 1.2])
+        for v0 in (np.array([1.5, 1.0]), anchors[0].copy()):
+            new = _fermat_point(v0, anchors, weights, 4.0)
+            assert np.isfinite(new).all()
+            assert _objective(new, anchors, weights) <= _objective(v0, anchors, weights)
+        assert _fermat_point(np.array([1.5, 1.0]), anchors, weights, 4.0).tolist() == [1.5, 1.0]
+
 
 class TestLocalSearch:
     def test_single_pair_straight_segment(self):

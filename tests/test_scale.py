@@ -22,8 +22,8 @@ import pytest
 from branchnet import (Chain0, Chain1, DyadicGrid, OptimizerConfig, cascade, cli, local_search, shifted_grid,
                        sum_alpha, w_upper)
 from branchnet.chains import (boundary, canonicalize, canonicalize0, chain0_close, chains_close, is_compatible,
-                              is_piece, pow2_scale)
-from branchnet.construct import bounding_cube
+                              is_piece, mass, pow2_scale)
+from branchnet.construct import barycenter, bounding_cube
 from branchnet.costs import (BetaEnvelope, admissibility_check, custom_cost, derivative_profile, dir_derivative_at_zero,
                              rectifiability_flag, validate_cost)
 from branchnet.energy import mass_bound_constant
@@ -166,6 +166,32 @@ def test_canonical_forms_are_equivariant_at_extreme_weight_scales(k):
     lone = Chain1.from_arrays(2, 1, [[0.0, 0.0]], [[1.0, 0.0]], [[math.ldexp(1.0, k)]])
     assert len(canonicalize(lone).A) == 1 and len(boundary(lone).P) == 2
     assert len(canonicalize0(Chain0.from_arrays(2, 1, [[0.0, 0.0]], [[math.ldexp(1.0, k)]])).P) == 1
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_search_is_equivariant_at_extreme_weight_scales(k):
+    """Weights times 2^k for |k| = 600, where a squared weight leaves the
+    floating-point range: ``barycenter`` places the same cone vertex, ``mass``
+    reads 2^k times the unit-scale mass, and ``local_search`` on solve-pool
+    instances returns the same edges with 2^k times the multiplicities,
+    2^(k alpha) times the energy, the same sweeps and an ok report, at
+    alpha = 1 and 0.5."""
+    pool = _workloads().WORKLOADS["solve"].generate(7)
+    for spec in pool[::13]:  # m = 1, 2, 3, 1 with 4, 6, 7, 10 atoms per side
+        m = spec["m"]
+        unit = [Chain0.from_arrays(2, m, spec[p], spec[w]) for p, w in (("pm", "wm"), ("pp", "wp"))]
+        scaled = [Chain0.from_arrays(2, m, mu.P, np.ldexp(mu.W, k)) for mu in unit]
+        nu, nu_k = unit[1] - unit[0], scaled[1] - scaled[0]
+        assert barycenter(nu_k) == barycenter(nu)
+        assert mass(nu_k) == math.ldexp(mass(nu), k)
+        for alpha in (1.0, 0.5):
+            cost = sum_alpha(m, alpha)
+            T, rep = local_search(*unit, cost)
+            T_k, rep_k = local_search(*scaled, cost)
+            assert bits(T_k) == bits(Chain1.from_arrays(2, m, T.A, T.B, np.ldexp(T.Theta, k), canonical=True))
+            assert mass(T_k) == math.ldexp(mass(T), k)
+            assert rep_k.energy == math.ldexp(rep.energy, int(k * alpha))
+            assert rep_k.iterations == rep.iterations and rep_k.ok and rep.ok
 
 
 def test_an_overflowing_merge_raises(tmp_path):
@@ -352,12 +378,12 @@ def _scaled_profile(fn, m, k, seed):
     return [math.ldexp(d, -k) for d in prof.axis_derivatives], prof.basis_set, math.ldexp(prof.homog_bound, -k)
 
 
-@pytest.mark.parametrize("k", [-40, 20])
+@pytest.mark.parametrize("k", [-40, 20, 40])
 def test_derivative_verdicts_are_scale_free(k):
-    """The derivative scan's stop and growing rules, and the profile's
-    sandwich test, are relative to the quotients they compare, with no floor
-    or adder, so a cost scaled by 2^k below the cap gets 2^k times the
-    derivatives and the same verdicts.  |t|^0.99, whose quotient t^-0.01
+    """The derivative scan's decrease and growing rules, and the profile's
+    sandwich test, are relative to the quotients they compare, with no floor,
+    adder or cap, so a cost scaled by 2^k gets 2^k times the derivatives and
+    the same verdicts.  |t|^0.99, whose quotient t^-0.01
     still grows at the end of the doubling grid, has an infinite derivative
     and is rectifiable at every scale; a linear cost keeps its profile, and
     the mixed breaker raises the same error for each seed."""
