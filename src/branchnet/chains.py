@@ -252,6 +252,15 @@ def _norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(X * X, axis=-1))
 
 
+def weight_norms(W: np.ndarray) -> np.ndarray:
+    """The package's one norm of weight rows: each row is divided by 2^e, e the frexp exponent of its largest |entry|,
+    which is exact, so no square leaves the float range.  ``np.sqrt(row_dots(W, W))`` bit for bit wherever those
+    squares are normal, and each row's norm is its own in any batch."""
+    e = np.frexp(np.abs(W).max(axis=1, initial=0.0))[1]
+    Y = np.ldexp(W, -e[:, None])
+    return np.ldexp(np.sqrt(row_dots(Y, Y)), e)
+
+
 def pow2_scale(X: np.ndarray, extent: bool = False) -> float:
     """S of weights X, the least power of two >= max |X|, or with ``extent`` L of (k, n) points X, the least
     power of two >= their largest coordinate range; 1.0 for 0 or empty X.  Exact under 2^k scaling (frexp)."""
@@ -554,7 +563,8 @@ def _merge_rows(keys: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _significant(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Which rows of W are longer than the relative tolerance of the longest input row."""
+    """Which rows of W are longer than the relative tolerance of the longest input row.  This is a verdict relative
+    to the largest row, not a value, on the hot path: one S for the array, not ``weight_norms``' per-row scale."""
     S = pow2_scale(inputs)
     W, inputs = W / S, inputs / S  # exact, S a power of two; the squares near the threshold stay in range
     eps_w = EPS_MULT_REL * float(np.sqrt(row_dots(inputs, inputs)).max(initial=0.0))
@@ -583,11 +593,9 @@ def divergence(T: Chain1) -> Chain0:
 
 
 def mass(X: Chain0 | Chain1) -> float:
-    """Total mass: Euclidean norm of multiplicities, weighted by length.  The multiplicities are divided by
-    their power-of-two scale S first, which is exact, so no square leaves the floating-point range."""
+    """Total mass: Euclidean norm of multiplicities, via ``weight_norms``, weighted by length."""
     W, lengths = (X.W, 1.0) if isinstance(X, Chain0) else (X.Theta, X.lengths())
-    S = pow2_scale(W)
-    return S * float(sum((np.sqrt(row_dots(W / S, W / S)) * lengths).tolist()))
+    return float(sum((weight_norms(W) * lengths).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -722,11 +730,11 @@ def chains_close(S: Chain1, T: Chain1, tol: float | None = None) -> bool:
     """Canonical equality of 1-chains up to ``tol``, by default ``EPS_REL`` S of both chains' multiplicities."""
     Theta = canonicalize(S - T).Theta
     tol = EPS_REL * pow2_scale(np.concatenate([S.Theta, T.Theta])) if tol is None else tol
-    return bool(np.all(np.sqrt(row_dots(Theta, Theta)) <= tol))
+    return bool(np.all(weight_norms(Theta) <= tol))
 
 
 def chain0_close(a: Chain0, b: Chain0, tol: float | None = None) -> bool:
     """Canonical equality of 0-chains up to ``tol``, by default ``EPS_REL`` S of both measures' weights."""
     W = canonicalize0(a - b).W
     tol = EPS_REL * pow2_scale(np.concatenate([a.W, b.W])) if tol is None else tol
-    return bool(np.all(np.sqrt(row_dots(W, W)) <= tol))
+    return bool(np.all(weight_norms(W) <= tol))

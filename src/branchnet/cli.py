@@ -37,28 +37,39 @@ class InvariantFailure(RuntimeError):
     pass
 
 
+_COST_FORMS = {  # each family's constructor and parameters: one number, a list v1,v2,... or a list that may be left out
+    "sum_alpha": (costs.sum_alpha, {"alpha": "number", "weights": "optional list"}),
+    "component_sum": (costs.component_sum, {"coeffs": "list", "alphas": "list"}),
+    "p_norm_alpha": (costs.p_norm_alpha, {"p": "number", "alpha": "number"}),
+}
+
+
 def parse_cost(spec: str, m: int) -> costs.CostSpec:
-    """Parse 'family:key=value;key=v1,v2,...' cost selectors.
+    """Parse 'family:key=value;key=v1,v2,...' cost selectors; a missing or unknown parameter, or a list where one
+    number is expected, raises a ``ValueError`` naming the family and the parameter.
 
     Examples: 'sum_alpha:alpha=0.8', 'sum_alpha:alpha=0.5;weights=1,2',
     'component_sum:coeffs=1,1;alphas=0.5,0.9', 'p_norm_alpha:p=2;alpha=0.7'.
     """
     family, _, rest = spec.partition(":")
+    if family not in _COST_FORMS:
+        raise ValueError(f"unknown cost family '{family}' (use {' | '.join(_COST_FORMS)})")
+    build, forms = _COST_FORMS[family]
     params: dict[str, object] = {}
     for item in filter(None, rest.split(";")):
         key, _, val = item.partition("=")
+        key = key.strip()
         if not val:
             raise ValueError(f"malformed cost parameter '{item}'")
+        if key not in forms:
+            raise ValueError(f"{family} has no parameter '{key}' (use {' | '.join(forms)})")
         vals = [float(x) for x in val.split(",")]
-        params[key.strip()] = vals[0] if len(vals) == 1 else vals
-    if family == "sum_alpha":
-        weights = params.get("weights")
-        return costs.sum_alpha(m, float(params["alpha"]), None if weights is None else np.atleast_1d(weights))
-    if family == "component_sum":
-        return costs.component_sum(m, np.atleast_1d(params["coeffs"]), np.atleast_1d(params["alphas"]))
-    if family == "p_norm_alpha":
-        return costs.p_norm_alpha(m, float(params["p"]), float(params["alpha"]))
-    raise ValueError(f"unknown cost family '{family}' (use sum_alpha | component_sum | p_norm_alpha)")
+        if forms[key] == "number" and len(vals) > 1:
+            raise ValueError(f"{family} parameter '{key}' takes one number, got '{val}'")
+        params[key] = vals[0] if forms[key] == "number" else np.array(vals)
+    if missing := [key for key, form in forms.items() if key not in params and form != "optional list"]:
+        raise ValueError(f"{family} needs parameter '{missing[0]}'")
+    return build(m, **params)
 
 
 def _positive_int(text: str) -> int:

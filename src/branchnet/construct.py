@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from branchnet.chains import (_ROUND, EPS_REL, Chain0, Chain1, _box_pairs, _rounding_bound, _split_merge, _sum_rows,
-                              _unique_rows, canonicalize, canonicalize0, is_compatible, mass, pow2_scale, row_dots)
+                              _unique_rows, canonicalize, canonicalize0, is_compatible, mass, pow2_scale, row_dots,
+                              weight_norms)
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
 from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
@@ -43,8 +44,7 @@ def barycenter(nu: Chain0) -> tuple[float, ...]:
     """Default cone vertex: atom positions weighted by |w|_2; the origin if empty."""
     if not len(nu.P):
         return (0.0,) * nu.n
-    S = pow2_scale(nu.W)  # an exact division, so no square leaves the floating-point range
-    wts = np.sqrt(row_dots(nu.W / S, nu.W / S))
+    wts = weight_norms(nu.W)
     return tuple((wts @ nu.P) / np.sum(wts))
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from branchnet.chains import pow2_scale, row_dots
+from branchnet.chains import pow2_scale, row_dots, weight_norms
 
 _DIR_DERIV_IMAX = 60
 _AXIOM_TOL = 1e-9  # relative slack of validate_cost's axiom tests
@@ -116,7 +116,7 @@ def evaluate_rows(cost: CostSpec, Theta) -> np.ndarray:
     if cost.family == "PNormAlpha":
         p = cost.params["p"]
         if p == 2.0:
-            norms = np.sqrt(row_dots(Th, Th))
+            norms = weight_norms(Th)
         elif p == 1.0:
             norms = np.abs(Th).sum(axis=1)
         elif p == math.inf:

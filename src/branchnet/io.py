@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from branchnet.chains import Chain0, Chain1, row_dots
+from branchnet.chains import Chain0, Chain1, weight_norms
 
 FORMAT_VERSION = 1
 
@@ -227,7 +227,7 @@ def emit_svg(
         q = (np.array(xy(p)) - lo + pad) * scale
         return float(q[0]), float(width - q[1])
 
-    norms = np.sqrt(row_dots(T.Theta, T.Theta)).tolist()
+    norms = weight_norms(T.Theta).tolist()
     wmax = max(norms) if norms else 1.0
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{width}">']
     for a, b, th, nrm in zip(T.A.tolist(), T.B.tolist(), T.Theta, norms):
@@ -240,7 +240,7 @@ def emit_svg(
     for mu, color in ((mu_minus, "#1f77b4"), (mu_plus, "#d62728")):
         if mu is None:
             continue
-        wnorms = np.sqrt(row_dots(mu.W, mu.W)).tolist()
+        wnorms = weight_norms(mu.W).tolist()
         wm = max(wnorms, default=1.0) or 1.0
         for p, wn in zip(mu.P.tolist(), wnorms):
             x, y = to_px(p)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy
 
 from branchnet.chains import (Chain0, Chain1, _norms, canonicalize, canonicalize0, component_lift, mass, pow2_scale,
-                              row_dots)
+                              row_dots, weight_norms)
 from branchnet.costs import CostSpec, evaluate_rows
 from branchnet.energy import energy
 
@@ -137,8 +137,7 @@ def coarea_check(T: Chain1, g, offset: float = 0.0) -> tuple[float, float]:
     """
     gv = _gradient(T, g)
     drops = np.abs((T.B - T.A) @ gv)
-    norms = _norms(T.Theta)
-    integral = math.fsum(norms * drops)
+    integral = math.fsum(weight_norms(T.Theta) * drops)
     bound = math.sqrt(row_dots(gv[None], gv[None])[0]) * mass(T)
     return integral, bound
 

@@ -29,7 +29,7 @@ from branchnet.chains import (
     is_compatible,
     mass,
     pow2_scale,
-    row_dots,
+    weight_norms,
     _box_pairs,
     _norms,
     _significant,
@@ -179,8 +179,7 @@ def remove_cycles(T: Chain1) -> Chain1:
     if (theta == T.Theta).all():  # no cycle: a cancellation zeroes an edge-component, and none is <= tol
         return T
 
-    S = pow2_scale(theta)  # an exact division, so no square leaves the floating-point range
-    keep = np.sqrt(row_dots(theta / S, theta / S)) > tol / S
+    keep = weight_norms(theta) > tol
     return Chain1.from_arrays(T.n, T.m, T.A[keep], T.B[keep], theta[keep], canonical=True)
 
 

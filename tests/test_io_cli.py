@@ -522,9 +522,14 @@ class TestCli:
         assert rec["edges"] == len(T.A) > 0
         assert rec["energy"] == energy(T, sum_alpha(1, 0.75))
 
-    @pytest.mark.parametrize("cost, message", [("sum_alpha:alpha", "malformed cost parameter 'alpha'"),
-                                               ("sum_alpha:alpha=half", "could not convert")],
-                             ids=["no-value", "not-a-number"])
+    @pytest.mark.parametrize("cost, message", [
+        ("sum_alpha:alpha", "malformed cost parameter 'alpha'"),
+        ("sum_alpha:alpha=half", "could not convert"),
+        ("sum_alpha:alpha=0.5,0.6", "sum_alpha parameter 'alpha' takes one number"),
+        ("p_norm_alpha:p=2,3;alpha=0.5", "p_norm_alpha parameter 'p' takes one number"),
+        ("sum_alpha", "sum_alpha needs parameter 'alpha'"),
+        ("sum_alpha:alpha=0.5;weight=1,4", "sum_alpha has no parameter 'weight'"),
+    ], ids=["no-value", "not-a-number", "list-for-a-number", "list-for-p", "missing", "unknown"])
     def test_malformed_cost_parameter_is_a_validation_error(self, instance, capsys, cost, message):
         pm, _, _ = instance
         assert main(["cone", str(pm), str(pm), "--cost", cost]) == EXIT_VALIDATION

@@ -25,9 +25,10 @@ from branchnet.chains import (boundary, canonicalize, canonicalize0, chain0_clos
                               is_piece, mass, pow2_scale)
 from branchnet.construct import barycenter, bounding_cube
 from branchnet.costs import (BetaEnvelope, admissibility_check, custom_cost, derivative_profile, dir_derivative_at_zero,
-                             rectifiability_flag, validate_cost)
+                             evaluate_rows, p_norm_alpha, rectifiability_flag, validate_cost)
 from branchnet.energy import mass_bound_constant
-from branchnet.metrics import flat_norm_0chain_component
+from branchnet.io import emit_svg
+from branchnet.metrics import coarea_check, flat_norm_0chain_component
 from branchnet.optimize import verify_solution
 from conftest import bits
 from test_chains import length_scale_reference, near_snap_cloud, reference_chains
@@ -192,6 +193,57 @@ def test_search_is_equivariant_at_extreme_weight_scales(k):
             assert mass(T_k) == math.ldexp(mass(T), k)
             assert rep_k.energy == math.ldexp(rep.energy, int(k * alpha))
             assert rep_k.iterations == rep.iterations and rep_k.ok and rep.ok
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_euclidean_norm_cost_is_exact_at_extreme_weight_scales(k):
+    """``p_norm_alpha(3, 2, 1)`` costs rows times 2^k at exactly 2^k times
+    their unit-scale costs, and in a batch that mixes rows at 2^-600 with
+    unit rows each row costs exactly what it costs alone: the scale is
+    per row, not per array."""
+    cost = p_norm_alpha(3, 2, 1.0)
+    Theta = np.random.default_rng(600).normal(size=(20, 3))
+    assert evaluate_rows(cost, np.ldexp(Theta, k)).tolist() == np.ldexp(evaluate_rows(cost, Theta), k).tolist()
+    mixed = np.vstack([np.ldexp(Theta[:10], -600), Theta[10:]])
+    assert evaluate_rows(cost, mixed).tolist() == [evaluate_rows(cost, row[None])[0] for row in mixed]
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_close_helpers_tell_a_chain_from_its_double_at_extreme_weight_scales(k):
+    """At weights times 2^k for |k| = 600, where the square of a residual
+    leaves the floating-point range, ``chains_close`` and ``chain0_close``
+    tell a chain or measure from its double, and each is close to itself."""
+    S = Chain1.from_arrays(2, 2, [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]], np.ldexp([[0.75, 0.5]] * 2, k))
+    mu = Chain0.from_arrays(1, 2, [[0.25], [1.0]], np.ldexp([[0.75, -0.5], [0.25, 1.0]], k))
+    assert not chains_close(S, Chain1.from_arrays(2, 2, S.A, S.B, 2 * S.Theta)) and chains_close(S, S)
+    assert not chain0_close(mu, Chain0.from_arrays(1, 2, mu.P, 2 * mu.W)) and chain0_close(mu, mu)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_coarea_check_is_homogeneous_at_extreme_weight_scales(k):
+    """``coarea_check`` of a chain with multiplicities times 2^k returns
+    exactly 2^k times its unit-scale integral and bound."""
+    rng = np.random.default_rng(600)
+    for T in itertools.islice(reference_chains(rng), 30):
+        g = rng.normal(size=T.n)
+        integral, bound = coarea_check(T, g)
+        got = coarea_check(Chain1.from_arrays(T.n, T.m, T.A, T.B, np.ldexp(T.Theta, k)), g)
+        assert got == (math.ldexp(integral, k), math.ldexp(bound, k))
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_svg_does_not_depend_on_the_weight_scale(tmp_path, k):
+    """``emit_svg`` draws strokes and atoms relative to the largest weight,
+    so multiplicities and measures times 2^k give the same file."""
+    rng = np.random.default_rng(600)
+    T = Chain1.from_arrays(2, 2, rng.uniform(0, 1, (6, 2)), rng.uniform(0, 1, (6, 2)), rng.uniform(0.1, 2, (6, 2)))
+    mus = [Chain0.from_arrays(2, 2, rng.uniform(0, 1, (4, 2)), rng.uniform(0.1, 2, (4, 2))) for _ in range(2)]
+    files = []
+    for j in (0, k):
+        files.append(tmp_path / f"net{j}.svg")
+        emit_svg(Chain1.from_arrays(2, 2, T.A, T.B, np.ldexp(T.Theta, j)),
+                 *[Chain0.from_arrays(2, 2, mu.P, np.ldexp(mu.W, j)) for mu in mus], files[-1])
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_an_overflowing_merge_raises(tmp_path):

@@ -5,9 +5,10 @@ only ``chains`` touches the Edge/Atom views, graphs are read from vertex
 ids, canonicalization merges rows through one array helper, rows are summed
 by one group sum, no module enumerates all pairs, points are snapped in
 batches, the search's hot path calls no numpy wrapper and no module calls
-``np.linalg.norm``, the search's moves hold no Python incidence, only
-``costs.evaluate_rows`` branches on the cost family, and every parameter
-default is set by some call."""
+``np.linalg.norm``, a weight row's norm goes through one helper, the
+search's moves hold no Python incidence, only ``costs.evaluate_rows``
+branches on the cost family, and every parameter default is set by some
+call."""
 
 import ast
 import json
@@ -257,11 +258,37 @@ def test_hot_path_calls_no_numpy_wrappers():
 
 
 def test_no_module_calls_np_linalg_norm():
-    """Norms go through ``chains._norms`` (rows) or ``chains.row_dots`` (one
-    vector), which give ``np.linalg.norm``'s bits without its wrapper."""
+    """Norms go through ``chains._norms`` (rows), ``chains.row_dots`` (one
+    vector) or ``chains.weight_norms`` (weight rows), which give
+    ``np.linalg.norm``'s bits without its wrapper."""
     found = [f"{stem}.{scope}:{node.lineno}" for stem, tree in MODULES.items() for scope, node in _scoped(tree)
              if isinstance(node, ast.Call) and _dotted(node.func) == "np.linalg.norm"]
     assert not found, found
+
+
+# every function that takes sqrt(row_dots(X, X)), with its X: the helper itself, ``_significant``'s verdict relative
+# to its largest row, and geometric norms, whose scale is L or which are of unit vectors
+SELF_DOTS = {("chains.weight_norms", "Y"), ("chains._significant", "inputs"), ("chains._significant", "W"),
+             ("construct._lattice_chain", "D"), ("costs.derivative_profile", "V"), ("costs.norm_cost_ratio", "U"),
+             ("metrics.flat_norm_0chain_component", "diff"), ("metrics.coarea_check", "gv[None]")}
+
+
+def _self_dots(node) -> list:
+    """The X of every ``row_dots(X, X)`` call under node."""
+    return [ast.unparse(call.args[0]) for call in ast.walk(node)
+            if isinstance(call, ast.Call) and _dotted(call.func) == "row_dots" and len(call.args) == 2
+            and ast.dump(call.args[0]) == ast.dump(call.args[1])]
+
+
+def test_weight_rows_are_normed_by_one_helper():
+    """A row of weights is normed by ``chains.weight_norms``, which scales
+    each row by a power of two before it squares, so no square leaves the
+    floating-point range.  Only the sites in ``SELF_DOTS`` take
+    ``sqrt(row_dots(X, X))``: a new weight norm uses the helper, or is added
+    there on purpose, and a renamed site fails too."""
+    found = {(f"{stem}.{scope}", x) for stem, tree in MODULES.items() for scope, node in _scoped(tree)
+             if isinstance(node, ast.Call) and _dotted(node.func) in ("np.sqrt", "math.sqrt") for x in _self_dots(node)}
+    assert found == SELF_DOTS, (sorted(found - SELF_DOTS), sorted(SELF_DOTS - found))
 
 
 MOVES = {"remove_cycles", "straighten", "relocate_branch_points", "_apply_merge", "check_multiplicity_bound"}
