@@ -137,9 +137,7 @@ class Chain0(_Stored):
         return hash((self.n, self.m, self.atoms))
 
     def __repr__(self):
-        # the repr of ``self.atoms``, formatted from the rows without building the views
-        atoms = [f"Atom(position={tuple(p)!r}, weight={tuple(w)!r})" for p, w in zip(self.P.tolist(), self.W.tolist())]
-        return f"Chain0(n={self.n!r}, m={self.m!r}, atoms=({', '.join(atoms)}{',' * (len(atoms) == 1)}))"
+        return f"Chain0(n={self.n!r}, m={self.m!r}, atoms={self.atoms!r})"
 
     def __reduce__(self):  # pickle and copy go through from_arrays
         return Chain0.from_arrays, (self.n, self.m, self.P, self.W)
@@ -303,7 +301,7 @@ class _PointRegistry:
     the last in order of cell ``floor(x / 4 eps)``, then registration), or
     becomes one.  Representatives persist across calls.  Rows are grouped
     by ``_unique_rows``; only those of a group with a nearby group
-    (``_box_pairs``) are taken one by one, since a later copy of such a row
+    (``_near_pairs``) are taken one by one, since a later copy of such a row
     can go to a nearer representative registered in between.
     """
 
@@ -318,9 +316,7 @@ class _PointRegistry:
         # replaying the representatives registers each of them again, unchanged
         Q = np.concatenate([self.P, X])
         U, ids, rep = _unique_rows(Q)
-        # one-sided boxes: U + reach rounds monotonically, so no pair within eps is lost
-        hi = U + self.eps * (1 + 1e-9)
-        i, j = np.concatenate([np.empty((2, 0), dtype=int), *map(np.array, _box_pairs(U, hi))], axis=1)
+        i, j = _near_pairs(U, self.eps)
         if not len(i):  # no two groups are near: each row goes to its group's first row
             self.P = Q[np.sort(rep)]
             return U[ids[len(Q) - len(X):]]
@@ -380,10 +376,23 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.
         p = q
 
 
+def _near_pairs(X: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of every pair of rows of X within r on every axis, as any pair within distance r
+    is: ``_box_pairs`` of the one-sided boxes [X, X + r (1 + 1e-9)].  A computed distance that reads r may be a few
+    ulps short of the true one, which the 1e-9 covers, and X + reach rounds monotonically, so no such pair is lost."""
+    return tuple(np.concatenate([np.empty((2, 0), dtype=int), *map(np.array, _box_pairs(X, X + r * (1 + 1e-9)))], 1))
+
+
 # ---------------------------------------------------------------------------
 # canonicalization
 
 _ROUND = 2.0**-53  # unit roundoff
+_PARALLEL = 1e-12  # two segments with 1 - cos^2 below this are parallel
+
+
+def _snap_radius(X: np.ndarray) -> float:
+    """eps of canonical form for the (k, n) points X: ``EPS_REL`` L, within which two points are one."""
+    return EPS_REL * pow2_scale(X, extent=True)
 
 
 def _rounding_bound(n: int, alpha, eps: float, offset=0.0):
@@ -431,7 +440,7 @@ def _segment_interactions(A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.
         ui, uj = U[ii], U[jj]
         cosa = np.add.reduce(ui * uj, axis=1)
         denom = 1.0 - cosa * cosa
-        parallel = np.abs(denom) < 1e-12
+        parallel = np.abs(denom) < _PARALLEL
         shared = (ends[ii, :, None] == ends[jj, None, :]).any(axis=(1, 2))
         meet = shared & (denom >= _rounding_bound(n, L[ii] + L[jj], eps))
 
@@ -484,7 +493,7 @@ def canonicalize(T: Chain1) -> Chain1:
 
     The endpoints a0, b0, a1, b1, ..., then the kept cut points in order of
     (edge, t), each go to the nearest earlier representative within
-    ``EPS_REL`` L (L of the endpoints) or become one (``_PointRegistry``),
+    ``_snap_radius`` of the endpoints or become one (``_PointRegistry``),
     edges are split at mutual intersections/overlap endpoints, coincident
     sub-segments are merged by summing multiplicities (sign-adjusted:
     flipping orientation negates theta), and negligible edges are dropped:
@@ -499,7 +508,7 @@ def canonicalize(T: Chain1) -> Chain1:
     same = (T.A == T.B).all(axis=1).nonzero()[0]
     if len(same):
         raise DegenerateEdgeError(f"degenerate edge at {tuple(T.A[same[0]].tolist())}")
-    reg = _PointRegistry(T.n, EPS_REL * pow2_scale(np.concatenate([T.A, T.B]), extent=True))
+    reg = _PointRegistry(T.n, _snap_radius(np.concatenate([T.A, T.B])))
     A, B = reg.snap(np.concatenate([T.A, T.B], axis=1).reshape(-1, T.n)).reshape(-1, 2, T.n).swapaxes(0, 1)
     rows = (A != B).any(axis=1).nonzero()[0]  # a pair collapsed by snapping is below resolution: drop it
     A, B, Theta = A[rows], B[rows], T.Theta[rows]
@@ -542,10 +551,10 @@ def _split_merge(A: np.ndarray, B: np.ndarray, Theta: np.ndarray, edge: np.ndarr
 
 
 def canonicalize0(mu: Chain0) -> Chain0:
-    """Snap the atoms in order within ``EPS_REL`` L (``_PointRegistry``), sum
+    """Snap the atoms in order within ``_snap_radius`` (``_PointRegistry``), sum
     the weights at each position, in lexicographic order, and drop sums no
     longer than ``EPS_MULT_REL`` times the longest weight, input or merged."""
-    P, W = _merge_rows(_PointRegistry(mu.n, EPS_REL * pow2_scale(mu.P, extent=True)).snap(mu.P), mu.W)
+    P, W = _merge_rows(_PointRegistry(mu.n, _snap_radius(mu.P)).snap(mu.P), mu.W)
     return Chain0.from_arrays(mu.n, mu.m, P, W)
 
 
@@ -712,7 +721,7 @@ def is_piece(Tp: Chain1, T: Chain1, eps: float | None = None) -> bool:
     eps = EPS_REL * pow2_scale(np.concatenate([Tp.Theta, T.Theta])) if eps is None else eps
     R = _common_refinement(Tp, T).Theta
     tp, t = R[:, : T.m], R[:, T.m :]
-    bad = (np.abs(tp) > eps) & ((tp * t < 0.0) | (np.abs(tp) > np.abs(t) + eps))
+    bad = (np.abs(tp) > eps) & ((np.sign(tp) * np.sign(t) < 0.0) | (np.abs(tp) > np.abs(t) + eps))
     return not bad.any()
 
 

@@ -179,7 +179,7 @@ def cmd_energy(args) -> int:
 def cmd_flat_bound(args) -> int:
     doc = read_document(args.path, "input")
     if isinstance(doc, dict) and "edges" in doc:
-        kind, X = "network", chains.canonicalize(network_from_document(doc, args.path))
+        kind, X = "network", network_from_document(doc, args.path)
     else:
         kind, X = "measure", measure_from_document(doc, args.path)
     _emit({"kind": kind, **vars(metrics.flat_bounds(X))})  # lower, upper, per_component, exact
@@ -203,7 +203,7 @@ def cmd_slice(args) -> int:
 
 
 def cmd_ig_check(args) -> int:
-    T = chains.canonicalize(load_network(args.network))
+    T = load_network(args.network)
     cost = parse_cost(args.cost, T.m)
     estimate, exact, rel = metrics.ig_identity_mc(T, cost, samples=args.samples, seed=args.seed)
     _emit({"estimate": estimate, "exact": exact, "rel_err": rel, "samples": args.samples})
@@ -227,7 +227,7 @@ def cmd_w_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    T = chains.canonicalize(load_network(args.network))
+    T = load_network(args.network)
     mu_minus = load_measure(args.mu_minus)
     mu_plus = load_measure(args.mu_plus)
     cost = parse_cost(args.cost, T.m)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branchnet.chains import (_ROUND, EPS_REL, Chain0, Chain1, _box_pairs, _rounding_bound, _split_merge, _sum_rows,
-                              _unique_rows, canonicalize, canonicalize0, is_compatible, mass, pow2_scale, row_dots,
-                              weight_norms)
+from branchnet.chains import (_PARALLEL, _ROUND, Chain0, Chain1, _near_pairs, _rounding_bound, _snap_radius,
+                              _split_merge, _sum_rows, _unique_rows, canonicalize, canonicalize0, is_compatible, mass,
+                              pow2_scale, row_dots, weight_norms)
 from branchnet.costs import BetaEnvelope, admissibility_check, s_beta
 from branchnet.energy import EnergyCertificate, digest_inputs, energy
 
@@ -265,7 +265,6 @@ def _cascade_edges(nu: Chain0, grid: DyadicGrid, K: int):
 
 
 _NEAR = 4  # "a few eps": the snap radius, the reach of an interaction and the interior margin, with one to spare
-_PARALLEL = 2e-12  # twice the 1 - cos^2 < 1e-12 parallel test of _segment_interactions
 
 
 def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Theta) -> Chain1 | None:
@@ -273,7 +272,7 @@ def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Th
     built from the lattice; None where an atom's position could make the two
     differ.  ``levels`` and ``atoms`` are those of ``_cascade_edges``.
 
-    For eps = ``EPS_REL`` L of the endpoints, the snap radius of
+    For eps = ``chains._snap_radius`` of the endpoints, the snap radius of
     ``canonicalize``, it returns None when
     - an atom lies within ``_NEAR`` eps of the level-(K+1) skeleton, of its
       leaf's center or of another atom: it could snap, or reach an edge of
@@ -281,10 +280,11 @@ def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Th
       width, so otherwise h/2 > ``_NEAR`` eps; in units of h/2 lattice points
       are 1 apart, and a lattice point off a diagonal line, or two skew
       diagonal lines, 1/sqrt(2), so no centers snap or meet off the lattice;
-    - two atom edges of one leaf point within sqrt(``_PARALLEL``) of each
-      other on every axis, as every pair with 1 - cos^2 < ``_PARALLEL``
-      does: the parallel test would project one atom onto the other's edge;
-    - an atom edge has 1 - cos^2 < ``_PARALLEL`` with its leaf's diagonal
+    - two atom edges of one leaf point within 2 sqrt(``2 * _PARALLEL``) of
+      each other on every axis; a pair with cos > 0 under the parallel test,
+      1 - cos^2 < ``_PARALLEL``, is within half that, which rounding cannot
+      undo.  That test would project one atom onto the other's edge;
+    - an atom edge has 1 - cos^2 < ``2 * _PARALLEL`` with its leaf's diagonal
       through the parent's center, the only main diagonal along which other
       edges enter the leaf, or 1 - cos^2 below ``chains._rounding_bound``,
       where rounding could move the computed crossing of the two lines eps/2
@@ -294,7 +294,7 @@ def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Th
     """
     n = grid.n
     ends = np.concatenate([A, B])
-    eps = EPS_REL * pow2_scale(ends, extent=True)
+    eps = _snap_radius(ends)
     # the cells of levels 1..K+1 as one list of nodes, in emission order;
     # node i gets the edge_of[i]-th edge, from its parent's center, if kept[i]
     cells, centers, ids, keep = zip(*levels)
@@ -312,10 +312,9 @@ def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Th
     D = atoms[keep[K + 1]] - center[leaf]
     length = np.sqrt(row_dots(D, D))
     U = D / length[:, None]
-    r = math.sqrt(_PARALLEL)
     if ((length <= _NEAR * eps).any() or (grid.skeleton_distance(atoms, K + 1) <= _NEAR * eps).any()
-            or _any_box_pair(atoms - _NEAR / 2 * eps, atoms + _NEAR / 2 * eps)
-            or _any_box_pair(np.column_stack([leaf, U - r]), np.column_stack([leaf, U + r]))):
+            or len(_near_pairs(atoms, _NEAR * eps)[0])
+            or len(_near_pairs(np.column_stack([leaf, U]), 2 * math.sqrt(2 * _PARALLEL))[0])):
         return None
 
     # a center v is strictly inside the kept edge of an ancestor cell a iff,
@@ -341,13 +340,8 @@ def _lattice_chain(grid: DyadicGrid, K: int, levels, atoms: np.ndarray, A, B, Th
     slack = 1.0 - row_dots(U, 2.0 * (idx[leaf] & 1) - 1) ** 2 / n
     alpha = 0.5 * math.sqrt(n) * np.ldexp(grid.edge, -top[leaf])
     moved = _rounding_bound(n, alpha, eps, 2 * math.sqrt(n) * _ROUND * np.abs(ends).max())
-    if (slack < np.maximum(_PARALLEL, moved)).any():
+    if (slack < np.maximum(2 * _PARALLEL, moved)).any():
         return None
     cut_edge, cut_t, cut_v = map(np.concatenate, (cut_edge, cut_t, cut_v))
     order = np.lexsort((cut_t, cut_edge))
     return _split_merge(A, B, Theta, cut_edge[order], center[cut_v[order]])
-
-
-def _any_box_pair(lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether any two of the closed boxes [lo, hi] overlap (``_box_pairs``)."""
-    return any(len(i) for i, _ in _box_pairs(lo, hi))

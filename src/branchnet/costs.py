@@ -117,8 +117,6 @@ def evaluate_rows(cost: CostSpec, Theta) -> np.ndarray:
         p = cost.params["p"]
         if p == 2.0:
             norms = weight_norms(Th)
-        elif p == 1.0:
-            norms = np.abs(Th).sum(axis=1)
         elif p == math.inf:
             norms = np.abs(Th).max(axis=1)
         else:

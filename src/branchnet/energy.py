@@ -26,11 +26,11 @@ class EnergyCertificate:
 
     energy: float
     bound: float
-    bound_kind: str  # "cascade" | "mass_control" | "none"
+    bound_kind: str  # "cascade" | "none"
     inputs_digest: str = ""
 
     def __post_init__(self):
-        if self.bound_kind not in ("cascade", "mass_control", "none"):
+        if self.bound_kind not in ("cascade", "none"):
             raise ValueError(f"unknown bound kind {self.bound_kind!r}")
         if self.bound_kind != "none" and self.energy > self.bound:
             raise ValueError(f"certificate violated: energy {self.energy} > bound {self.bound}")

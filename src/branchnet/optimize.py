@@ -29,10 +29,10 @@ from branchnet.chains import (
     is_compatible,
     mass,
     pow2_scale,
-    weight_norms,
-    _box_pairs,
+    _near_pairs,
     _norms,
     _significant,
+    _snap_radius,
     _vertex_weights,
 )
 from branchnet.construct import GridShiftError, barycenter, bounding_cube, cascade, cone, shifted_grid
@@ -153,12 +153,13 @@ def _find_directed_cycle(k: int, uv: np.ndarray):
 def remove_cycles(T: Chain1) -> Chain1:
     """Cancel all per-component directed cycles (the discrete acyclic part).
 
-    Repeatedly finds a cycle in the sign-consistent flow support of each
-    commodity and subtracts the minimum flow along it.  Divergence is
-    preserved exactly, the result is a piece of T, and each component's
-    support becomes acyclic.  Terminates: every cancellation zeroes at
-    least one edge-component.  With no cycle to cancel, the result is T
-    itself (canonicalized first if not flagged canonical), graph included.
+    Repeatedly finds a cycle in the sign-consistent support of each
+    commodity's flows above ``_flow_tol`` and subtracts the minimum flow
+    along it.  Divergence is preserved exactly, the result is a piece of T
+    with the rows canonical form keeps (``_significant``), and each
+    component's support becomes acyclic.  Terminates: every cancellation
+    zeroes at least one edge-component.  With no cycle to cancel, the result
+    is T itself (canonicalized first if not flagged canonical), graph included.
     """
     if not T.canonical:
         T = canonicalize(T)
@@ -179,7 +180,7 @@ def remove_cycles(T: Chain1) -> Chain1:
     if (theta == T.Theta).all():  # no cycle: a cancellation zeroes an edge-component, and none is <= tol
         return T
 
-    keep = weight_norms(theta) > tol
+    keep = _significant(theta, T.Theta)  # the rows canonical form keeps
     return Chain1.from_arrays(T.n, T.m, T.A[keep], T.B[keep], theta[keep], canonical=True)
 
 
@@ -340,7 +341,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     """
     if not T.canonical:
         T = canonicalize(T)
-    L = pow2_scale(np.concatenate([T.A, T.B]), extent=True)
+    L, eps = pow2_scale(T.V, extent=True), _snap_radius(T.V)  # the extent of the endpoints
     W = evaluate_rows(cost, T.Theta)
     pos, ends = np.array(T.V), np.array(T.ij)  # vertex positions and each edge's (tail, head) ids
 
@@ -356,7 +357,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         # snap to a coincident anchor so the degenerate edge can be dropped
         d = _norms(anchors - new)
         k = int(d.argmin())
-        if d[k] < EPS_REL * L:
+        if d[k] < eps:
             new = anchors[k]
         f_new = float(np.add.reduce(weights * _norms(anchors - new)))
         if f_new > f_old * _RISE:
@@ -382,11 +383,7 @@ def _merge_candidates(T: Chain1) -> np.ndarray:
     U = (B - A) / _norms(B - A)[:, None]
     M = 0.5 * (A + B)
     R = _MERGE_DIST_FRAC * diam
-    # midpoints within R are within R on every axis.  A rounded distance can
-    # fall a few ulps below the true one (while the squares do not underflow),
-    # which 1e-9 covers; M + reach rounds monotonically, so it never drops a pair
-    reach = R * (1 + 1e-9)
-    ii, jj = np.concatenate([np.empty((2, 0), dtype=int), *map(np.array, _box_pairs(M, M + reach))], axis=1)
+    ii, jj = _near_pairs(M, R)
     dots = np.add.reduce(U[ii] * U[jj], axis=1)
     dist = _norms(M[ii] - M[jj])
     keep = (np.abs(dots) >= _MERGE_COS) & (dist <= R)
@@ -466,8 +463,8 @@ def local_search(
     for iters in range(1, config.max_iters + 1):
         E_start = E
         T, E = _sweep(T, E, rows, cost)
-        last_gain = (E_start - E) / max(E_start, 1e-300)
-        if E_start - E < config.rel_tol * max(E_start, 1e-300):
+        last_gain = (E_start - E) / E_start if E_start else 0.0
+        if E_start - E <= config.rel_tol * E_start:
             stop_reason = "converged"
             break
     else:

@@ -201,8 +201,8 @@ def _reference_cascade(nu, grid, K):
                 A.append(c)
                 B.append(key(nu.P[i]))
                 Theta.append(nu.W[i])
-    root = (0,) * nu.n
-    residual0 = Chain0.from_arrays(nu.n, nu.m, [grid.cell_center(root, 0)], [levels[0][root]])
+    root = (0,) * nu.n  # a nu whose atoms all cancel has no level-0 cell: its residual is zero
+    residual0 = Chain0.from_arrays(nu.n, nu.m, [grid.cell_center(root, 0)], [levels[0].get(root, np.zeros(nu.m))])
     return Chain1.from_arrays(nu.n, nu.m, A, B, Theta), canonicalize0(residual0)
 
 

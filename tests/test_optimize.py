@@ -18,6 +18,7 @@ from branchnet.chains import (
     divergence,
     is_piece,
     mass,
+    _significant,
 )
 from branchnet.construct import bounding_cube, cascade, shifted_grid
 from branchnet.costs import BetaEnvelope, p_norm_alpha, sum_alpha
@@ -100,9 +101,10 @@ def _flow_tol_reference(theta):
     return 1e-14 * float(np.max(np.abs(theta), initial=0.0))
 
 
-def remove_cycles_reference(T):
-    """Cycle canceling on arcs keyed by endpoint tuples, searching every
-    commodity with the DFS until it finds no cycle."""
+def cancel_cycles_reference(T):
+    """(T canonicalized, its multiplicities after cycle canceling on arcs
+    keyed by endpoint tuples, searching every commodity with the DFS until it
+    finds no cycle)."""
     if not T.canonical:
         T = canonicalize(T)
     theta = np.array(T.Theta)
@@ -121,7 +123,15 @@ def remove_cycles_reference(T):
                 theta[ei, j] -= s * c
                 if abs(theta[ei, j]) <= tol:
                     theta[ei, j] = 0.0
-    keep = np.array([np.linalg.norm(th) > tol for th in theta], dtype=bool).reshape(-1)
+    return T, theta
+
+
+def remove_cycles_reference(T):
+    """``cancel_cycles_reference``, keeping the rows longer than 1e-12 times
+    the longest row of T, as canonical form keeps them."""
+    T, theta = cancel_cycles_reference(T)
+    longest = max((np.linalg.norm(th) for th in T.Theta), default=0.0)
+    keep = np.array([np.linalg.norm(th) > 1e-12 * longest for th in theta], dtype=bool).reshape(-1)
     return Chain1.from_arrays(T.n, T.m, T.A[keep], T.B[keep], theta[keep], canonical=True)
 
 
@@ -240,6 +250,38 @@ class TestRemoveCycles:
                 assert bits(out) == bits(remove_cycles_reference(X))
             cancelled += not np.array_equal(out.Theta, canonicalize(T).Theta)
         assert cancelled > 20
+
+    def test_keeps_the_rows_canonical_form_keeps(self, rng):
+        """A planted cycle whose flows differ by 1e-14 to 1e-12 relative
+        leaves rows that the flow tolerance counts as flows but canonical form
+        drops: ``remove_cycles`` drops them too, keeps exactly the rows
+        ``_significant`` keeps against T's rows, and returns a fixed point of
+        ``canonicalize``.  The triangle beside a heavier edge is the measured
+        case, where a -5.0e-13 row was kept."""
+        square = [(5.0, 5.0), (6.0, 5.0), (6.0, 6.0), (5.0, 6.0)]
+        tiny = 0
+        for k in range(40):
+            m = 1 + k % 3
+            chain = random_chain(rng, edges=6, m=m, grid=2)
+            theta = np.zeros((4, m))
+            scale = float(np.abs(chain.Theta).max()) * rng.uniform(0.25, 1.0)
+            theta[:, k % m] = scale * (1 + np.exp(rng.uniform(math.log(1e-14), math.log(1e-12), 4)))
+            theta *= rng.choice([-1.0, 1.0])
+            cycle = Chain1.from_arrays(2, m, square, np.roll(square, -1, axis=0), theta)
+            T = canonicalize(chain + cycle)
+            out = remove_cycles(T)
+            _, cancelled = cancel_cycles_reference(T)
+            keep = _significant(cancelled, T.Theta)
+            assert bits(out) == bits(Chain1.from_arrays(2, m, T.A[keep], T.B[keep], cancelled[keep]))
+            assert bits(out) == bits(remove_cycles_reference(T)) == bits(canonicalize(out)) and out.canonical
+            tiny += int((~keep & (np.abs(cancelled) > _flow_tol_reference(T.Theta)).any(axis=1)).sum())
+        assert tiny > 40
+
+        triangle = Chain1.from_arrays(2, 1, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 0.0)],
+                                      [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (3.0, 0.0)],
+                                      [[0.5], [0.5], [0.5 + 5e-13], [1.0]])
+        out = remove_cycles(canonicalize(triangle))
+        assert out.Theta.tolist() == [[1.0]] and bits(canonicalize(out)) == bits(out)
 
     def test_loop_edge_on_canonical_flagged_chain(self):
         # a chain flagged canonical may hold an edge with equal ends (here once

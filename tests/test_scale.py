@@ -169,14 +169,15 @@ def test_canonical_forms_are_equivariant_at_extreme_weight_scales(k):
     assert len(canonicalize0(Chain0.from_arrays(2, 1, [[0.0, 0.0]], [[math.ldexp(1.0, k)]])).P) == 1
 
 
-@pytest.mark.parametrize("k", [-600, 600])
+@pytest.mark.parametrize("k", [-1008, -600, 600])
 def test_search_is_equivariant_at_extreme_weight_scales(k):
     """Weights times 2^k for |k| = 600, where a squared weight leaves the
-    floating-point range: ``barycenter`` places the same cone vertex, ``mass``
-    reads 2^k times the unit-scale mass, and ``local_search`` on solve-pool
-    instances returns the same edges with 2^k times the multiplicities,
-    2^(k alpha) times the energy, the same sweeps and an ok report, at
-    alpha = 1 and 0.5."""
+    floating-point range, and for k = -1008, where every energy is still
+    normal but below 1e-300: ``barycenter`` places the same cone vertex,
+    ``mass`` reads 2^k times the unit-scale mass, and ``local_search`` on
+    solve-pool instances returns the same edges with 2^k times the
+    multiplicities, 2^(k alpha) times the energy, the same sweeps and an ok
+    report, at alpha = 1 and 0.5.  Its stop rule is relative, with no floor."""
     pool = _workloads().WORKLOADS["solve"].generate(7)
     for spec in pool[::13]:  # m = 1, 2, 3, 1 with 4, 6, 7, 10 atoms per side
         m = spec["m"]
@@ -354,12 +355,14 @@ def test_verify_residual_is_homogeneous_in_the_weights():
         assert residual(k) == math.ldexp(base, k), k
 
 
-@pytest.mark.parametrize("k", [-40, 0, 40])
+@pytest.mark.parametrize("k", [-600, -40, 0, 40, 600])
 def test_equality_helpers_compare_at_the_weight_scale(k):
     """``chains_close``, ``chain0_close`` and ``is_piece`` default to
     ``EPS_REL`` S of the multiplicities they compare: at every weight scale
     a chain is not close to its double, a measure not to its triple, and a
-    reversed chain is no piece, while a last-bits difference still passes."""
+    reversed chain is no piece, while a last-bits difference still passes.
+    At 2^-600 a product of two multiplicities underflows, so ``is_piece``
+    compares signs."""
     theta, w = np.ldexp([[0.75], [0.5]], k), np.ldexp([[0.75, -0.5]], k)
     S = Chain1.from_arrays(2, 1, [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]], theta)
     mu = Chain0.from_arrays(1, 2, [[0.25]], w)

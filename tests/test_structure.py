@@ -3,12 +3,13 @@ between branchnet modules, importing the package or running a command
 without a flat LP loads neither ``scipy.optimize`` nor ``scipy.sparse``,
 only ``chains`` touches the Edge/Atom views, graphs are read from vertex
 ids, canonicalization merges rows through one array helper, rows are summed
-by one group sum, no module enumerates all pairs, points are snapped in
-batches, the search's hot path calls no numpy wrapper and no module calls
-``np.linalg.norm``, a weight row's norm goes through one helper, the
-search's moves hold no Python incidence, only ``costs.evaluate_rows``
-branches on the cost family, and every parameter default is set by some
-call."""
+by one group sum, no module enumerates all pairs, canonical form's snap
+radius, parallel test and near-pair query are defined only in ``chains``,
+points are snapped in batches, the search's hot path calls no numpy wrapper
+and no module calls ``np.linalg.norm``, a weight row's norm goes through one
+helper, the search's moves hold no Python incidence, only
+``costs.evaluate_rows`` branches on the cost family, and every parameter
+default is set by some call."""
 
 import ast
 import json
@@ -196,6 +197,33 @@ def test_no_all_pairs_enumeration():
     assert not found, found
 
 
+def test_canonical_form_rules_live_in_chains():
+    """Canonical form's geometric rules are each written once, in ``chains``,
+    and the other modules call them: only ``chains._near_pairs`` and the
+    narrow phase call the broad phase ``_box_pairs``; only
+    ``chains._snap_radius`` multiplies ``EPS_REL`` by a
+    ``pow2_scale(..., extent=True)``; and no module but ``chains`` defines a
+    parallel threshold, which ``_segment_interactions`` reads."""
+    box, radius, parallel = set(), {}, []
+    for stem, tree in MODULES.items():
+        for scope, node in _scoped(tree):
+            site = f"{stem}.{scope}"
+            if getattr(node, "id", None) == "_box_pairs" or isinstance(node, ast.alias) and node.name == "_box_pairs":
+                box.add(site)  # a call, or an import from chains
+            if isinstance(node, ast.Name) and node.id == "EPS_REL":
+                radius.setdefault(site, set()).add("EPS_REL")
+            if (isinstance(node, ast.Call) and _dotted(node.func) == "pow2_scale"
+                    and any(k.arg == "extent" for k in node.keywords)):
+                radius.setdefault(site, set()).add("L")
+        parallel += [f"{stem}.{target.id}" for node in tree.body if isinstance(node, ast.Assign)
+                     for target in node.targets if isinstance(target, ast.Name) and "PARALLEL" in target.id.upper()]
+    assert box == {"chains._near_pairs", "chains._segment_interactions"}, sorted(box)
+    assert {site for site, read in radius.items() if read == {"EPS_REL", "L"}} == {"chains._snap_radius"}, radius
+    assert parallel == ["chains._PARALLEL"], parallel
+    assert any(isinstance(node, ast.Name) and node.id == "_PARALLEL" and scope == "_segment_interactions"
+               for scope, node in _scoped(MODULES["chains"]))
+
+
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -226,8 +254,8 @@ def test_points_are_snapped_in_batches():
     assert not found, found
 
 
-HOT_PATH = {"chains": {"_unique_rows", "_box_pairs", "snap", "_segment_interactions", "canonicalize", "_split_merge",
-                       "_merge_rows", "_significant"},
+HOT_PATH = {"chains": {"_unique_rows", "_box_pairs", "_near_pairs", "snap", "_segment_interactions", "canonicalize",
+                       "_split_merge", "_merge_rows", "_significant"},
             "optimize": {"relocate_branch_points", "_fermat_point"}}
 WRAPPERS = {"np.linalg.norm", "np.sum", "np.any", "np.all", "np.flatnonzero", "np.hstack", "np.column_stack",
             "np.unique"}
