@@ -119,8 +119,11 @@ def evaluate_rows(cost: CostSpec, Theta) -> np.ndarray:
             norms = weight_norms(Th)
         elif p == math.inf:
             norms = np.abs(Th).max(axis=1)
-        else:
-            norms = _pow_each((np.abs(Th) ** p).sum(axis=1), 1.0 / p)
+        else:  # a row whose largest p-th power is not a normal float is divided by 2^e first, e its frexp exponent
+            top = np.abs(Th).max(axis=1, initial=0.0)
+            with np.errstate(over="ignore", under="ignore"):
+                e = np.where(np.isfinite(top ** p) & (top ** p >= np.finfo(float).tiny), 0, np.frexp(top)[1])
+            norms = np.ldexp(_pow_each((np.abs(np.ldexp(Th, -e[:, None])) ** p).sum(axis=1), 1.0 / p), e)
         return _pow_each(norms, cost.params["alpha"])
     if cost.family == "Custom":
         return np.array([float(cost.fn(row)) for row in Th], dtype=float)

@@ -329,23 +329,33 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
     ``_fermat_point`` finds that minimizer exactly.  Moves are accepted
     only when the local objective does not increase, so the sweep is energy
     non-increasing.  Vertices that land on a neighbor make the connecting
-    edge vanish.  When no vertex moves, the result is T itself.
-
-    The edge costs are evaluated once; the sweep is Gauss-Seidel over the
-    free vertices in sorted order, on the (E, 2) vertex-id array.  A moved
-    vertex's edges are relabeled to the last vertex at its new point: a
-    free vertex there not yet visited has the largest id, so it sees them
-    on its turn, and no other is visited again.  An edge with both ends on
-    a vertex (it landed there) has zero length wherever it goes, so it
-    moves with it and does not pull.
+    edge vanish.  An unflagged T is canonicalized first, then ``_relocate``
+    moves every free vertex; when none moves, the result is T itself.
     """
     if not T.canonical:
         T = canonicalize(T)
+    return _relocate(T, cost, range(len(T.V)))
+
+
+def _relocate(T: Chain1, cost: CostSpec, vertices) -> Chain1:
+    """Relocate the free ones among ``vertices`` (ids into ``T.V``) on T's own graph, canonical or not, then
+    canonicalize once: the result is T itself only when T is flagged canonical and no vertex moved.
+
+    The edge costs are evaluated once; the sweep is Gauss-Seidel over the
+    vertices in sorted order, on the (E, 2) vertex-id array.  A moved
+    vertex's edges are relabeled to the last vertex at its new point: a
+    listed free vertex there not yet visited has the largest id, so it sees
+    them on its turn, and no other is visited again.  An edge with both ends
+    on a vertex (it landed there) has zero length wherever it goes, so it
+    moves with it and does not pull.
+    """
     L, eps = pow2_scale(T.V, extent=True), _snap_radius(T.V)  # the extent of the endpoints
     W = evaluate_rows(cost, T.Theta)
     pos, ends = np.array(T.V), np.array(T.ij)  # vertex positions and each edge's (tail, head) ids
+    listed = np.zeros(len(T.V), dtype=bool)
+    listed[vertices] = True
 
-    for v in (~_significant(_vertex_weights(T), T.Theta)).nonzero()[0].tolist():
+    for v in (listed & ~_significant(_vertex_weights(T), T.Theta)).nonzero()[0].tolist():
         at = ends == v
         side, e = (at & ~at[:, ::-1]).T.nonzero()  # the edges with one end on v: tails, then heads
         if not len(e):
@@ -366,7 +376,7 @@ def relocate_branch_points(T: Chain1, cost: CostSpec) -> Chain1:
         ends[at] = (pos == new).all(axis=1).nonzero()[0][-1]
 
     if pos.tobytes() == T.V.tobytes():  # no vertex moved, to the bit
-        return T
+        return T if T.canonical else canonicalize(T)
     A, B = pos[ends[:, 0]], pos[ends[:, 1]]
     kept = (A != B).any(axis=1)
     return canonicalize(Chain1.from_arrays(T.n, T.m, A[kept], B[kept], T.Theta[kept]))
@@ -393,7 +403,8 @@ def _merge_candidates(T: Chain1) -> np.ndarray:
 
 
 def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, config: OptimizerConfig) -> Chain1:
-    """Reroute edges i and k through a shared trunk and relocate its ends.
+    """Reroute edges i and k through a shared trunk, relocate the free ends of the new edges (v, w, a1, a2, b1 and
+    b2) on the trial's own graph, blind to where they cross others, and canonicalize once (``_relocate``).
     ``config`` is unused; benchmark tracing reads its ``rel_tol``."""
     a1, b1, th1 = T.A[i], T.B[i], T.Theta[i]
     a2, b2, th2 = T.A[k], T.B[k], T.Theta[k]
@@ -404,7 +415,7 @@ def _apply_merge(T: Chain1, i: int, k: int, aligned: bool, cost: CostSpec, confi
     keep = (P != Q).any(axis=1)  # the new edges, less those of zero length
     trial = Chain1.from_arrays(T.n, T.m, *(np.concatenate([np.delete(X, [i, k], axis=0), Y[keep]])
                                            for X, Y in ((T.A, P), (T.B, Q), (T.Theta, Th))))
-    return relocate_branch_points(trial, cost)  # which canonicalizes the trial first
+    return _relocate(trial, cost, trial.ij[len(T.A) - 2:])  # the new edges come last
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +446,8 @@ def local_search(
     (propose, accept) row per move: it keeps cycle removal when the energy does not rise (E2 <= E),
     straightening and branch-point relocation when it rises by at most a relative 1e-12
     (E2 <= E (1 + 1e-12)), and the first of the 8 best merge candidates that lowers it by more than
-    rel_tol relatively (E2 < E (1 - rel_tol)).  It stops when a full sweep gains less than rel_tol
+    rel_tol relatively (E2 < E (1 - rel_tol)); a merge trial relocates only the ends of its new edges
+    (``_apply_merge``).  It stops when a full sweep gains less than rel_tol
     relatively or after max_iters sweeps, then removes cycles once more under the same rule.
     The report's ``stop_reason`` says which: "converged" or "max_iters",
     and its ``last_gain`` is the last sweep's relative gain.

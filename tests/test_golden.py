@@ -51,12 +51,12 @@ SEARCH_CASES = [
 ]
 
 SEARCH_GOLDEN = {
-    1: "167cf08b38029f956f9e33190e2e5e026b00e93a5133a91964b59ad4a34949a5",
-    2: "81fe69d99d0df5085cb43a9b5b20badf56241958e2bb25f8ac40b6a913eaafac",
-    3: "5fd73b4d967c68a8101a3d7cb8769aa95c56cc8846d18734dcd2727c7edc4cdd",
-    4: "d700fd1f23463051bef12f7dbb0f485245645b7394ff647221af5c596ce9afda",
+    1: "30809856f02183a9bc2190aea1d97aca35ae1814aedd5e074f81d377794486c6",
+    2: "6813ae6826d0cb07dd87f11e3d8e9714f467af276d1b577211237bc8b5ca60e9",
+    3: "ebc6590cd7ddab7791c9e7abed578330145729a8b5911c1055af73d99bf4677b",
+    4: "c925f56a3e43d28e6eb7791f5b42a0ad45b0a5a34a4e7f7f5fcc1ee0a0efc781",
     5: "f99a3b666ce4318b04c4a9d79ddfc5dbda4ba1c16e13a6cca7a009cb902a2a30",
-    6: "43bcbe93fd12be60458e6bac058e5621144ebd404632174ffb0113375abda4cd",
+    6: "17794f065e4e395108b0e60ba92007315530be702856ac24d2c0b4f258b55416",
 }
 
 
@@ -76,7 +76,7 @@ def _unit_square_pair(seed, m, atoms):
         Chain0.from_arrays(2, m, rng.uniform(0, 1, (atoms, 2)), wp)
 
 
-SOLVE_POOL_GOLDEN = "2d8a2618f3abf91a8d067b7bcff9f8333f713b632f2b6e645cd20f15661fc515"
+SOLVE_POOL_GOLDEN = "3e54dff8808fe8225356c432bb328422ebb6decce7d3f370121c1d9699bfbdf1"
 
 
 def test_solve_pool_golden():

@@ -25,6 +25,7 @@ from branchnet.costs import BetaEnvelope, p_norm_alpha, sum_alpha
 from branchnet.energy import energy
 from branchnet.optimize import (
     OptimizerConfig,
+    _apply_merge,
     _fermat_point,
     _merge_candidates,
     check_multiplicity_bound,
@@ -1108,6 +1109,59 @@ class TestMergeCandidates:
             M = 0.5 * (T.A + T.B)
             beyond += bool(ref) and M[1, 1] > M[0, 1] + 0.1 * bounding_cube(np.vstack([T.A, T.B]))[1]
         assert beyond
+
+
+def _merge_trials(rng):
+    """(T, i, k, aligned, cost, ends): every pair of edges of random trees
+    with m = 1..3 in 2- and 3-space, and the endpoint tuples of the new
+    edges a merge of the pair builds (a1, b1, a2, b2 and the midpoints v, w)."""
+    for t in range(6):
+        n, m = 2 + t % 2, 1 + t % 3
+        T, cost = _random_tree(rng, n, m, 5), sum_alpha(m, 0.6)
+        U = T.B - T.A
+        for i in range(len(T.A)):
+            for k in range(i + 1, len(T.A)):
+                aligned = float(U[i] @ U[k]) > 0
+                a2, b2 = (T.A[k], T.B[k]) if aligned else (T.B[k], T.A[k])
+                ends = (T.A[i], T.B[i], a2, b2, 0.5 * (T.A[i] + a2), 0.5 * (T.B[i] + b2))
+                yield T, i, k, aligned, cost, set(map(tuple, np.array(ends).tolist()))
+
+
+class TestApplyMerge:
+    """A merge trial relocates only the ends of its new edges, on its own
+    graph, and is canonicalized once."""
+
+    def test_one_canonicalization_per_trial(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimize, "canonicalize", lambda T: calls.append(1) or canonicalize(T))
+        trials = 0
+        for T, i, k, aligned, cost, _ in _merge_trials(rng):
+            calls.clear()
+            _apply_merge(T, i, k, aligned, cost, OptimizerConfig())
+            assert len(calls) == 1, (i, k)
+            trials += 1
+        assert trials > 100
+
+    def test_relocates_only_the_ends_of_its_new_edges(self, rng, monkeypatch):
+        starts = []
+        monkeypatch.setattr(optimize, "_fermat_point", lambda v0, *args: starts.append(tuple(v0.tolist()))
+                            or _fermat_point(v0, *args))
+        placed = 0
+        for T, i, k, aligned, cost, ends in _merge_trials(rng):
+            starts.clear()
+            _apply_merge(T, i, k, aligned, cost, OptimizerConfig())
+            assert set(starts) <= ends, (i, k)
+            placed += len(starts)
+        assert placed > 100
+
+    def test_output_is_canonical_and_keeps_the_rest_of_the_network(self, rng):
+        """The output is canonical, flagged so, with T's boundary, and every
+        vertex of T that is not an end of a new edge stays where it was."""
+        for T, i, k, aligned, cost, ends in _merge_trials(rng):
+            out = _apply_merge(T, i, k, aligned, cost, OptimizerConfig())
+            assert out.canonical and chains_close(canonicalize(out), out)
+            assert chain0_close(boundary(out), boundary(T))
+            assert set(map(tuple, T.V.tolist())) - ends <= set(map(tuple, out.V.tolist())), (i, k)
 
 
 class TestConfig:

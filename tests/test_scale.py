@@ -210,6 +210,17 @@ def test_euclidean_norm_cost_is_exact_at_extreme_weight_scales(k):
 
 
 @pytest.mark.parametrize("k", [-600, 600])
+def test_general_p_norm_cost_is_exact_at_extreme_weight_scales(k):
+    """``p_norm_alpha(2, 3, 0.8)`` costs 2^k e_1 at (2^k)^0.8 with no warning: a row whose largest cube is not a
+    normal float is divided by a power of two before it is powered, where it cost 0.0 or inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate_rows(p_norm_alpha(2, 3, 0.8), np.array([[math.ldexp(1.0, k), 0.0]]))[0]
+    want = math.pow(math.ldexp(1.0, k), 0.8)
+    assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("k", [-600, 600])
 def test_close_helpers_tell_a_chain_from_its_double_at_extreme_weight_scales(k):
     """At weights times 2^k for |k| = 600, where the square of a residual
     leaves the floating-point range, ``chains_close`` and ``chain0_close``

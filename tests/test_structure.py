@@ -256,7 +256,7 @@ def test_points_are_snapped_in_batches():
 
 HOT_PATH = {"chains": {"_unique_rows", "_box_pairs", "_near_pairs", "snap", "_segment_interactions", "canonicalize",
                        "_split_merge", "_merge_rows", "_significant"},
-            "optimize": {"relocate_branch_points", "_fermat_point"}}
+            "optimize": {"relocate_branch_points", "_relocate", "_fermat_point"}}
 WRAPPERS = {"np.linalg.norm", "np.sum", "np.any", "np.all", "np.flatnonzero", "np.hstack", "np.column_stack",
             "np.unique"}
 
@@ -319,7 +319,8 @@ def test_weight_rows_are_normed_by_one_helper():
     assert found == SELF_DOTS, (sorted(found - SELF_DOTS), sorted(SELF_DOTS - found))
 
 
-MOVES = {"remove_cycles", "straighten", "relocate_branch_points", "_apply_merge", "check_multiplicity_bound"}
+MOVES = {"remove_cycles", "straighten", "relocate_branch_points", "_relocate", "_apply_merge",
+         "check_multiplicity_bound"}
 
 
 def _list_of_lists(node) -> bool:
